@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from .complement import MAX_COMPLEMENT_COVER, pathwidth_cvc
 from .cover import is_vertex_cover, minimum_vertex_cover
 from .decomposition import find_violations
-from .errors import (InternalError, InvalidDecompositionError, ParseError,
-                     ResourceLimitError)
+from .errors import (InputError, InternalError, InvalidDecompositionError,
+                     ParseError, ResourceLimitError)
 from .formats import (decomposition_of, emit_td, parse_cover, parse_gr,
                       parse_td)
 from .oracle import pathwidth_exact, treewidth_exact
@@ -67,8 +67,21 @@ class RunConfig:
 def _read_input(path):
     if path is None:
         return sys.stdin.buffer.read()
-    with open(path, "rb") as fh:
-        return fh.read()
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
+# Solver-specific counters, printed after the common four when collected.
+_EXTRA_STATS = [
+    ("table_entries", "table entries"),  # pw-cvc
+    ("layers", "join layers"),  # tw-vc-3k from here on
+    ("join_cells", "join cells"),
+    ("convolve_calls", "convolve calls"),
+    ("convolve_cells", "convolve cells"),
+]
 
 
 def _print_stats(stats):
@@ -76,6 +89,9 @@ def _print_stats(stats):
     print(f"valid triples: {stats.get('valid_triples', 0)}")
     print(f"states: {stats.get('states', 0)}")
     print(f"peak table entries: {stats.get('peak_table', 0)}")
+    for key, label in _EXTRA_STATS:
+        if key in stats:
+            print(f"{label}: {stats[key]}")
 
 
 def _load_cover(config, g):
@@ -107,7 +123,7 @@ def _run_solver(config, g):
     if cover is None:
         cover = minimum_vertex_cover(g)
     elif not is_vertex_cover(g, cover):
-        raise ParseError(1, "supplied vertex set is not a vertex cover")
+        raise InputError("supplied vertex set is not a vertex cover")
     cap = config.max_k if config.max_k is not None else DEFAULT_MAX_K[algo]
     if len(cover) > cap:
         if (config.algo_defaulted and algo == "tw-vc-3k"
@@ -144,9 +160,7 @@ def run(config):
 
 def _run_check(config):
     g = parse_gr(_read_input(config.input_path))
-    with open(config.cover_path, "rb") as fh:  # reused as the .td path
-        td_data = fh.read()
-    doc = parse_td(td_data)
+    doc = parse_td(_read_input(config.cover_path))  # cover_path holds the .td
     dec, n = decomposition_of(doc)
     if n != g.n:
         print(f"error: decomposition is for {n} vertices, graph has {g.n}",
@@ -219,6 +233,9 @@ def main(argv=None):
         return run(config)
     except ParseError as exc:
         print(f"error: line {exc.line}: {exc.message}", file=sys.stderr)
+        return 2
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvalidDecompositionError as exc:
         for v in exc.violations:

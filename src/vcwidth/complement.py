@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .cover import is_vertex_cover, minimum_vertex_cover
 from .decomposition import Decomposition, validate
-from .errors import InternalError, ResourceLimitError
+from .errors import InputError, InternalError, ResourceLimitError
 from .graph import Graph
 from .states import iter_bits
 
@@ -132,7 +132,7 @@ def pathwidth_cvc(g, cover=None, stats=None, max_cover=MAX_COMPLEMENT_COVER):
     else:
         cover = set(cover)
         if not is_vertex_cover(comp, cover):
-            raise ValueError(
+            raise InputError(
                 "provided vertex set is not a vertex cover of the complement")
     k = len(cover)
     if k > max_cover:

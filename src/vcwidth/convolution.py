@@ -9,15 +9,14 @@ Arithmetic contract: intermediate ranked values can be as large as
 max|f| * max|g| * (s+1) * 4^s; callers must keep that inside signed 64 bits
 (the large-universe backend is numpy int64, which would wrap silently, so the
 bound is enforced up front with an explicit OverflowError). Universes are
-capped at s = 30.
+capped at s = 30. numpy is imported on the first convolution of a universe
+of size 10 or more, so importing this module does not load it.
 
 STATS counts convolve calls and output cells; the layered treewidth solver's
 operation accounting reads it.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 MAX_UNIVERSE = 30
 _NUMPY_MIN_S = 10  # below this, plain lists beat array overhead
@@ -100,6 +99,8 @@ def _check_overflow(f, g):
 
 
 def _popcounts(s):
+    import numpy as np
+
     pc = np.zeros(1 << s, dtype=np.int64)
     for i in range(s):
         pc[(np.arange(1 << s) >> i) & 1 == 1] += 1
@@ -107,6 +108,8 @@ def _popcounts(s):
 
 
 def _convolve_numpy(f, g):
+    import numpy as np
+
     s = f.s
     size = 1 << s
     pc = _popcounts(s)

@@ -10,6 +10,11 @@ class ParseError(ValueError):
         super().__init__(f"line {line}: {message}")
 
 
+class InputError(ValueError):
+    """Input that is well-formed text but unusable: an unreadable file, or a
+    supplied vertex set that is not the vertex cover a solver needs."""
+
+
 class ResourceLimitError(RuntimeError):
     """An instance exceeds a configured size cap (vertex count, cover size, ...)."""
 

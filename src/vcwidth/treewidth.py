@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .cover import is_vertex_cover, minimum_vertex_cover
 from .decomposition import Decomposition, validate
-from .errors import InternalError
+from .errors import InputError, InternalError
 from .graph import Graph
 from .pathwidth import _scan_types
 from .states import CoverContext, components_outside, iter_bits
@@ -346,7 +346,7 @@ def treewidth_vc_4k(g, cover=None, stats=None, join_values=None):
     else:
         cover = set(cover)
         if not is_vertex_cover(g, cover):
-            raise ValueError("provided vertex set is not a vertex cover")
+            raise InputError("provided vertex set is not a vertex cover")
     gp, apex = g.add_universal_vertex()
     ctx = CoverContext(gp, cover | {apex})
     if stats is not None:

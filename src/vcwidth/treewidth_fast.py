@@ -4,145 +4,210 @@ enumeration.
 Same states and values as treewidth.py, but the per-state minimum over join
 bipartitions is not found by enumerating bipartitions of `below`. Layer d
 stores, per state, the best width achievable with at most d nested joins on
-any root-to-leaf path. The layer-d join minima are assembled from layer d-1:
-for a fixed bag X, group the feasible join children W (unions of components
-of the cover graph minus X) by how many non-cover vertices would be confined
-to W (the zeta-transformed type counts z[W]), and probe candidate thresholds
-t. A boolean subset convolution of two groups tells, for every L at once,
-whether L splits into children with those two z values and both child values
-at most t; taking the pair with maximum z1 + z2 minimizes the number of
-non-cover vertices straddling the split, which is the only part of the local
-width that depends on the bipartition. Probing only the distinct finite
-child values is exhaustive: the optimum bipartition's larger child value is
-always one of them.
+any root-to-leaf path. The layer-d join minima are assembled from layer d-1,
+one bag X at a time.
 
-Values stabilize by layer k at the latest (a trimmed decomposition never
-nests more than k joins), and the stable table satisfies the same recurrence
-the direct solver computes, so the answers — and the recorded per-state join
-minima — agree exactly. Witness reconstruction is shared with treewidth.py:
-the back-walk only needs a table that is a fixpoint of the recurrence.
+The universe of a bag's joins is its c components: the connected components
+of the cover graph minus X. Every feasible child W and every target L is a
+union of them, so all tables have 2^c cells, with c at most the number of
+cover vertices outside X. z[W] counts the non-cover vertices confined to W
+(a vertex counts for the unions that hold all its neighbours outside X);
+maximizing z[A] + z[B] over the splits L = A + B minimizes the vertices
+straddling the split, the only part of the local width that depends on it.
+
+Candidate thresholds t run over the distinct child values; the optimum
+split's larger child value is one of them, so the probe is exhaustive. At t
+the new splits are those whose larger child value is exactly t. For each
+group of such children sharing one z value v1, a single subset convolution
+pairs the group's 0/1 indicator with every child of value at most t, packed
+as g[B] = 1 << ((c+1) * rank(z[B])): h[L] counts the splits of L per partner
+rank in digits of c+1 bits, so the top non-zero digit of h[L] names the best
+partner z for v1. A chunk of partner ranks per convolution is as large as
+convolve's 64-bit overflow guard allows (_chunk_size); larger rank sets take
+several chunks, best first, and stop once no target can gain.
+
+The bag data (components, z, the union of each component pick, the split
+penalty base) does not depend on the layer and is built once per solve; a
+bag whose child values are unchanged since the previous layer reuses its
+minima. Values stabilize by layer k at the latest (a trimmed decomposition
+never nests more than k joins), and the stable table satisfies the same
+recurrence the direct solver computes, so the answers — and the recorded
+per-state join minima — agree exactly. Witness reconstruction is shared with
+treewidth.py: the back-walk only needs a table that is a fixpoint of the
+recurrence.
 """
 
 from __future__ import annotations
 
-from .convolution import SetFunction, convolve, zeta
+from .convolution import STATS, SetFunction, convolve, zeta
 from .cover import is_vertex_cover, minimum_vertex_cover
 from .decomposition import Decomposition
-from .errors import InternalError
+from .errors import InputError, InternalError
 from .graph import Graph
 from .pathwidth import _scan_types
 from .states import CoverContext, components_outside, iter_bits, _spread
 from .treewidth import _read, _tw_lowers, reconstruct_tree
 
 
-def _join_minima(ctx, apex_pos, prev, stats):
+def _chunk_size(c):
+    """Most partner z ranks one packed convolution can carry on a c-bit
+    universe: the largest r with (c+1) * 4^c * 2^((c+1)(r-1)) < 2^63, the
+    bound convolve enforces for a 0/1 indicator against digits of c+1 bits."""
+    r = 1
+    while (c + 1) << (2 * c + (c + 1) * r) < 1 << 63:
+        r += 1
+    return r
+
+
+def _split_minima(c, z, a, base):
+    """Best split value of every union of at least two of c components.
+
+    `z[P]` counts the non-cover vertices confined to the components in P,
+    `a[P]` is the child value of P (None if P is no feasible child), and
+    `base` is the local width of a split that confines nothing. Returns a
+    list indexed by P: the minimum over splits P = A + B into two feasible
+    children of max(a[A], a[B], base - z[~P] - z[A] - z[B]), None where P
+    has no such split.
+
+    Thresholds t run over the distinct child values; at t only splits whose
+    larger child value is exactly t are new, so the A side is a group of
+    children with a == t and one z value v1, the B side every child with
+    a <= t. The B side is packed as g[B] = 1 << ((c+1) * rank(z[B])): the
+    convolution h[P] then counts, digit by digit, the splits of P whose
+    B-side z has that rank (at most 2^c < 2^(c+1) of them), so the top
+    non-zero digit of h[P] names the best partner of v1 in P. Ranks are cut
+    into chunks of _chunk_size(c) so that convolve's overflow guard holds.
+    """
+    size = 1 << c
+    full = size - 1
+    digit = c + 1
+    chunk = _chunk_size(c)
+    by_value = {}
+    for p in range(1, size):
+        if a[p] is not None:
+            by_value.setdefault(a[p], []).append(p)
+    best = [None] * size
+    pending = [p for p in range(size) if p & (p - 1)]
+    active = []
+    for t in sorted(by_value):
+        # a split first seen at t is worth at least t
+        pending = [p for p in pending if best[p] is None or best[p] > t]
+        if not pending:
+            break
+        new = by_value[t]
+        active.extend(new)
+        vals = sorted({z[p] for p in active})
+        rank = {v: i for i, v in enumerate(vals)}
+        groups = {}
+        for p in new:
+            groups.setdefault(z[p], []).append(p)
+        straddle = {}
+        for v1 in sorted(groups, reverse=True):
+            f = [0] * size
+            for p in groups[v1]:
+                f[p] = 1
+            f = SetFunction(c, f)
+            hi = len(vals)
+            while hi > 0:  # chunks of partner ranks, best first
+                lo = max(0, hi - chunk)
+                top = v1 + vals[hi - 1]
+                if all(straddle.get(p, -1) >= top for p in pending):
+                    break
+                g = [0] * size
+                for p in active:
+                    r = rank[z[p]] - lo
+                    if 0 <= r < hi - lo:
+                        g[p] = 1 << (digit * r)
+                h = convolve(f, SetFunction(c, g)).values
+                for p in pending:
+                    if h[p]:
+                        ssum = v1 + vals[lo + (h[p].bit_length() - 1) // digit]
+                        if ssum > straddle.get(p, -1):
+                            straddle[p] = ssum
+                hi = lo
+        for p, ssum in straddle.items():
+            val = max(t, base - z[full ^ p] - ssum)
+            if best[p] is None or val < best[p]:
+                best[p] = val
+    return best
+
+
+class _BagJoins:
+    """Layer-invariant join data of one bag, plus its last join minima.
+
+    The universe is the bag's c components outside the cover: every child
+    and every target of a join below the bag is a union of them. `keys[P]`
+    is the state key of the union of the components in P.
+    """
+
+    __slots__ = ("cells", "c", "z", "base", "keys", "child", "minima")
+
+    def __init__(self, ctx, bag, rest, comps):
+        k = ctx.k
+        c = len(comps)
+        size = 1 << c
+        masks = [0] * size
+        for p in range(1, size):
+            low = p & -p
+            masks[p] = masks[p ^ low] | comps[low.bit_length() - 1]
+        cnt = [0] * size
+        total = 0
+        for m, mult in ctx.types:
+            m &= rest
+            if m:
+                foot = 0
+                for i, comp in enumerate(comps):
+                    if m & comp:
+                        foot |= 1 << i
+                cnt[foot] += mult
+                total += mult
+        self.cells = 1 << rest.bit_count()
+        self.c = c
+        self.z = zeta(SetFunction(c, cnt)).values
+        self.base = bag.bit_count() - 1 + total
+        self.keys = [(w << k) | bag for w in masks]
+        self.child = None
+        self.minima = []
+
+
+def _bag_joins(ctx, apex_pos):
+    """_BagJoins of every apex bag whose outside has two or more components."""
+    others = [i for i in range(ctx.k) if i != apex_pos]
+    bags = []
+    for xs in range(1 << (ctx.k - 1)):
+        bag = _spread(xs, others) | (1 << apex_pos)
+        rest = ctx.full ^ bag
+        comps = components_outside(ctx.cov_adj, rest)
+        if len(comps) >= 2:
+            bags.append(_BagJoins(ctx, bag, rest, comps))
+    return bags
+
+
+def _join_minima(ctx, apex_pos, prev, stats, memo=None):
     """Best join-bipartition value per (below, bag), from the previous layer.
 
     Returns {(below << k) | bag: value} covering every below that splits
     into two feasible children; entries already include the split penalty
     (crossing + straddlers) but not the bag-only tightness or upper terms.
+    `memo`, the _bag_joins list kept across the layers of one solve, holds
+    the bag data and each bag's last minima; a bag whose child values did not
+    change since the previous layer reuses them.
     """
-    k = ctx.k
-    full = ctx.full
-    cov_adj = ctx.cov_adj
-    join_shift = 8 * (k + 1)
-    others = [i for i in range(k) if i != apex_pos]
+    if memo is None:
+        memo = _bag_joins(ctx, apex_pos)
+    join_shift = 8 * (ctx.k + 1)
     out = {}
-    for xs in range(1 << (k - 1)):
-        bag = _spread(xs, others) | (1 << apex_pos)
-        rest = full ^ bag
-        if rest == 0:
-            continue
-        comps = components_outside(cov_adj, rest)
-        c = len(comps)
-        if c < 2:
-            continue
-        positions = list(iter_bits(rest))
-        s = len(positions)
+    for bj in memo:
         if stats is not None:
-            stats["join_cells"] += 1 << s
-        pos_at = {p: i for i, p in enumerate(positions)}
-
-        def squeeze(m):
-            cm = 0
-            for p in iter_bits(m & rest):
-                cm |= 1 << pos_at[p]
-            return cm
-
-        cnt = [0] * (1 << s)
-        total = 0
-        for m, mult in ctx.types:
-            cm = squeeze(m)
-            if cm:
-                cnt[cm] += mult
-                total += mult
-        z = zeta(SetFunction(s, cnt)).values
-        comp_sq = [squeeze(m) for m in comps]
-        parts = []
-        for pick in range(1, 1 << c):
-            w = 0
-            for i in iter_bits(pick):
-                w |= comps[i]
-            pv = (prev.get((w << k) | bag, 0) >> join_shift) & 255
-            if pv:
-                cw = 0
-                for i in iter_bits(pick):
-                    cw |= comp_sq[i]
-                parts.append((cw, z[cw], pv - 1))
-        if not parts:
-            continue
-        targets = []
-        for pick in range(1, 1 << c):
-            if pick & (pick - 1):  # at least two components: splittable
-                l_mask = 0
-                cl = 0
-                for i in iter_bits(pick):
-                    l_mask |= comps[i]
-                    cl |= comp_sq[i]
-                targets.append((cl, l_mask))
-        if not targets:
-            continue
-        base = bag.bit_count() - 1
-        cfull = (1 << s) - 1
-        best = {}
-        for t in sorted({a for _, _, a in parts}):
-            if len(best) == len(targets) and t >= max(best.values()):
-                break  # larger probes cannot beat what we already have
-            groups = {}
-            for cw, zv, a in parts:
-                if a <= t:
-                    groups.setdefault(zv, []).append(cw)
-            vals = sorted(groups)
-            indicators = {}
-            for v in vals:
-                arr = [0] * (1 << s)
-                for cw in groups[v]:
-                    arr[cw] = 1
-                indicators[v] = SetFunction(s, arr)
-            pairs = [(v1 + v2, v1, v2)
-                     for i, v1 in enumerate(vals) for v2 in vals[i:]]
-            pairs.sort(reverse=True)
-            straddle_max = {}
-            unresolved = {cl for cl, _ in targets}
-            for ssum, v1, v2 in pairs:
-                if not unresolved:
-                    break
-                conv = convolve(indicators[v1], indicators[v2]).values
-                for cl in list(unresolved):
-                    if conv[cl]:
-                        straddle_max[cl] = ssum
-                        unresolved.discard(cl)
-            for cl, _ in targets:
-                m = straddle_max.get(cl)
-                if m is None:
-                    continue
-                val = max(t, base + total - z[cfull ^ cl] - m)
-                cur = best.get(cl)
-                if cur is None or val < cur:
-                    best[cl] = val
-        for cl, l_mask in targets:
-            if cl in best:
-                out[(l_mask << k) | bag] = best[cl]
+            stats["join_cells"] += bj.cells
+        child = [(prev.get(key, 0) >> join_shift) & 255 for key in bj.keys]
+        if child != bj.child:
+            bj.child = child
+            a = [v - 1 if v else None for v in child]
+            best = _split_minima(bj.c, bj.z, a, bj.base)
+            bj.minima = [(bj.keys[p], v) for p, v in enumerate(best)
+                         if v is not None]
+        out.update(bj.minima)
     return out
 
 
@@ -224,13 +289,15 @@ def treewidth_vc_3k(g, cover=None, stats=None, join_values=None):
     else:
         cover = set(cover)
         if not is_vertex_cover(g, cover):
-            raise ValueError("provided vertex set is not a vertex cover")
+            raise InputError("provided vertex set is not a vertex cover")
     gp, apex = g.add_universal_vertex()
     ctx = CoverContext(gp, cover | {apex})
     if stats is not None:
         stats["cover_size"] = len(cover)
         stats.setdefault("join_cells", 0)
         stats.setdefault("layers", 0)
+        calls0 = STATS["convolve_calls"]
+        cells0 = STATS["convolve_cells"]
     apex_pos = ctx.position[apex]
     prev = _layer_sweep(ctx, apex_pos, {}, stats)
     if stats is not None:
@@ -238,8 +305,9 @@ def treewidth_vc_3k(g, cover=None, stats=None, join_values=None):
     table = prev
     layer_values = None
     stable = False
+    memo = _bag_joins(ctx, apex_pos)
     for _ in range(ctx.k + 1):
-        jmin = _join_minima(ctx, apex_pos, prev, stats)
+        jmin = _join_minima(ctx, apex_pos, prev, stats, memo)
         layer_values = {} if join_values is not None else None
         table = _layer_sweep(ctx, apex_pos, jmin, stats, layer_values)
         if stats is not None:
@@ -252,6 +320,9 @@ def treewidth_vc_3k(g, cover=None, stats=None, join_values=None):
         raise InternalError("join layering did not stabilize within its bound")
     if join_values is not None:
         join_values.update(layer_values)
+    if stats is not None:  # this solve's real convolution work
+        stats["convolve_calls"] = STATS["convolve_calls"] - calls0
+        stats["convolve_cells"] = STATS["convolve_cells"] - cells0
     final = _read(table, ctx.k, ctx.full ^ (1 << apex_pos), 1 << apex_pos,
                   apex_pos + 1)
     if final is None:

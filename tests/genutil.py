@@ -121,3 +121,66 @@ def elimination_decomposition(rng, g):
         elif i + 1 < g.n:
             edges.append((i, i + 1))  # keep disconnected graphs in one tree
     return Decomposition(bags, edges, kind="tree")
+
+
+def join_minima_by_splits(ctx, apex_pos, prev):
+    """Layered treewidth join minima by trying every split of every target.
+
+    For each bag holding the apex, the targets are the unions P of two or
+    more components of the cover graph outside the bag; the value of P is
+    the min over splits P = A + B into children that have a value in `prev`
+    of max(a[A], a[B], |bag| - 1 + (vertices straddling the split)), where
+    a non-cover vertex straddles unless all its neighbours outside the bag
+    lie in A, in B or outside P.
+    """
+    k = ctx.k
+    slot = 8 * (k + 1)
+    out = {}
+    for bag in range(1 << k):
+        if not bag >> apex_pos & 1:
+            continue
+        rest = ctx.full & ~bag
+        comps = []
+        left = rest
+        while left:
+            comp = left & -left
+            while True:
+                grown = comp
+                for i in range(k):
+                    if comp >> i & 1:
+                        grown |= ctx.cov_adj[i] & rest
+                if grown == comp:
+                    break
+                comp = grown
+            comps.append(comp)
+            left &= ~comp
+
+        def child(w):
+            v = (prev.get((w << k) | bag, 0) >> slot) & 255
+            return v - 1 if v else None
+
+        def straddling(a_side, b_side):
+            outside = rest & ~(a_side | b_side)
+            return sum(cnt for m, cnt in ctx.types
+                       if m & rest and all(m & rest & ~side for side in
+                                           (a_side, b_side, outside)))
+
+        def union(pick):
+            return sum(comps[i] for i in range(len(comps)) if pick >> i & 1)
+
+        for pick in range(1 << len(comps)):
+            if bin(pick).count("1") < 2:
+                continue
+            best = None
+            sub = (pick - 1) & pick
+            while sub:
+                a_side, b_side = union(sub), union(pick ^ sub)
+                va, vb = child(a_side), child(b_side)
+                if va is not None and vb is not None:
+                    val = max(va, vb, bin(bag).count("1") - 1
+                              + straddling(a_side, b_side))
+                    best = val if best is None else min(best, val)
+                sub = (sub - 1) & pick
+            if best is not None:
+                out[(union(pick) << k) | bag] = best
+    return out

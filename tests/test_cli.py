@@ -1,6 +1,8 @@
 """Command-line interface: selectors, exit codes, witness round trips."""
 
 import io
+import os
+import subprocess
 import sys
 import types
 
@@ -79,6 +81,20 @@ def test_stats_block(tmp_path, capsys):
     triples = int(lines[2].split(": ")[1])
     assert 0 < triples <= 3 ** 4
     assert len(lines) == 5
+
+
+def test_stats_block_of_the_layered_solver(tmp_path, capsys):
+    path = write(tmp_path, "c5.gr", C5)
+    rc, out, err = run(capsys, ["tw", "--stats", "--input", path])
+    assert rc == 0
+    lines = dict(line.split(": ") for line in out.splitlines())
+    assert int(lines["join layers"]) >= 2
+    assert int(lines["join cells"]) > 0
+    calls = int(lines["convolve calls"])
+    assert calls > 0 and int(lines["convolve cells"]) >= calls
+    # the counts are this solve's, not the process's running totals
+    rc, again, err = run(capsys, ["tw", "--stats", "--input", path])
+    assert again == out
 
 
 def test_witness_round_trips_through_check(tmp_path, capsys):
@@ -187,3 +203,36 @@ def test_empty_graph(tmp_path, capsys):
     td_path = write(tmp_path, "empty.td", td_text)
     rc, out, err = run(capsys, ["check", path, td_path])
     assert rc == 0 and out == "width: -1\n"
+
+
+def test_unreadable_files_exit_2(tmp_path, capsys):
+    path = write(tmp_path, "p3.gr", P3)
+    missing = str(tmp_path / "missing")
+    for argv in (["tw", "--input", missing],
+                 ["pw", "--input", path, "--cover", missing],
+                 ["pw", "--algo", "cvc", "--input", path, "--cover", missing],
+                 ["pw", "--input", str(tmp_path)],
+                 ["check", missing, path],
+                 ["check", path, missing]):
+        rc, out, err = run(capsys, argv)
+        assert rc == 2 and out == "", argv
+        assert err.startswith("error: cannot read ") and "Traceback" not in err
+
+
+def test_complement_cover_that_is_no_cover_exit_2(tmp_path, capsys):
+    path = write(tmp_path, "c5.gr", C5)
+    # vertices 1 and 3 are non-adjacent, so any complement cover needs one
+    cover_path = write(tmp_path, "cover.txt", "2 4 5\n")
+    rc, out, err = run(capsys, ["pw", "--algo", "cvc", "--cover", cover_path,
+                                "--input", path])
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "not a vertex cover" in err
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, vcwidth.cli; print('numpy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "False\n"

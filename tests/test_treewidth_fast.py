@@ -10,10 +10,13 @@ from vcwidth.graph import (Graph, complete_graph, cycle_graph, grid_graph,
 from vcwidth.oracle import enumerate_small_graphs, treewidth_exact
 from vcwidth.states import CoverContext
 from vcwidth.treewidth import treewidth_vc_4k
-from vcwidth.treewidth_fast import (_join_minima, _layer_sweep,
+from vcwidth import treewidth_fast
+from vcwidth.treewidth_fast import (_bag_joins, _chunk_size, _join_minima,
+                                    _layer_sweep, _split_minima,
                                     treewidth_vc_3k)
 
-from genutil import random_graph, random_tree
+from genutil import (join_minima_by_splits, random_graph,
+                     random_graph_with_cover, random_tree)
 
 
 def solved(g, **kw):
@@ -146,3 +149,85 @@ def test_join_cell_accounting():
         treewidth_vc_3k(g, stats=stats)
         k = stats["cover_size"] + 1
         assert 0 <= stats["join_cells"] <= (stats["layers"] - 1) * 3 ** (k - 1)
+
+
+def test_join_minima_match_split_enumeration():
+    rng = random.Random(58)
+    for trial in range(45):
+        kind = trial % 3
+        if kind == 0:
+            g = random_graph(rng, rng.randrange(2, 9), rng.choice([0.2, 0.4]))
+            cover = minimum_vertex_cover(g)
+        else:
+            k = rng.randrange(2, 7)
+            n = k + rng.randrange(1, 8)
+            if kind == 1:
+                g = random_graph_with_cover(rng, k, n, 0.4)
+            else:  # independent cover: every cover vertex is a component
+                g = Graph(n, [(u, v) for u in range(k) for v in range(k, n)
+                              if rng.random() < 0.5])
+            cover = set(range(k))
+        gp, apex = g.add_universal_vertex()
+        ctx = CoverContext(gp, cover | {apex})
+        ap = ctx.position[apex]
+        prev = _layer_sweep(ctx, ap, {})
+        memo = _bag_joins(ctx, ap)
+        for _ in range(ctx.k + 1):
+            want = join_minima_by_splits(ctx, ap, prev)
+            assert _join_minima(ctx, ap, prev, None, memo) == want, \
+                f"trial {trial}: {g.edges}"
+            assert _join_minima(ctx, ap, prev, None) == want
+            table = _layer_sweep(ctx, ap, want)
+            if table == prev:
+                break
+            prev = table
+
+
+def split_minima_by_enumeration(c, z, a, base, targets):
+    full = (1 << c) - 1
+    out = {}
+    for p in targets:
+        best = None
+        sub = (p - 1) & p
+        while sub:
+            if a[sub] is not None and a[p ^ sub] is not None:
+                val = max(a[sub], a[p ^ sub],
+                          base - z[full ^ p] - z[sub] - z[p ^ sub])
+                best = val if best is None else min(best, val)
+            sub = (sub - 1) & p
+        out[p] = best
+    return out
+
+
+def test_split_minima_over_several_rank_chunks(monkeypatch):
+    calls = {}
+    real = treewidth_fast.convolve
+
+    def counting(f, g):
+        calls[id(f)] = calls.get(id(f), 0) + 1
+        return real(f, g)
+
+    monkeypatch.setattr(treewidth_fast, "convolve", counting)
+    rng = random.Random(59)
+    for c, values, n_targets in ((4, 40, None), (12, 6, 150)):
+        size = 1 << c
+        z = [rng.randrange(values) for _ in range(size)]
+        assert len(set(z)) > _chunk_size(c)
+        a = [None] + [rng.choice([0, 1, 2, None]) for _ in range(size - 1)]
+        base = 2 * values
+        calls.clear()
+        got = _split_minima(c, z, a, base)
+        assert max(calls.values()) > 1, "no indicator met two rank chunks"
+        targets = [p for p in range(size) if p & (p - 1)]
+        if n_targets is not None:
+            targets = rng.sample(targets, n_targets)
+        want = split_minima_by_enumeration(c, z, a, base, targets)
+        assert {p: got[p] for p in targets} == want
+
+
+def test_chunk_size_is_largest_under_the_overflow_guard():
+    assert _chunk_size(4) == 11 and _chunk_size(12) == 3
+    for c in range(1, 26):
+        r = _chunk_size(c)
+        assert (c + 1) << (2 * c + (c + 1) * (r - 1)) < 1 << 63
+        assert (c + 1) << (2 * c + (c + 1) * r) >= 1 << 63
