@@ -59,9 +59,12 @@ class RunConfig:
     def __post_init__(self):
         allowed = {"pw-vc", "tw-vc-4k", "tw-vc-3k", "pw-cvc",
                    "oracle-tw", "oracle-pw"}
-        assert self.algo in allowed, f"unknown selector {self.algo!r}"
-        assert self.max_k is None or self.max_k > 0
-        assert self.max_n > 0
+        if self.algo not in allowed:
+            raise InputError(f"unknown selector {self.algo!r}")
+        if self.max_k is not None and self.max_k <= 0:
+            raise InputError(f"--max-k must be positive, got {self.max_k}")
+        if self.max_n <= 0:
+            raise InputError(f"--max-n must be positive, got {self.max_n}")
 
 
 def _read_input(path):

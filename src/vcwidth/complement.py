@@ -10,10 +10,14 @@ a mirrored right part built from R = C minus N[L].
 Table value for L: rooted[L] = max(|N(L) \\ L|, min over u in L of
 rooted[L minus u]), rooted[empty] = 0. The neighborhood unions are built
 incrementally in blocks of the low 16 subset bits so the only full-size
-allocation is the table itself (one byte per subset).
+allocation is the table itself: one byte per subset, or two once n > 256,
+since its values are widths up to n - 1 (graphs with more than 65535
+vertices are rejected).
 """
 
 from __future__ import annotations
+
+from array import array
 
 from .cover import is_vertex_cover, minimum_vertex_cover
 from .decomposition import Decomposition, validate
@@ -22,6 +26,7 @@ from .graph import Graph
 from .states import iter_bits
 
 MAX_COMPLEMENT_COVER = 26
+MAX_VERTICES = 65535  # widths must fit the table's unsigned 16-bit entries
 _BLOCK_BITS = 16
 
 
@@ -49,7 +54,8 @@ def _block_tables(adj, k):
 
 
 def rooted_pw_table(g, order):
-    """rooted[L] for every L subset of the cover, as a bytearray over masks.
+    """rooted[L] for every L subset of the cover, as a byte or 16-bit array
+    over masks.
 
     order fixes the bit positions; rooted[L] is the least width of a path
     decomposition of G[N[L]] with N(L) as its inner end bag.
@@ -57,7 +63,9 @@ def rooted_pw_table(g, order):
     k = len(order)
     adj, _ = _vertex_masks(g, order)
     vbit = [1 << v for v in order]
-    rooted = bytearray(1 << k)
+    # widths are at most n - 1; a bytearray is faster to index when they fit
+    rooted = (bytearray(1 << k) if g.n <= 256
+              else array("H", [0]) * (1 << k))
     b, um_low, lf_low = _block_tables(adj, k)
     for low in range(1, 1 << b):
         i = (low & -low).bit_length() - 1
@@ -126,6 +134,10 @@ def pathwidth_cvc(g, cover=None, stats=None, max_cover=MAX_COMPLEMENT_COVER):
     """
     if g.n == 0:
         return -1, Decomposition([], [], kind="path")
+    if g.n > MAX_VERTICES:
+        raise ResourceLimitError(
+            f"graph has {g.n} vertices, the complement-cover solver "
+            f"supports at most {MAX_VERTICES}")
     comp = g.complement()
     if cover is None:
         cover = minimum_vertex_cover(comp)

@@ -1,17 +1,24 @@
 """Exact pathwidth parameterized by vertex cover size.
 
-Plan: add an apex vertex adjacent to everything (pathwidth rises by exactly
-one and every optimal layout can introduce the apex first among forgettable
-things, which pins the final state), run a DP over states (lower op, below,
-bag, ahead, upper op) in precedence order, and read the answer off the state
-that forgets the apex last. Independent-side vertices enter the arithmetic
-only as counts grouped by their cover-neighborhood type; the witness builder
-expands them back into concrete bags.
+Plan: add an apex vertex adjacent to everything, run a DP over states
+(lower op, below, bag, ahead, upper op) in precedence order, and read the
+answer off the state that forgets the apex last. Independent-side vertices
+enter the arithmetic only as counts grouped by their cover-neighborhood
+type, read in O(1) from the zeta table `CoverContext.inside`; the witness
+builder expands them back into concrete bags.
 
-Table layout: one packed int per valid triple. Byte slot 0 holds the best
-value over states whose upper op introduces (any) vertex — the value does not
-depend on which; byte slot u+1 holds the best value for upper op forget(u).
-A zero byte means unreachable; otherwise the byte stores value+1.
+The table covers only the bags that hold the apex, which loses nothing.
+The apex raises the pathwidth by exactly one, so adding it to every bag of
+an optimal path decomposition of g gives an optimal one of g plus apex. Read
+bag by bag, that decomposition's cover operations can introduce the apex
+before anything else and forget it after everything else, so every state of
+its chain has the apex in its bag: the base state is (nothing below, the
+apex alone in the bag) and the final state (everything else below, the apex
+alone in the bag). The DP over apex bags therefore reaches the optimum, and
+the 2^(k-1) bags without the apex (apex ahead or below) are never swept.
+
+Table layout: one packed int per valid triple, as described in states.py;
+byte slot 0 is the introduce upper, slot u+1 the forget(u) upper.
 """
 
 from __future__ import annotations
@@ -19,136 +26,73 @@ from __future__ import annotations
 from .cover import is_vertex_cover, minimum_vertex_cover
 from .decomposition import Decomposition, validate
 from .errors import InputError, InternalError
-from .graph import Graph
-from .states import CoverContext, iter_bits
+from .states import (CoverContext, _forgets, _lowers, _pack, _read,
+                     touching)
 
 
-def _scan_types(types, below, ahead):
-    """Split independent-vertex types by which sides of the triple they see.
-
-    Returns (crossing count, below-only types, ahead-only types, bag-only
-    types); the latter three keep (mask, count) pairs.
-    """
-    crossing = 0
-    below_only = []
-    ahead_only = []
-    bag_only = []
-    for m, cnt in types:
-        if m & below:
-            if m & ahead:
-                crossing += cnt
-            else:
-                below_only.append((m, cnt))
-        elif m & ahead:
-            ahead_only.append((m, cnt))
-        else:
-            bag_only.append((m, cnt))
-    return crossing, below_only, ahead_only, bag_only
+def _pw_lowers(ctx, table, below, bag, apex):
+    """Lower candidates (code, xl, pred) of a pathwidth triple. The base
+    state (nothing below, the apex alone in the bag) introduces the apex
+    with no predecessor; it carries pred = 0, which never dominates."""
+    if below == 0 and bag == apex:
+        return [(apex.bit_length() - 1, 0, 0)]
+    return _lowers(ctx, table, below, bag)
 
 
-def _lowers(ctx, table, below, bag, size_x, below_only):
-    """Candidate lower ops with their boundary counts and predecessor values.
-
-    Yields (code, xl, pred, introduced) in ascending code order: introduces
-    first (code = u), then forgets (code = 32+u). The pathwidth base state —
-    empty `below`, singleton bag — has no predecessor; it carries pred = 0,
-    which never dominates. Unreachable predecessors are dropped.
-    """
-    k = ctx.k
-    cov_adj = ctx.cov_adj
-    out = []
-    if below == 0 and size_x == 1:
-        u = bag.bit_length() - 1
-        out.append((u, 0, 0, u))
-        return out
-    for u in iter_bits(bag):
-        if cov_adj[u] & below:
-            continue
-        packed = table.get((below << k) | (bag ^ (1 << u)), 0)
-        pv = packed & 255
-        if pv:
-            xl = sum(cnt for m, cnt in below_only if m >> u & 1)
-            out.append((u, xl, pv - 1, u))
-    for u in iter_bits(below):
-        packed = table.get(((below ^ (1 << u)) << k) | (bag | (1 << u)), 0)
-        pv = (packed >> (8 * (u + 1))) & 255
-        if pv:
-            out.append((32 + u, 0, pv - 1, -1))
-    return out
+def _tight(inside, bag, code, forgotten):
+    """1 if some vertex confined to the bag needs its pendant bag in this
+    state: it must see the introduced vertex under an introduce lower and
+    the forgotten one under a forget upper, else the pendant bag fits in a
+    neighboring state. Every vertex sees the apex, which is in the bag, so
+    `bag` stands for "no condition"."""
+    a = 1 << code if code < 32 else bag
+    b = 1 << forgotten if forgotten >= 0 else bag
+    return 1 if touching(inside, bag, a, b) else 0
 
 
-def _uppers(ctx, below, bag, ahead, ahead_only):
-    """Candidate upper ops as (slot, xr, forgotten vertex or -1)."""
-    out = []
-    if ahead:
-        out.append((0, 0, -1))
-    for v in iter_bits(bag):
-        if ctx.cov_adj[v] & ahead:
-            continue
-        xr = sum(cnt for m, cnt in ahead_only if m >> v & 1)
-        out.append((v + 1, xr, v))
-    return out
-
-
-def _tight(bag_only, introduced, forgotten):
-    """1 if some bag-confined vertex needs its pendant bag in this state."""
-    for m, _ in bag_only:
-        if introduced >= 0 and not m >> introduced & 1:
-            continue
-        if forgotten >= 0 and not m >> forgotten & 1:
-            continue
-        return 1
-    return 0
-
-
-def partial_width_table(ctx, stats=None):
-    """Run the pathwidth DP sweep; returns the packed state-value table."""
+def partial_width_table(ctx, stats=None, *, apex_pos):
+    """Run the pathwidth DP sweep over the bags holding the apex; returns
+    the packed state-value table."""
     k = ctx.k
     full = ctx.full
-    types = ctx.types
+    inside = ctx.inside
+    apex = 1 << apex_pos
     table = {}
-    triples = ctx.valid_triples()
+    triples = ctx.valid_triples(require_bit=apex_pos)
     states = 0
     slots = 0
     for below, bag in triples:
-        ahead = full & ~(below | bag)
-        size_x = bag.bit_count()
-        crossing, below_only, ahead_only, bag_only = _scan_types(types, below, ahead)
-        lowers = _lowers(ctx, table, below, bag, size_x, below_only)
+        lowers = _pw_lowers(ctx, table, below, bag, apex)
         if not lowers:
             continue
-        uppers = _uppers(ctx, below, bag, ahead, ahead_only)
+        ahead = full & ~(below | bag)
+        uppers = [(0, 0, -1)] if ahead else []
+        uppers += _forgets(ctx, bag, ahead)
         if not uppers:
             continue
-        base = size_x + crossing - 1
+        base = bag.bit_count() + touching(inside, full, below, ahead) - 1
         states += len(lowers) * len(uppers)
-        packed = 0
-        if not bag_only:
-            m1 = min(max(pred, base + xl) for _, xl, pred, _ in lowers)
-            for slot, xr, _ in uppers:
-                val = max(m1, base + xr)
-                packed |= (val + 1) << (8 * slot)
+        m1 = min(max(pred, base + xl) for _, xl, pred in lowers)
+        if m1 > base or not inside[bag]:
+            # the tightness term, 0 or 1, cannot raise a lower that reaches
+            # m1 > base, and it is 0 when no vertex is confined to the bag
+            values = [(slot, max(m1, base + xr)) for slot, xr, _ in uppers]
         else:
-            for slot, xr, forgotten in uppers:
-                best = None
-                for code, xl, pred, introduced in lowers:
-                    t = _tight(bag_only, introduced, forgotten)
-                    cand = max(pred, base + max(xl, xr, t))
-                    if best is None or cand < best:
-                        best = cand
-                packed |= (best + 1) << (8 * slot)
-        table[(below << k) | bag] = packed
+            # the lowers reaching m1 = base have xl = 0 and pred <= base;
+            # an upper with xr = 0 costs one more unless one of them leaves
+            # every bag-confined vertex a pendant bag elsewhere
+            free = [code for code, xl, pred in lowers
+                    if not xl and pred <= base]
+            values = [(slot, base + (xr or all(
+                _tight(inside, bag, code, forgotten) for code in free)))
+                      for slot, xr, forgotten in uppers]
+        table[(below << k) | bag] = _pack(values)
         slots += len(uppers)
     if stats is not None:
         stats["valid_triples"] = len(triples)
         stats["states"] = states
         stats["peak_table"] = slots
     return table
-
-
-def _read(table, k, below, bag, slot):
-    pv = (table.get((below << k) | bag, 0) >> (8 * slot)) & 255
-    return pv - 1 if pv else None
 
 
 def _state_chain(ctx, table, apex_pos):
@@ -160,8 +104,10 @@ def _state_chain(ctx, table, apex_pos):
     """
     k = ctx.k
     full = ctx.full
-    below = full ^ (1 << apex_pos)
-    bag = 1 << apex_pos
+    inside = ctx.inside
+    apex = 1 << apex_pos
+    below = full ^ apex
+    bag = apex
     slot = apex_pos + 1
     val = _read(table, k, below, bag, slot)
     if val is None:
@@ -169,17 +115,14 @@ def _state_chain(ctx, table, apex_pos):
     chain = []
     while True:
         ahead = full & ~(below | bag)
-        size_x = bag.bit_count()
-        crossing, below_only, ahead_only, bag_only = _scan_types(
-            ctx.types, below, ahead)
-        base = size_x + crossing - 1
-        forgotten = slot - 1 if slot else -1
-        xr = sum(cnt for m, cnt in ahead_only if forgotten >= 0
-                 and m >> forgotten & 1)
+        base = bag.bit_count() + touching(inside, full, below, ahead) - 1
+        forgotten = slot - 1
+        xr = 0
+        if forgotten >= 0:
+            xr = touching(inside, bag | ahead, ahead, 1 << forgotten)
         picked = None
-        for code, xl, pred, introduced in _lowers(
-                ctx, table, below, bag, size_x, below_only):
-            t = _tight(bag_only, introduced, forgotten) if bag_only else 0
+        for code, xl, pred in _pw_lowers(ctx, table, below, bag, apex):
+            t = _tight(inside, bag, code, forgotten)
             if max(pred, base + max(xl, xr, t)) == val:
                 picked = (code, pred)
                 break
@@ -187,7 +130,7 @@ def _state_chain(ctx, table, apex_pos):
             raise InternalError("pathwidth back-walk lost the optimum")
         code, pred = picked
         chain.append((code, below, bag, slot))
-        if below == 0 and size_x == 1:
+        if below == 0 and bag == apex:
             break
         if code < 32:  # introduce(u): undo it
             slot = 0
@@ -271,8 +214,8 @@ def pathwidth_vc(g, cover=None, stats=None):
     ctx = CoverContext(gp, cover | {apex})
     if stats is not None:
         stats["cover_size"] = len(cover)
-    table = partial_width_table(ctx, stats)
     apex_pos = ctx.position[apex]
+    table = partial_width_table(ctx, stats, apex_pos=apex_pos)
     final = _read(table, ctx.k, ctx.full ^ (1 << apex_pos), 1 << apex_pos,
                   apex_pos + 1)
     if final is None:

@@ -20,7 +20,7 @@ next (upper op). Operations:
 
 Degenerate treewidth states have below == 0, no lower op, and a forget upper
 op; they are the base cases of the treewidth recurrence. The pathwidth base
-is the introduce-lower state with below == 0 and a singleton bag.
+is the introduce-lower state with below == 0 and the apex alone in the bag.
 
 States are ranked by (|below|, |bag|); that order linearly extends the
 predecessor relation, so one sweep over triples in this order sees every
@@ -30,7 +30,9 @@ predecessor before its successors.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cached_property
 
+from .convolution import SetFunction, zeta
 from .errors import ResourceLimitError
 
 OpTag = namedtuple("OpTag", ["kind", "arg"])
@@ -97,16 +99,15 @@ def components_outside(cov_adj, verts):
     comps = []
     rem = verts
     while rem:
-        low = rem & -rem
-        comp = low
-        frontier = low
+        comp = frontier = rem & -rem
         while frontier:
             grow = 0
-            for i in iter_bits(frontier):
-                grow |= cov_adj[i]
-            grow &= verts & ~comp
-            comp |= grow
-            frontier = grow
+            while frontier:
+                bit = frontier & -frontier
+                frontier ^= bit
+                grow |= cov_adj[bit.bit_length() - 1]
+            frontier = grow & rem & ~comp
+            comp |= frontier
         comps.append(comp)
         rem &= ~comp
     return comps
@@ -119,33 +120,20 @@ def enumerate_valid_triples(cov_adj, require_bit=None):
     unions of connected components of the cover graph minus X (an edge from a
     component straddling below/ahead would be a below-ahead edge). If
     `require_bit` is given, only bags containing that position are produced
-    (used by the treewidth solvers, whose other states are all unreachable).
+    (used with the apex position: the solvers never need the other states).
     """
     k = len(cov_adj)
     full = (1 << k) - 1
     out = []
-    if require_bit is None:
-        bags = range(full + 1)
-    else:
-        rest_bits = [i for i in range(k) if i != require_bit]
-        bags = (_spread(m, rest_bits) | (1 << require_bit)
-                for m in range(1 << (k - 1)))
+    bags = range(full + 1)
+    if require_bit is not None:
+        bags = [bag for bag in bags if bag >> require_bit & 1]
     for bag in bags:
-        comps = components_outside(cov_adj, full & ~bag)
-        for pick in range(1 << len(comps)):
-            below = 0
-            for i in iter_bits(pick):
-                below |= comps[i]
-            out.append((below, bag))
+        belows = [0]
+        for comp in components_outside(cov_adj, full & ~bag):
+            belows += [below | comp for below in belows]
+        out += [(below, bag) for below in belows]
     out.sort(key=lambda t: (t[0].bit_count(), t[1].bit_count(), t[0], t[1]))
-    return out
-
-
-def _spread(mask, positions):
-    out = 0
-    for i, p in enumerate(positions):
-        if mask >> i & 1:
-            out |= 1 << p
     return out
 
 
@@ -360,6 +348,18 @@ class CoverContext:
         self.types = sorted((m, len(vs)) for m, vs in by_mask.items())
         self.type_masks = set(by_mask)
 
+    @cached_property
+    def inside(self):
+        """inside[S]: independent-side vertices whose neighborhood lies in S.
+
+        The subset zeta transform of the type counts, built on first use; it
+        turns every boundary count of the sweeps into an O(1) `touching`.
+        """
+        cnt = [0] * (1 << self.k)
+        for m, c in self.types:
+            cnt[m] = c
+        return zeta(SetFunction(self.k, cnt)).values
+
     def valid_triples(self, require_bit=None):
         return enumerate_valid_triples(self.cov_adj, require_bit)
 
@@ -374,3 +374,91 @@ class CoverContext:
             if pred(m):
                 out.extend(vs)
         return out
+
+
+def touching(inside, outer, a, b):
+    """Independent-side vertices with every neighbor in `outer` and at least
+    one in `a` and one in `b`, by inclusion-exclusion over `inside`.
+
+    The sweeps' boundary counts are all of this form, for a triple
+    (L, X, R): crossing = touching(inside, full, L, R); the extra of an
+    introduce(u) lower is touching(inside, L|X, L, u) and that of a
+    forget(v) upper touching(inside, X|R, R, v); the straddlers of a join
+    split L = P1 + P2 are touching(inside, L|X, P1, P2); and pathwidth's
+    pendant-bag test of (introduced i, forgotten f) is
+    touching(inside, X, i, f).
+    """
+    return (inside[outer] - inside[outer & ~a] - inside[outer & ~b]
+            + inside[outer & ~(a | b)])
+
+
+# Packed tables: one int per triple, keyed (below << k) | bag. Byte slot 0
+# holds the best value over introduce uppers (it does not depend on which
+# vertex), slot u+1 the best value for forget(u), and slot k+1 (treewidth
+# only) the join upper. A zero byte means unreachable; otherwise the byte
+# stores min(value, 254) + 1. Every optimum is at most k <= 26, so a
+# saturated state never wins and no back-walk visits one.
+
+def _pack(values):
+    """Packed int of a list of (slot, value) pairs."""
+    packed = 0
+    for slot, val in values:
+        packed |= (min(val, 254) + 1) << (8 * slot)
+    return packed
+
+
+def _read(table, k, below, bag, slot):
+    pv = (table.get((below << k) | bag, 0) >> (8 * slot)) & 255
+    return pv - 1 if pv else None
+
+
+def _lowers(ctx, table, below, bag):
+    """Non-join lower candidates as (code, xl, pred), ascending code order:
+    introduce(u) has code u, forget(u) code 32+u. Unreachable predecessors
+    are dropped."""
+    k = ctx.k
+    cov_adj = ctx.cov_adj
+    inside = ctx.inside
+    below_bag = below | bag
+    extra = inside[below_bag] - inside[bag]
+    key = below << k
+    out = []
+    m = bag
+    while m:
+        bit = m & -m
+        m ^= bit
+        u = bit.bit_length() - 1
+        if cov_adj[u] & below:
+            continue
+        pv = table.get(key | (bag ^ bit), 0) & 255
+        if pv:  # xl = touching(inside, below | bag, below, bit)
+            out.append((u, extra - inside[below_bag ^ bit] + inside[bag ^ bit],
+                        pv - 1))
+    m = below
+    while m:
+        bit = m & -m
+        m ^= bit
+        u = bit.bit_length() - 1
+        packed = table.get(((below ^ bit) << k) | bag | bit, 0)
+        pv = (packed >> (8 * u + 8)) & 255
+        if pv:
+            out.append((32 + u, 0, pv - 1))
+    return out
+
+
+def _forgets(ctx, bag, ahead):
+    """Forget upper candidates as (slot, xr, v), ascending v."""
+    cov_adj = ctx.cov_adj
+    inside = ctx.inside
+    bag_ahead = bag | ahead
+    extra = inside[bag_ahead] - inside[bag]
+    out = []
+    m = bag
+    while m:
+        bit = m & -m
+        m ^= bit
+        v = bit.bit_length() - 1
+        if not cov_adj[v] & ahead:  # xr = touching(inside, bag | ahead, ahead, bit)
+            out.append((v + 1, extra - inside[bag_ahead ^ bit]
+                        + inside[bag ^ bit], v))
+    return out

@@ -11,8 +11,12 @@ a forget upper op whose vertex has no cover neighbors ahead.
 States with the apex outside the bag are skipped: with the apex ahead no
 forget is ever valid (everything neighbors the apex), so no value is finite,
 and with the apex below a state cannot reach the final one. The packed table
-layout follows pathwidth.py, with one extra byte slot (index k+1) for the
-join upper op.
+layout is the one in states.py, with byte slot k+1 for the join upper op.
+
+One sweep body, _tw_sweep, serves both treewidth solvers; they differ only
+in where a triple's join candidates come from. treewidth_table enumerates
+the bipartitions of `below` into component unions over the live table;
+the layered solver reads precomputed minima.
 """
 
 from __future__ import annotations
@@ -20,21 +24,24 @@ from __future__ import annotations
 from .cover import is_vertex_cover, minimum_vertex_cover
 from .decomposition import Decomposition, validate
 from .errors import InputError, InternalError
-from .graph import Graph
-from .pathwidth import _scan_types
-from .states import CoverContext, components_outside, iter_bits
+from .states import (CoverContext, _forgets, _lowers, _pack, _read,
+                     components_outside, iter_bits, touching)
 
 
-def _join_splits(ctx, table, below, bag, below_only):
-    """Join-lower candidates: (part1, part2, max child value, extra count).
+def _join_splits(ctx, table, below, bag, comps=None):
+    """Join-lower candidates: (part1, part2, max child value, straddlers).
 
-    part1 canonically holds the component of the lowest bit of `below`;
-    bipartitions whose children are unreachable are dropped.
+    `comps` are the components of the cover graph on `below` (computed if
+    not given). part1 canonically holds the component of the lowest bit of
+    `below`; bipartitions whose children are unreachable are dropped.
     """
-    comps = components_outside(ctx.cov_adj, below)
+    if comps is None:
+        comps = components_outside(ctx.cov_adj, below)
     if len(comps) < 2:
         return []
     k = ctx.k
+    inside = ctx.inside
+    below_bag = below | bag
     join_slot = 8 * (k + 1)
     out = []
     first, rest = comps[0], comps[1:]
@@ -49,104 +56,62 @@ def _join_splits(ctx, table, below, bag, below_only):
         pv2 = (table.get((part2 << k) | bag, 0) >> join_slot) & 255
         if not pv2:
             continue
-        xl = sum(cnt for m, cnt in below_only if m & part1 and m & part2)
-        out.append((part1, part2, max(pv1, pv2) - 1, xl))
+        out.append((part1, part2, max(pv1, pv2) - 1,
+                    touching(inside, below_bag, part1, part2)))
     out.sort()
     return out
 
 
-def _tw_lowers(ctx, table, below, bag, below_only):
-    """Non-join lower candidates as (code, xl, pred), ascending code order."""
-    k = ctx.k
-    cov_adj = ctx.cov_adj
-    out = []
-    for u in iter_bits(bag):
-        if cov_adj[u] & below:
-            continue
-        packed = table.get((below << k) | (bag ^ (1 << u)), 0)
-        pv = packed & 255
-        if pv:
-            xl = sum(cnt for m, cnt in below_only if m >> u & 1)
-            out.append((u, xl, pv - 1))
-    for u in iter_bits(below):
-        packed = table.get(((below ^ (1 << u)) << k) | (bag | (1 << u)), 0)
-        pv = (packed >> (8 * (u + 1))) & 255
-        if pv:
-            out.append((32 + u, 0, pv - 1))
-    return out
+def _tw_sweep(ctx, apex_pos, join_candidates, stats, join_values):
+    """The treewidth DP sweep over bags containing the apex.
 
-
-def treewidth_table(ctx, apex_pos, stats=None, join_values=None):
-    """Run the treewidth DP sweep over bags containing the apex.
-
-    Returns the packed table. If `join_values` is a dict, the minimum over
-    join-lower candidates is recorded per (below, bag, upper slot) — the
-    layered solver computes exactly these numbers and tests compare them.
+    `join_candidates(table, below, bag, cross)` lists the values of the
+    join lowers of a triple, each already max(child value, cross +
+    straddlers), where cross is |bag| - 1 plus the crossing count. If
+    `join_values` is a dict, the minimum over join lowers is recorded per
+    (below, bag, upper slot).
     """
     k = ctx.k
     full = ctx.full
-    types = ctx.types
+    inside = ctx.inside
     type_masks = ctx.type_masks
-    cov_adj = ctx.cov_adj
     table = {}
     triples = ctx.valid_triples(require_bit=apex_pos)
     states = 0
     slots = 0
     for below, bag in triples:
         ahead = full & ~(below | bag)
-        crossing, below_only, ahead_only, bag_only = _scan_types(types, below, ahead)
         base = bag.bit_count() - 1
-        tight = 1 if bag in type_masks else 0
-        packed = 0
+        # a vertex whose neighborhood is exactly the bag needs a full bag
+        floor = base + 1 if bag in type_masks else base
         if below == 0:
             # degenerate base states: no lower op, forget uppers only
-            for v in iter_bits(bag):
-                if cov_adj[v] & ahead:
-                    continue
-                xr = sum(cnt for m, cnt in ahead_only if m >> v & 1)
-                val = base + max(xr, tight)
-                packed |= (val + 1) << (8 * (v + 1))
-                states += 1
-                slots += 1
-            if packed:
-                table[bag] = packed  # below << k is 0
+            forgets = _forgets(ctx, bag, ahead)
+            if forgets:
+                table[bag] = _pack([(slot, max(base + xr, floor))
+                                    for slot, xr, _ in forgets])
+                states += len(forgets)
+                slots += len(forgets)
             continue
-        lowers = _tw_lowers(ctx, table, below, bag, below_only)
-        joins = _join_splits(ctx, table, below, bag, below_only)
+        cross = base + touching(inside, full, below, ahead)
+        lowers = _lowers(ctx, table, below, bag)
+        joins = join_candidates(table, below, bag, cross)
         if not lowers and not joins:
             continue
-        # m1: best over lowers of everything that doesn't depend on the upper
-        m1 = None
-        for _, xl, pred in lowers:
-            cand = max(pred, base + max(crossing + xl, tight))
-            if m1 is None or cand < m1:
-                m1 = cand
-        mj = None
-        for _, _, pred, xl in joins:
-            cand = max(pred, base + max(crossing + xl, tight))
-            if mj is None or cand < mj:
-                mj = cand
-        best1 = m1 if mj is None else (mj if m1 is None else min(m1, mj))
-        uppers = []
-        if ahead:
-            uppers.append((0, 0))
-            uppers.append((k + 1, 0))
-        for v in iter_bits(bag):
-            if cov_adj[v] & ahead:
-                continue
-            xr = sum(cnt for m, cnt in ahead_only if m >> v & 1)
-            uppers.append((v + 1, xr))
+        uppers = [(0, 0, -1), (k + 1, 0, -1)] if ahead else []
+        uppers += _forgets(ctx, bag, ahead)
         if not uppers:
             continue
         states += (len(lowers) + len(joins)) * len(uppers)
-        for slot, xr in uppers:
-            val = max(best1, base + crossing + xr)
-            packed |= (val + 1) << (8 * slot)
-            slots += 1
-            if join_values is not None and mj is not None:
-                jv = max(mj, base + crossing + xr)
-                join_values[(below, bag, slot)] = jv
-        table[(below << k) | bag] = packed
+        best = max(floor, min(
+            [max(pred, cross + xl) for _, xl, pred in lowers] + joins))
+        table[(below << k) | bag] = _pack([(slot, max(best, cross + xr))
+                                           for slot, xr, _ in uppers])
+        slots += len(uppers)
+        if join_values is not None and joins:
+            mj = max(floor, min(joins))
+            for slot, xr, _ in uppers:
+                join_values[(below, bag, slot)] = max(mj, cross + xr)
     if stats is not None:
         stats["valid_triples"] = len(triples)
         stats["states"] = states
@@ -154,9 +119,24 @@ def treewidth_table(ctx, apex_pos, stats=None, join_values=None):
     return table
 
 
-def _read(table, k, below, bag, slot):
-    pv = (table.get((below << k) | bag, 0) >> (8 * slot)) & 255
-    return pv - 1 if pv else None
+def treewidth_table(ctx, apex_pos, stats=None, join_values=None):
+    """Run the treewidth DP sweep, enumerating join bipartitions over the
+    live table.
+
+    Returns the packed table. If `join_values` is a dict, the minimum over
+    join-lower candidates is recorded per (below, bag, upper slot) — the
+    layered solver computes exactly these numbers and tests compare them.
+    """
+    comps_of = {}
+
+    def join_candidates(table, below, bag, cross):
+        comps = comps_of.get(below)
+        if comps is None:
+            comps = comps_of[below] = components_outside(ctx.cov_adj, below)
+        return [max(pred, cross + xl) for _, _, pred, xl
+                in _join_splits(ctx, table, below, bag, comps)]
+
+    return _tw_sweep(ctx, apex_pos, join_candidates, stats, join_values)
 
 
 def _expand_tree(ctx, table, apex_pos, below, bag, slot, val, nodes, parent):
@@ -170,14 +150,12 @@ def _expand_tree(ctx, table, apex_pos, below, bag, slot, val, nodes, parent):
     k = ctx.k
     full = ctx.full
     ahead = full & ~(below | bag)
-    crossing, below_only, ahead_only, bag_only = _scan_types(
-        ctx.types, below, ahead)
     base = bag.bit_count() - 1
     tight = 1 if bag in ctx.type_masks else 0
     forgotten = slot - 1 if 1 <= slot <= k else -1
     xr = 0
     if forgotten >= 0:
-        xr = sum(cnt for m, cnt in ahead_only if m >> forgotten & 1)
+        xr = touching(ctx.inside, bag | ahead, ahead, 1 << forgotten)
     me = len(nodes)
     nodes.append(None)
     if below == 0:
@@ -186,8 +164,9 @@ def _expand_tree(ctx, table, apex_pos, below, bag, slot, val, nodes, parent):
             raise InternalError("degenerate treewidth state mismatch")
         nodes[me] = (None, below, bag, slot, [])
         return me
-    for code, xl, pred in _tw_lowers(ctx, table, below, bag, below_only):
-        if max(pred, base + max(crossing + xl, crossing + xr, tight)) == val:
+    cross = base + touching(ctx.inside, full, below, ahead)
+    for code, xl, pred in _lowers(ctx, table, below, bag):
+        if max(pred, cross + max(xl, xr), base + tight) == val:
             if code < 32:
                 child = _expand_tree(ctx, table, apex_pos, below,
                                      bag ^ (1 << code), 0, pred, nodes, me)
@@ -199,8 +178,8 @@ def _expand_tree(ctx, table, apex_pos, below, bag, slot, val, nodes, parent):
                 tag = ("forget", u)
             nodes[me] = (tag, below, bag, slot, [child])
             return me
-    for part1, part2, pred, xl in _join_splits(ctx, table, below, bag, below_only):
-        if max(pred, base + max(crossing + xl, crossing + xr, tight)) == val:
+    for part1, part2, pred, xl in _join_splits(ctx, table, below, bag):
+        if max(pred, cross + max(xl, xr), base + tight) == val:
             join_slot = k + 1
             v1 = _read(table, k, part1, bag, join_slot)
             v2 = _read(table, k, part2, bag, join_slot)

@@ -32,9 +32,10 @@ bag whose child values are unchanged since the previous layer reuses its
 minima. Values stabilize by layer k at the latest (a trimmed decomposition
 never nests more than k joins), and the stable table satisfies the same
 recurrence the direct solver computes, so the answers — and the recorded
-per-state join minima — agree exactly. Witness reconstruction is shared with
-treewidth.py: the back-walk only needs a table that is a fixpoint of the
-recurrence.
+per-state join minima — agree exactly. The table sweep and the witness
+reconstruction are treewidth.py's: the sweep takes each triple's join
+candidate from the layer's minima, and the back-walk only needs a table
+that is a fixpoint of the recurrence.
 """
 
 from __future__ import annotations
@@ -43,10 +44,8 @@ from .convolution import STATS, SetFunction, convolve, zeta
 from .cover import is_vertex_cover, minimum_vertex_cover
 from .decomposition import Decomposition
 from .errors import InputError, InternalError
-from .graph import Graph
-from .pathwidth import _scan_types
-from .states import CoverContext, components_outside, iter_bits, _spread
-from .treewidth import _read, _tw_lowers, reconstruct_tree
+from .states import CoverContext, _read, components_outside
+from .treewidth import _tw_sweep, reconstruct_tree
 
 
 def _chunk_size(c):
@@ -172,10 +171,10 @@ class _BagJoins:
 
 def _bag_joins(ctx, apex_pos):
     """_BagJoins of every apex bag whose outside has two or more components."""
-    others = [i for i in range(ctx.k) if i != apex_pos]
     bags = []
-    for xs in range(1 << (ctx.k - 1)):
-        bag = _spread(xs, others) | (1 << apex_pos)
+    for bag in range(1 << ctx.k):
+        if not bag >> apex_pos & 1:
+            continue
         rest = ctx.full ^ bag
         comps = components_outside(ctx.cov_adj, rest)
         if len(comps) >= 2:
@@ -214,65 +213,12 @@ def _join_minima(ctx, apex_pos, prev, stats, memo=None):
 def _layer_sweep(ctx, apex_pos, jmin, stats=None, join_values=None):
     """One full table sweep, taking join candidates from `jmin`."""
     k = ctx.k
-    full = ctx.full
-    types = ctx.types
-    type_masks = ctx.type_masks
-    cov_adj = ctx.cov_adj
-    table = {}
-    triples = ctx.valid_triples(require_bit=apex_pos)
-    states = 0
-    slots = 0
-    for below, bag in triples:
-        ahead = full & ~(below | bag)
-        crossing, below_only, ahead_only, bag_only = _scan_types(types, below, ahead)
-        base = bag.bit_count() - 1
-        tight = 1 if bag in type_masks else 0
-        packed = 0
-        if below == 0:
-            for v in iter_bits(bag):
-                if cov_adj[v] & ahead:
-                    continue
-                xr = sum(cnt for m, cnt in ahead_only if m >> v & 1)
-                packed |= (base + max(xr, tight) + 1) << (8 * (v + 1))
-                states += 1
-                slots += 1
-            if packed:
-                table[bag] = packed
-            continue
-        lowers = _tw_lowers(ctx, table, below, bag, below_only)
+
+    def join_candidates(table, below, bag, cross):
         split = jmin.get((below << k) | bag)
-        mj = None if split is None else max(split, base + tight)
-        if not lowers and mj is None:
-            continue
-        m1 = None
-        for _, xl, pred in lowers:
-            cand = max(pred, base + max(crossing + xl, tight))
-            if m1 is None or cand < m1:
-                m1 = cand
-        best1 = m1 if mj is None else (mj if m1 is None else min(m1, mj))
-        uppers = []
-        if ahead:
-            uppers.append((0, 0))
-            uppers.append((k + 1, 0))
-        for v in iter_bits(bag):
-            if cov_adj[v] & ahead:
-                continue
-            xr = sum(cnt for m, cnt in ahead_only if m >> v & 1)
-            uppers.append((v + 1, xr))
-        if not uppers:
-            continue
-        states += (len(lowers) + (0 if mj is None else 1)) * len(uppers)
-        for slot, xr in uppers:
-            packed |= (max(best1, base + crossing + xr) + 1) << (8 * slot)
-            slots += 1
-            if join_values is not None and mj is not None:
-                join_values[(below, bag, slot)] = max(mj, base + crossing + xr)
-        table[(below << k) | bag] = packed
-    if stats is not None:
-        stats["valid_triples"] = len(triples)
-        stats["states"] = states
-        stats["peak_table"] = slots
-    return table
+        return [] if split is None else [split]
+
+    return _tw_sweep(ctx, apex_pos, join_candidates, stats, join_values)
 
 
 def treewidth_vc_3k(g, cover=None, stats=None, join_values=None):

@@ -184,3 +184,80 @@ def join_minima_by_splits(ctx, apex_pos, prev):
             if best is not None:
                 out[(union(pick) << k) | bag] = best
     return out
+
+
+def scan_types(types, below, ahead):
+    """Split independent-vertex types by which sides of a triple they see.
+
+    Returns (crossing count, below-only types, ahead-only types, bag-only
+    types); the latter three keep (mask, count) pairs. The reference for the
+    solvers' O(1) boundary counts.
+    """
+    crossing = 0
+    below_only = []
+    ahead_only = []
+    bag_only = []
+    for m, cnt in types:
+        if m & below:
+            if m & ahead:
+                crossing += cnt
+            else:
+                below_only.append((m, cnt))
+        elif m & ahead:
+            ahead_only.append((m, cnt))
+        else:
+            bag_only.append((m, cnt))
+    return crossing, below_only, ahead_only, bag_only
+
+
+def pw_tight_by_scan(bag_only, introduced, forgotten):
+    """1 if a bag-only type sees the introduced vertex (if any, >= 0) and
+    the forgotten one (if any, >= 0): its pendant bag must sit in this
+    pathwidth state."""
+    return int(any((introduced < 0 or m >> introduced & 1)
+                   and (forgotten < 0 or m >> forgotten & 1)
+                   for m, _ in bag_only))
+
+
+def pw_by_full_sweep(ctx, apex_pos):
+    """Pathwidth DP value over every valid triple, bags without the apex
+    included, by literal type scans: the final state's value, which is the
+    apexed graph's pathwidth.
+
+    Bases are the singleton bags with nothing below. Each state value is
+    the min over lower ops of max(predecessor, local width), with an
+    introduce(u) lower charging the below-only types that see u, a forget(v)
+    upper the ahead-only types that see v, and a tightness of one when a
+    bag-only type needs its pendant bag in this state.
+    """
+    k, full = ctx.k, ctx.full
+    value = {}  # (below, bag, upper) -> value; upper -1 introduces
+    for below, bag in ctx.valid_triples():
+        ahead = full & ~(below | bag)
+        crossing, below_only, ahead_only, bag_only = scan_types(
+            ctx.types, below, ahead)
+        base = bag.bit_count() + crossing - 1
+        lowers = []  # (introduced or -1, xl, predecessor value)
+        if below == 0 and bag.bit_count() == 1:
+            lowers.append((bag.bit_length() - 1, 0, 0))
+        for u in range(k):
+            if bag >> u & 1 and not ctx.cov_adj[u] & below:
+                pred = value.get((below, bag ^ (1 << u), -1))
+                if pred is not None:
+                    xl = sum(c for m, c in below_only if m >> u & 1)
+                    lowers.append((u, xl, pred))
+            if below >> u & 1:
+                pred = value.get((below ^ (1 << u), bag | (1 << u), u))
+                if pred is not None:
+                    lowers.append((-1, 0, pred))
+        uppers = [(-1, 0)] if ahead else []
+        uppers += [(v, sum(c for m, c in ahead_only if m >> v & 1))
+                   for v in range(k)
+                   if bag >> v & 1 and not ctx.cov_adj[v] & ahead]
+        for v, xr in uppers:
+            cands = [max(pred, base + max(xl, xr,
+                                          pw_tight_by_scan(bag_only, u, v)))
+                     for u, xl, pred in lowers]
+            if cands:
+                value[(below, bag, v)] = min(cands)
+    return value[(full ^ (1 << apex_pos), 1 << apex_pos, apex_pos)]

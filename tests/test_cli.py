@@ -236,3 +236,19 @@ def test_cli_import_leaves_numpy_unloaded():
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout == "False\n"
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+@pytest.mark.parametrize("argv", [["pw", "--max-k", "0"],
+                                  ["oracle", "--max-n", "-1"]])
+def test_nonpositive_caps_exit_2(tmp_path, flags, argv):
+    # the caps are checked by code that python -O keeps
+    path = write(tmp_path, "p3.gr", P3)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, *flags, "-m", "vcwidth", *argv, "--input", path],
+        env=env, capture_output=True, text=True)
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr.startswith("error:") and "must be positive" in \
+        result.stderr

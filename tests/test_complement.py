@@ -5,10 +5,12 @@ import random
 
 import pytest
 
-from vcwidth.complement import pathwidth_cvc, rooted_pw_table
+from vcwidth import cli
+from vcwidth.complement import MAX_VERTICES, pathwidth_cvc, rooted_pw_table
 from vcwidth.cover import minimum_vertex_cover
 from vcwidth.decomposition import find_violations
 from vcwidth.errors import ResourceLimitError
+from vcwidth.formats import emit_gr
 from vcwidth.graph import Graph, complete_graph, cycle_graph
 from vcwidth.oracle import pathwidth_exact
 from vcwidth.pathwidth import pathwidth_vc
@@ -39,7 +41,7 @@ def test_degenerate_sizes():
 
 
 def test_rooted_table_trivial_masks():
-    assert rooted_pw_table(complete_graph(4), []) == bytearray([0])
+    assert list(rooted_pw_table(complete_graph(4), [])) == [0]
     g = cycle_graph(4)
     order = sorted(minimum_vertex_cover(g.complement()))
     rooted = rooted_pw_table(g, order)
@@ -111,3 +113,31 @@ def test_resource_cap():
     with pytest.raises(ResourceLimitError):
         pathwidth_cvc(g, max_cover=3)
     assert solved(g) == 0
+
+
+def complete_minus_two_edges(n):
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if (u, v) not in ((0, 1), (2, 3))])
+
+
+def test_widths_above_one_byte(tmp_path, capsys):
+    # K_n minus two disjoint edges has pathwidth n - 2; at n = 300 the
+    # rooted table holds widths far above 255
+    for n in (7, 9, 11):
+        assert pathwidth_exact(complete_minus_two_edges(n)) == n - 2
+        assert solved(complete_minus_two_edges(n)) == n - 2
+    gr = tmp_path / "k300.gr"
+    gr.write_text(emit_gr(complete_minus_two_edges(300)))
+    assert cli.main(["pw", "--algo", "cvc", "--emit-witness",
+                     "--input", str(gr)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("width: 298\n")
+    td = tmp_path / "k300.td"
+    td.write_text(out.split("\n", 1)[1])
+    assert cli.main(["check", str(gr), str(td)]) == 0
+    assert capsys.readouterr().out == "width: 298\n"
+
+
+def test_vertex_count_cap():
+    with pytest.raises(ResourceLimitError):
+        pathwidth_cvc(Graph(MAX_VERTICES + 1))

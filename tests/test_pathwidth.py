@@ -12,9 +12,11 @@ from vcwidth.oracle import pathwidth_exact
 from vcwidth.pathwidth import (_state_chain, partial_width_table,
                                pathwidth_vc)
 from vcwidth.states import (CoverContext, State, boundary_sets_pw, forget,
-                            introduce, local_width_pw)
+                            introduce, iter_bits, local_width_pw)
+from vcwidth.treewidth import treewidth_table, treewidth_vc_4k
 
-from genutil import random_graph, random_tree
+from genutil import (pw_by_full_sweep, random_graph, random_graph_with_cover,
+                     random_tree)
 
 
 def solved(g, **kw):
@@ -116,7 +118,7 @@ def test_table_values_dominate_local_width():
     for _ in range(20):
         g = random_graph(rng, rng.randrange(1, 8), rng.random())
         gp, apex, ctx = context_of(g)
-        table = partial_width_table(ctx)
+        table = partial_width_table(ctx, apex_pos=ctx.position[apex])
         for below, bag, slot, val in decode(table, ctx.k):
             assert val >= bag.bit_count() - 1
             if slot > 0:
@@ -134,7 +136,7 @@ def test_base_states_equal_their_local_width():
     for _ in range(20):
         g = random_graph(rng, rng.randrange(1, 8), rng.random())
         gp, apex, ctx = context_of(g)
-        table = partial_width_table(ctx)
+        table = partial_width_table(ctx, apex_pos=ctx.position[apex])
         for below, bag, slot, val in decode(table, ctx.k):
             if below != 0 or bag.bit_count() != 1:
                 continue
@@ -153,7 +155,48 @@ def test_witness_bag_count_bound():
         g = random_graph(rng, rng.randrange(2, 9), rng.random())
         w, dec = pathwidth_vc(g)
         gp, apex, ctx = context_of(g)
-        table = partial_width_table(ctx)
+        table = partial_width_table(ctx, apex_pos=ctx.position[apex])
         chain = _state_chain(ctx, table, ctx.position[apex])
         s = len(ctx.rest)
         assert len(dec.bags) <= len(chain) * (s + 2) + s
+
+
+def test_apex_bag_sweep_matches_full_sweep():
+    # the sweep covers only bags holding the apex; sweeping every valid
+    # triple by literal type scans must reach the same final value
+    rng = random.Random(38)
+    for trial in range(520):
+        k = trial % 8
+        g = random_graph_with_cover(rng, k, k + rng.randrange(0, 9),
+                                    rng.choice([0.2, 0.5, 0.8]))
+        gp, apex = g.add_universal_vertex()
+        ctx = CoverContext(gp, set(range(k)) | {apex})
+        ap = ctx.position[apex]
+        table = partial_width_table(ctx, apex_pos=ap)
+        final = (table[((ctx.full ^ (1 << ap)) << ctx.k) | (1 << ap)]
+                 >> (8 * (ap + 1))) & 255
+        assert final - 1 == pw_by_full_sweep(ctx, ap), f"{g.edges}"
+
+
+def valid_upper_slots(ctx, below, bag, join_slot):
+    ahead = ctx.full & ~(below | bag)
+    slots = {v + 1 for v in iter_bits(bag) if not ctx.cov_adj[v] & ahead}
+    if ahead:
+        slots |= {0} | ({join_slot} if join_slot else set())
+    return slots
+
+
+def test_wide_values_saturate_inside_their_slot():
+    # K_{2,300}: a forget upper can cost 300, more than one byte holds; a
+    # slot saturates instead of spilling into the next one
+    g = Graph(302, [(a, x) for a in (0, 1) for x in range(2, 302)])
+    gp, apex = g.add_universal_vertex()
+    ctx = CoverContext(gp, {0, 1, apex})
+    ap = ctx.position[apex]
+    tables = [(partial_width_table(ctx, apex_pos=ap), None),
+              (treewidth_table(ctx, ap), ctx.k + 1)]
+    for table, join_slot in tables:
+        for below, bag, slot, val in decode(table, ctx.k):
+            assert slot in valid_upper_slots(ctx, below, bag, join_slot)
+    assert solved(g) == 2
+    assert treewidth_vc_4k(g)[0] == 2

@@ -4,15 +4,19 @@ import random
 from itertools import combinations
 
 from vcwidth.graph import Graph, path_graph
-from vcwidth.states import (CoverContext, State, boundary_sets_pw,
-                            boundary_sets_tw, components_outside,
-                            enumerate_valid_triples, forget, introduce,
-                            is_valid_triple, iter_bits, join_with_part,
-                            local_width_pw, local_width_tw, precedes, pw_ops,
-                            tw_lower_ops, tw_upper_ops)
+from vcwidth.pathwidth import _tight
+from vcwidth.states import (CoverContext, State, _forgets, _lowers,
+                            boundary_sets_pw, boundary_sets_tw,
+                            components_outside, enumerate_valid_triples,
+                            forget, introduce, is_valid_triple, iter_bits,
+                            join_with_part, local_width_pw, local_width_tw,
+                            precedes, pw_ops, touching, tw_lower_ops,
+                            tw_upper_ops)
+from vcwidth.treewidth import _join_splits
 from vcwidth.cover import minimum_vertex_cover
 
-from genutil import random_graph
+from genutil import (pw_tight_by_scan, random_graph, random_graph_with_cover,
+                     scan_types)
 
 
 def cover_adjacency(rng, k, p):
@@ -227,3 +231,59 @@ def test_boundary_disjointness():
                     if low.kind == "join":
                         assert not (xl & crossing)
                     assert not (confined & (crossing | xl | xr))
+
+
+class _AllReachable(dict):
+    """A packed table in which every slot of every triple is reachable."""
+
+    def get(self, key, default=None):
+        return (1 << 256) - 1
+
+
+def _count_spec_contexts():
+    """Apexed contexts of small random graphs, of graphs with isolated
+    vertices (type {apex}), and of graphs with n in the hundreds, k <= 6."""
+    rng = random.Random(70)
+    graphs = [random_graph(rng, rng.randrange(1, 9), rng.random())
+              for _ in range(25)]
+    graphs += [Graph(rng.randrange(3, 9), [(0, 1), (1, 2)])
+               for _ in range(5)]
+    for k in range(1, 7):
+        graphs.append(random_graph_with_cover(
+            rng, k, rng.randrange(100, 400), rng.choice([0.02, 0.3, 0.7])))
+    for g in graphs:
+        gp, apex = g.add_universal_vertex()
+        ctx = CoverContext(gp, minimum_vertex_cover(g) | {apex})
+        yield ctx, ctx.position[apex]
+
+
+def test_boundary_counts_match_type_scan():
+    table = _AllReachable()
+    checked = splits = 0
+    for ctx, ap in _count_spec_contexts():
+        inside = ctx.inside
+        for below, bag in ctx.valid_triples():
+            ahead = ctx.full & ~(below | bag)
+            crossing, below_only, ahead_only, bag_only = scan_types(
+                ctx.types, below, ahead)
+            assert touching(inside, ctx.full, below, ahead) == crossing
+            want = [(u, sum(c for m, c in below_only if m >> u & 1))
+                    for u in iter_bits(bag) if not ctx.cov_adj[u] & below]
+            want += [(32 + u, 0) for u in iter_bits(below)]
+            assert [(code, xl) for code, xl, _ in
+                    _lowers(ctx, table, below, bag)] == want
+            assert _forgets(ctx, bag, ahead) == [
+                (v + 1, sum(c for m, c in ahead_only if m >> v & 1), v)
+                for v in iter_bits(bag) if not ctx.cov_adj[v] & ahead]
+            for p1, p2, _, xl in _join_splits(ctx, table, below, bag):
+                assert xl == sum(c for m, c in below_only
+                                 if m & p1 and m & p2)
+                splits += 1
+            if bag >> ap & 1:  # pathwidth bags all hold the apex
+                for code in [32] + list(iter_bits(bag)):
+                    for f in [-1] + list(iter_bits(bag)):
+                        introduced = code if code < 32 else -1
+                        assert _tight(inside, bag, code, f) == \
+                            pw_tight_by_scan(bag_only, introduced, f)
+            checked += 1
+    assert checked > 1000 and splits > 100

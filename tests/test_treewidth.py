@@ -10,11 +10,12 @@ from vcwidth.decomposition import find_violations
 from vcwidth.graph import (Graph, complete_graph, cycle_graph, grid_graph,
                            path_graph)
 from vcwidth.oracle import treewidth_exact
-from vcwidth.pathwidth import _scan_types, pathwidth_vc
+from vcwidth.pathwidth import pathwidth_vc
 from vcwidth.states import CoverContext, tw_lower_ops
 from vcwidth.treewidth import _join_splits, treewidth_table, treewidth_vc_4k
 
-from genutil import random_graph, random_tree, tw_by_elimination_orders
+from genutil import (random_graph, random_tree, scan_types,
+                     tw_by_elimination_orders)
 
 
 def solved(g, **kw):
@@ -153,8 +154,8 @@ def test_join_bipartitions_canonical_unique_symmetric():
             if below.bit_count() < 2:
                 continue
             ahead = ctx.full ^ below ^ bag
-            _, below_only, _, _ = _scan_types(ctx.types, below, ahead)
-            splits = _join_splits(ctx, table, below, bag, below_only)
+            _, below_only, _, _ = scan_types(ctx.types, below, ahead)
+            splits = _join_splits(ctx, table, below, bag)
             low = below & -below
             seen = set()
             for p1, p2, pred, xl in splits:
@@ -190,8 +191,8 @@ def test_join_parts_match_literal_enumeration():
             if below.bit_count() < 2:
                 continue
             ahead = ctx.full ^ below ^ bag
-            _, below_only, _, _ = _scan_types(ctx.types, below, ahead)
-            splits = _join_splits(ctx, table, below, bag, below_only)
+            _, below_only, _, _ = scan_types(ctx.types, below, ahead)
+            splits = _join_splits(ctx, table, below, bag)
             literal = {op.arg
                        for op in tw_lower_ops(ctx.cov_adj, below, bag, ahead)
                        if op.kind == "join"}
