@@ -41,7 +41,7 @@ def test_degenerate_sizes():
 
 
 def test_rooted_table_trivial_masks():
-    assert list(rooted_pw_table(complete_graph(4), [])) == [0]
+    assert rooted_pw_table(complete_graph(4), []) == bytearray([0])
     g = cycle_graph(4)
     order = sorted(minimum_vertex_cover(g.complement()))
     rooted = rooted_pw_table(g, order)
@@ -126,6 +126,10 @@ def test_widths_above_one_byte(tmp_path, capsys):
     for n in (7, 9, 11):
         assert pathwidth_exact(complete_minus_two_edges(n)) == n - 2
         assert solved(complete_minus_two_edges(n)) == n - 2
+    g = complete_minus_two_edges(300)
+    order = sorted(minimum_vertex_cover(g.complement()))
+    rooted = rooted_pw_table(g, order)
+    assert rooted.itemsize == 2 and max(rooted) == 298
     gr = tmp_path / "k300.gr"
     gr.write_text(emit_gr(complete_minus_two_edges(300)))
     assert cli.main(["pw", "--algo", "cvc", "--emit-witness",

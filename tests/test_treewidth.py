@@ -191,7 +191,6 @@ def test_join_parts_match_literal_enumeration():
             if below.bit_count() < 2:
                 continue
             ahead = ctx.full ^ below ^ bag
-            _, below_only, _, _ = scan_types(ctx.types, below, ahead)
             splits = _join_splits(ctx, table, below, bag)
             literal = {op.arg
                        for op in tw_lower_ops(ctx.cov_adj, below, bag, ahead)
