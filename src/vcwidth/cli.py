@@ -45,7 +45,6 @@ _SELECTORS = {
 
 @dataclass
 class RunConfig:
-    subcommand: str
     algo: str
     input_path: str | None = None
     cover_path: str | None = None
@@ -53,7 +52,6 @@ class RunConfig:
     stats: bool = False
     max_k: int | None = None
     max_n: int = DEFAULT_MAX_N
-    seed: int = 0  # reserved for test instance generators
     algo_defaulted: bool = False
 
     def __post_init__(self):
@@ -116,19 +114,17 @@ def _run_solver(config, g):
         stats["states"] = 1 << g.n
         stats["peak_table"] = 1 << g.n
         return w, None, stats
+    cap = config.max_k if config.max_k is not None else DEFAULT_MAX_K[algo]
+    cover = _load_cover(config, g)
     if algo == "pw-cvc":
-        cap = config.max_k if config.max_k is not None else DEFAULT_MAX_K[algo]
-        cover = _load_cover(config, g)
         w, dec = pathwidth_cvc(g, cover=cover, stats=stats,
                                max_cover=min(cap, MAX_COMPLEMENT_COVER))
         return w, dec, stats
-    cover = _load_cover(config, g)
     if cover is None:
-        cover = minimum_vertex_cover(g)
+        cover = minimum_vertex_cover(g, limit=cap)
     elif not is_vertex_cover(g, cover):
         raise InputError("supplied vertex set is not a vertex cover")
-    cap = config.max_k if config.max_k is not None else DEFAULT_MAX_K[algo]
-    if len(cover) > cap:
+    if cover is None or len(cover) > cap:
         if (config.algo_defaulted and algo == "tw-vc-3k"
                 and g.n <= ORACLE_FALLBACK_MAX_N and not config.emit_witness):
             # small instance with a large cover: the plain oracle is cheaper
@@ -136,8 +132,8 @@ def _run_solver(config, g):
             stats["states"] = 1 << g.n
             stats["peak_table"] = 1 << g.n
             return w, None, stats
-        raise ResourceLimitError(
-            f"vertex cover of size {len(cover)} exceeds the cap {cap}")
+        size = "" if cover is None else f" of size {len(cover)}"
+        raise ResourceLimitError(f"vertex cover{size} exceeds the cap {cap}")
     solver = {"pw-vc": pathwidth_vc, "tw-vc-4k": treewidth_vc_4k,
               "tw-vc-3k": treewidth_vc_3k}[algo]
     w, dec = solver(g, cover=cover, stats=stats)
@@ -145,8 +141,6 @@ def _run_solver(config, g):
 
 
 def run(config):
-    if config.subcommand == "check":
-        return _run_check(config)
     g = parse_gr(_read_input(config.input_path))
     width, witness, stats = _run_solver(config, g)
     print(f"width: {width}")
@@ -161,9 +155,9 @@ def run(config):
     return 0
 
 
-def _run_check(config):
-    g = parse_gr(_read_input(config.input_path))
-    doc = parse_td(_read_input(config.cover_path))  # cover_path holds the .td
+def _run_check(graph_path, td_path):
+    g = parse_gr(_read_input(graph_path))
+    doc = parse_td(_read_input(td_path))
     dec, n = decomposition_of(doc)
     if n != g.n:
         print(f"error: decomposition is for {n} vertices, graph has {g.n}",
@@ -212,27 +206,23 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         if args.subcommand == "check":
-            config = RunConfig(subcommand="check", algo="oracle-tw",
-                               input_path=args.graph,
-                               cover_path=args.decomposition)
-        else:
-            table = _SELECTORS[args.subcommand]
-            if args.algo not in table:
-                parser.error(f"unknown --algo {args.algo!r} for "
-                             f"{args.subcommand}")
-            config = RunConfig(
-                subcommand=args.subcommand,
-                algo=table[args.algo],
-                input_path=args.input,
-                cover_path=args.cover,
-                emit_witness=args.emit_witness,
-                stats=args.stats,
-                max_k=args.max_k,
-                max_n=args.max_n,
-                algo_defaulted=args.algo is None,
-            )
-            if config.emit_witness and config.algo.startswith("oracle"):
-                parser.error("--emit-witness is not available for the oracle")
+            return _run_check(args.graph, args.decomposition)
+        table = _SELECTORS[args.subcommand]
+        if args.algo not in table:
+            parser.error(f"unknown --algo {args.algo!r} for "
+                         f"{args.subcommand}")
+        config = RunConfig(
+            algo=table[args.algo],
+            input_path=args.input,
+            cover_path=args.cover,
+            emit_witness=args.emit_witness,
+            stats=args.stats,
+            max_k=args.max_k,
+            max_n=args.max_n,
+            algo_defaulted=args.algo is None,
+        )
+        if config.emit_witness and config.algo.startswith("oracle"):
+            parser.error("--emit-witness is not available for the oracle")
         return run(config)
     except ParseError as exc:
         print(f"error: line {exc.line}: {exc.message}", file=sys.stderr)

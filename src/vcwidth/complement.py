@@ -22,7 +22,6 @@ from array import array
 from .cover import is_vertex_cover, minimum_vertex_cover
 from .decomposition import Decomposition, validate
 from .errors import InputError, InternalError, ResourceLimitError
-from .graph import Graph
 from .states import iter_bits
 
 MAX_COMPLEMENT_COVER = 26
@@ -44,15 +43,6 @@ def _vertex_masks(g, order):
     return adj, placed
 
 
-def _block_tables(adj, k):
-    """Per-block unions: low-part neighborhood union and low-part vertex mask."""
-    b = min(k, _BLOCK_BITS)
-    um_low = [0] * (1 << b)
-    lf_low = [0] * (1 << b)
-    # adj entries here are whole-graph masks indexed by position in C
-    return b, um_low, lf_low
-
-
 def rooted_pw_table(g, order):
     """rooted[L] for every L subset of the cover, as a byte or 16-bit array
     over masks.
@@ -66,7 +56,10 @@ def rooted_pw_table(g, order):
     # widths are at most n - 1; a bytearray is faster to index when they fit
     rooted = (bytearray(1 << k) if g.n <= 256
               else array("H", [0]) * (1 << k))
-    b, um_low, lf_low = _block_tables(adj, k)
+    # per block of the low b subset bits: neighborhood union and vertex mask
+    b = min(k, _BLOCK_BITS)
+    um_low = [0] * (1 << b)
+    lf_low = [0] * (1 << b)
     for low in range(1, 1 << b):
         i = (low & -low).bit_length() - 1
         um_low[low] = um_low[low ^ (1 << i)] | adj[i]
@@ -140,7 +133,11 @@ def pathwidth_cvc(g, cover=None, stats=None, max_cover=MAX_COMPLEMENT_COVER):
             f"supports at most {MAX_VERTICES}")
     comp = g.complement()
     if cover is None:
-        cover = minimum_vertex_cover(comp)
+        cover = minimum_vertex_cover(comp, limit=max_cover)
+        if cover is None:
+            raise ResourceLimitError(
+                f"complement cover exceeds the supported maximum "
+                f"of {max_cover}")
     else:
         cover = set(cover)
         if not is_vertex_cover(comp, cover):

@@ -1,4 +1,4 @@
-"""Subset zeta/Moebius transforms and subset convolution over (+, *).
+"""The subset zeta transform and subset convolution over (+, *).
 
 A SetFunction is a dense table over the 2^s subsets of {0..s-1}, indexed by
 bitmask. convolve(f, g)[W] = sum over V subset of W of f[V] * g[W \\ V],
@@ -24,11 +24,6 @@ _NUMPY_MIN_S = 10  # below this, plain lists beat array overhead
 STATS = {"convolve_calls": 0, "convolve_cells": 0}
 
 
-def reset_stats():
-    STATS["convolve_calls"] = 0
-    STATS["convolve_cells"] = 0
-
-
 class SetFunction:
     """An integer-valued function on subsets of a universe of size s."""
 
@@ -46,13 +41,6 @@ class SetFunction:
                 raise ValueError(f"expected {size} values, got {len(values)}")
         self.s = s
         self.values = values
-
-    @classmethod
-    def identity(cls, s):
-        """The convolution identity: 1 on the empty set, 0 elsewhere."""
-        f = cls(s)
-        f.values[0] = 1
-        return f
 
     def max_abs(self):
         return max((abs(v) for v in self.values), default=0)
@@ -74,18 +62,6 @@ def zeta(f):
         for w in range(size):
             if w & bit:
                 out[w] += out[w ^ bit]
-    return SetFunction(f.s, out)
-
-
-def mobius(f):
-    """Inverse of zeta."""
-    out = list(f.values)
-    size = 1 << f.s
-    for i in range(f.s):
-        bit = 1 << i
-        for w in range(size):
-            if w & bit:
-                out[w] -= out[w ^ bit]
     return SetFunction(f.s, out)
 
 

@@ -48,15 +48,28 @@ def _matching_bound(adj):
     return count
 
 
-def minimum_vertex_cover(g):
-    """A minimum vertex cover of g as a set of vertices (deterministic)."""
+def minimum_vertex_cover(g, limit=None):
+    """A minimum vertex cover of g as a set of vertices (deterministic).
+
+    With a `limit`, returns None when every cover is larger than it: at once
+    if the matching bound already exceeds it, else once a search that must
+    beat limit + 1 finds nothing. Branches are taken in the same order as
+    without a limit, so a cover within it is the one the unbounded search
+    returns.
+    """
     n = g.n
     if n == 0 or not g.edges:
         return set()
-    best = _greedy_cover([set(g.adj[v]) for v in range(n)])
+    adj0 = [set(g.adj[v]) for v in range(n)]
+    if limit is not None and _matching_bound(adj0) > limit:
+        return None
+    best = _greedy_cover([set(s) for s in adj0])
+    if limit is not None and len(best) > limit:
+        best = None
+    bound = limit + 1 if best is None else len(best)  # size to beat
 
     def search(adj, picked, take):
-        nonlocal best
+        nonlocal best, bound
         adj = [set(s) for s in adj]
         picked = picked + sorted(take)
         for u in take:
@@ -68,17 +81,17 @@ def minimum_vertex_cover(g):
             u = min(adj[v1])
             picked.append(u)
             _remove(adj, u)
-        if len(picked) >= len(best):
+        if len(picked) >= bound:
             return
         live = [v for v in range(n) if adj[v]]
         if not live:
-            best = picked
+            best, bound = picked, len(picked)
             return
-        if len(picked) + _matching_bound(adj) >= len(best):
+        if len(picked) + _matching_bound(adj) >= bound:
             return
         v = max(live, key=lambda x: (len(adj[x]), -x))
         search(adj, picked, (v,))
         search(adj, picked, sorted(adj[v]))
 
-    search([set(g.adj[v]) for v in range(n)], [], ())
-    return set(best)
+    search(adj0, [], ())
+    return None if best is None else set(best)

@@ -1,4 +1,4 @@
-"""Tree/path decompositions: data model, validation, nice form.
+"""Tree/path decompositions: data model and validation.
 
 A Decomposition is a list of bags (frozensets of vertices) plus tree edges
 between bag indices. `kind` records whether it is meant as a path
@@ -8,16 +8,15 @@ decompositions must have path-shaped bag graphs.
 
 from __future__ import annotations
 
-import sys
 from collections import deque
 
 from .errors import InvalidDecompositionError
 
 
 class Decomposition:
-    __slots__ = ("bags", "edges", "kind", "root")
+    __slots__ = ("bags", "edges", "kind")
 
-    def __init__(self, bags, edges, kind="tree", root=None):
+    def __init__(self, bags, edges, kind="tree"):
         if kind not in ("tree", "path"):
             raise ValueError(f"unknown decomposition kind {kind!r}")
         self.bags = [frozenset(b) for b in bags]
@@ -26,7 +25,6 @@ class Decomposition:
             if not (0 <= i < len(self.bags) and 0 <= j < len(self.bags)):
                 raise ValueError(f"bag edge ({i},{j}) out of range")
         self.kind = kind
-        self.root = root
 
     @property
     def width(self):
@@ -108,9 +106,12 @@ def find_violations(g, dec):
         if not occurs[v]:
             out.append(f"vertex {v} appears in no bag")
 
-    # axiom 2: every edge is inside some bag
+    # axiom 2: every edge is inside some bag; scan the bags of the endpoint
+    # that occurs in fewer of them for the other one
+    bags = dec.bags
     for u, v in sorted(g.edges):
-        if not any(u in bag and v in bag for bag in dec.bags):
+        a, b = (u, v) if len(occurs[u]) <= len(occurs[v]) else (v, u)
+        if not any(b in bags[i] for i in occurs[a]):
             out.append(f"edge ({u},{v}) is contained in no bag")
 
     # axiom 3: the bags holding a vertex form a connected subtree
@@ -141,166 +142,3 @@ def validate(g, dec):
     if violations:
         raise InvalidDecompositionError(violations)
     return dec.width
-
-
-class NiceNode:
-    __slots__ = ("kind", "vertex", "bag", "children", "parent")
-
-    def __init__(self, kind, vertex, bag, children):
-        self.kind = kind        # "leaf" | "introduce" | "forget" | "join"
-        self.vertex = vertex    # introduced/forgotten vertex, else None
-        self.bag = frozenset(bag)
-        self.children = children
-        self.parent = None
-
-    def __repr__(self):
-        v = "" if self.vertex is None else f" v={self.vertex}"
-        return f"NiceNode({self.kind}{v}, bag={sorted(self.bag)})"
-
-
-class NiceDecomposition:
-    """Rooted decomposition where every node is leaf/introduce/forget/join.
-
-    Leaf bags and the root bag have exactly one vertex; an introduce/forget
-    node differs from its single child by one vertex; a join node has two
-    children with bags equal to its own.
-    """
-
-    __slots__ = ("nodes", "root")
-
-    def __init__(self, nodes, root):
-        self.nodes = nodes
-        self.root = root
-        for i, node in enumerate(nodes):
-            for c in node.children:
-                nodes[c].parent = i
-
-    @property
-    def width(self):
-        if not self.nodes:
-            return -1
-        return max(len(nd.bag) for nd in self.nodes) - 1
-
-    def postorder(self):
-        if self.root is None:
-            return
-        stack = [(self.root, False)]
-        while stack:
-            i, expanded = stack.pop()
-            if expanded:
-                yield i
-            else:
-                stack.append((i, True))
-                for c in reversed(self.nodes[i].children):
-                    stack.append((c, False))
-
-    def as_decomposition(self, kind=None):
-        if kind is None:
-            kind = "tree" if any(nd.kind == "join" for nd in self.nodes) else "path"
-        edges = [(i, c) for i, nd in enumerate(self.nodes) for c in nd.children]
-        return Decomposition([nd.bag for nd in self.nodes], edges,
-                             kind=kind, root=self.root)
-
-
-def _chain(nodes, top, have, want):
-    """Append forget/introduce nodes taking bag `have` to bag `want`."""
-    for v in sorted(have - want):
-        have = have - {v}
-        nodes.append(NiceNode("forget", v, have, [top]))
-        top = len(nodes) - 1
-    for v in sorted(want - have):
-        have = have | {v}
-        nodes.append(NiceNode("introduce", v, have, [top]))
-        top = len(nodes) - 1
-    return top
-
-
-def make_nice(g, dec):
-    """Turn a valid decomposition of `g` into an equivalent nice one.
-
-    The width never increases. Multi-way branchings become balanced-left
-    chains of binary joins (children combined in ascending node-id order);
-    path decompositions produce join-free chains (rooted at an endpoint).
-    """
-    bags = dec.bags
-    keep = [i for i, b in enumerate(bags) if b]
-    if not keep:
-        return NiceDecomposition([], None)
-
-    # contract empty bags: route around them while building the rooted tree
-    nbr = dec.neighbors()
-    if dec.kind == "path":
-        ends = [i for i in keep
-                if sum(1 for j in nbr[i] if bags[j]) <= 1]
-        root = min(ends) if ends else keep[0]
-    else:
-        root = keep[0]
-
-    nodes = []
-
-    def build(i, parent):
-        """Nice subtree for input node i; returns top index with bag bags[i]."""
-        child_tops = []
-        stack = [(i, parent)]
-        order = []
-        while stack:  # collect non-empty descendants reachable through empties
-            cur, par = stack.pop()
-            for j in nbr[cur]:
-                if j == par:
-                    continue
-                if bags[j]:
-                    order.append((j, cur))
-                else:
-                    stack.append((j, cur))
-        for j, pj in sorted(order):
-            child_tops.append(_adapt(build(j, pj), bags[j], bags[i]))
-        if not child_tops:
-            vs = sorted(bags[i])
-            nodes.append(NiceNode("leaf", None, {vs[0]}, []))
-            top = len(nodes) - 1
-            have = {vs[0]}
-            for v in vs[1:]:
-                have.add(v)
-                nodes.append(NiceNode("introduce", v, set(have), [top]))
-                top = len(nodes) - 1
-            return top
-        top = child_tops[0]
-        for other in child_tops[1:]:
-            nodes.append(NiceNode("join", None, bags[i], [top, other]))
-            top = len(nodes) - 1
-        return top
-
-    def _adapt(top, have, want):
-        return _chain(nodes, top, frozenset(have), frozenset(want))
-
-    # recursion is fine for desk-scale inputs, but keep an explicit guard
-    if len(bags) * 2 + 100 > sys.getrecursionlimit():
-        sys.setrecursionlimit(len(bags) * 2 + 100)
-
-    top = build(root, -1)
-    rbag = frozenset(bags[root])
-    keep_v = min(rbag)
-    for v in sorted(rbag - {keep_v}):
-        rbag = rbag - {v}
-        nodes.append(NiceNode("forget", v, rbag, [top]))
-        top = len(nodes) - 1
-    return NiceDecomposition(nodes, top)
-
-
-def trace_of_node(nd, i, cover):
-    """Split `cover` by position relative to node i of a nice decomposition.
-
-    Returns (below, here, ahead): cover vertices forgotten strictly below i,
-    in the bag of i, and everything else (not seen yet from i's viewpoint).
-    """
-    cover = frozenset(cover)
-    below_union = set()
-    stack = [i]
-    while stack:
-        j = stack.pop()
-        below_union |= nd.nodes[j].bag
-        stack.extend(nd.nodes[j].children)
-    here = nd.nodes[i].bag & cover
-    below = (below_union & cover) - here
-    ahead = cover - here - below
-    return frozenset(below), frozenset(here), frozenset(ahead)

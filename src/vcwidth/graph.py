@@ -43,26 +43,6 @@ class Graph:
     def m(self):
         return len(self.edges)
 
-    def degree(self, v):
-        return len(self.adj[v])
-
-    def has_edge(self, u, v):
-        return v in self.adj[u]
-
-    def neighborhood(self, v):
-        """Open neighborhood N(v) as a set."""
-        return set(self.adj[v])
-
-    def set_neighborhood(self, vertices):
-        """N(W): vertices outside W with a neighbor in W."""
-        out = set()
-        for v in vertices:
-            out |= self.adj[v]
-        return out - set(vertices)
-
-    def closed_neighborhood(self, v):
-        return set(self.adj[v]) | {v}
-
     def complement(self):
         """Complement graph on the same vertex set."""
         edges = [(u, v) for u, v in combinations(range(self.n), 2)
@@ -75,26 +55,6 @@ class Graph:
         edges = list(self.edges) + [(v, apex) for v in range(self.n)]
         return Graph(self.n + 1, edges), apex
 
-    def induced_subgraph(self, vertices):
-        """Induced subgraph on `vertices`, densely re-indexed.
-
-        Returns (subgraph, to_sub, to_orig): to_sub maps original id -> new id,
-        to_orig is the inverse as a list.
-        """
-        to_orig = sorted(set(vertices))
-        to_sub = {v: i for i, v in enumerate(to_orig)}
-        edges = [(to_sub[u], to_sub[v]) for u, v in self.edges
-                 if u in to_sub and v in to_sub]
-        return Graph(len(to_orig), edges), to_sub, to_orig
-
-    def adjacency_masks(self):
-        """Neighborhoods as bitmasks over 0..n-1 (helper for bitset DPs)."""
-        masks = [0] * self.n
-        for u, v in self.edges:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        return masks
-
     def __eq__(self, other):
         return (isinstance(other, Graph)
                 and self.n == other.n and self.edges == other.edges)
@@ -105,29 +65,3 @@ class Graph:
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
 
-
-def path_graph(n):
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle_graph(n):
-    if n < 3:
-        raise ValueError("cycle needs at least 3 vertices")
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def complete_graph(n):
-    return Graph(n, list(combinations(range(n), 2)))
-
-
-def grid_graph(rows, cols):
-    def vid(r, c):
-        return r * cols + c
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            if c + 1 < cols:
-                edges.append((vid(r, c), vid(r, c + 1)))
-            if r + 1 < rows:
-                edges.append((vid(r, c), vid(r + 1, c)))
-    return Graph(rows * cols, edges)

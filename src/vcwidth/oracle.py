@@ -9,10 +9,8 @@ vertex-separation DPs over induced subsets.
 from __future__ import annotations
 
 from array import array
-from itertools import combinations
 
 from .errors import ResourceLimitError
-from .graph import Graph
 
 ORACLE_MAX_N = 26
 
@@ -106,10 +104,3 @@ def pathwidth_exact(g, max_n=ORACLE_MAX_N):
         sep[subset] = max(boundary, cur)
     return sep[full]
 
-
-def enumerate_small_graphs(n):
-    """Yield every labelled simple graph on n vertices (2^(n choose 2) many)."""
-    pairs = list(combinations(range(n), 2))
-    for pick in range(1 << len(pairs)):
-        edges = [pairs[i] for i in range(len(pairs)) if pick >> i & 1]
-        yield Graph(n, edges)

@@ -24,37 +24,17 @@ is the introduce-lower state with below == 0 and the apex alone in the bag.
 
 States are ranked by (|below|, |bag|); that order linearly extends the
 predecessor relation, so one sweep over triples in this order sees every
-predecessor before its successors.
+predecessor before its successors. The sweeps never build states or op
+tags: they pack each triple's values into one int, and the tests check
+them against the literal model in tests/spec.py.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from functools import cached_property
 
 from .convolution import SetFunction, zeta
 from .errors import ResourceLimitError
-
-OpTag = namedtuple("OpTag", ["kind", "arg"])
-
-JOIN = OpTag("join", None)
-
-
-def introduce(v):
-    return OpTag("introduce", v)
-
-
-def forget(v):
-    return OpTag("forget", v)
-
-
-def join_with_part(part_mask):
-    return OpTag("join", part_mask)
-
-
-# A full DP state: masks for the triple, op tags for lower/upper.
-# lower is None for degenerate (base) treewidth states.
-State = namedtuple("State", ["lower", "below", "bag", "ahead", "upper"])
 
 
 def iter_bits(mask):
@@ -62,36 +42,6 @@ def iter_bits(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def op_code(op, k):
-    """Encode an op tag as a small int; used as the table-key suffix.
-
-    introduce(u) -> u, forget(u) -> 32+u, join -> 63. Candidate lowers are
-    examined in ascending code order during witness reconstruction, which is
-    the documented deterministic tie-break (introduce before forget before
-    join, vertices ascending).
-    """
-    if op.kind == "introduce":
-        return op.arg
-    if op.kind == "forget":
-        return 32 + op.arg
-    return 63
-
-
-def is_valid_triple(cov_adj, below, bag, ahead):
-    """True iff the masks partition the cover and no below-ahead edge exists.
-
-    `cov_adj` is the cover-internal adjacency: cov_adj[i] = mask of cover
-    positions adjacent to position i.
-    """
-    k = len(cov_adj)
-    full = (1 << k) - 1
-    if below | bag | ahead != full:
-        return False
-    if below & bag or below & ahead or bag & ahead:
-        return False
-    return all(not cov_adj[i] & ahead for i in iter_bits(below))
 
 
 def components_outside(cov_adj, verts):
@@ -135,183 +85,6 @@ def enumerate_valid_triples(cov_adj, require_bit=None):
         out += [(below, bag) for below in belows]
     out.sort(key=lambda t: (t[0].bit_count(), t[1].bit_count(), t[0], t[1]))
     return out
-
-
-def precedes(t1, t2):
-    """The predecessor partial order on triples (reflexive)."""
-    l1, x1 = t1
-    l2, x2 = t2
-    return l1 | l2 == l2 and (l1 | x1) | (l2 | x2) == l2 | x2
-
-
-def tw_lower_ops(cov_adj, below, bag, ahead):
-    """Valid lower ops of a treewidth state on this triple.
-
-    Join parts are enumerated literally over submasks of `below` holding the
-    lowest bit, keeping those with no edge to the rest of `below`. The
-    solvers enumerate component unions instead; both are cross-checked in
-    tests. Degenerate bases are not ops and are not listed here.
-    """
-    ops = []
-    for u in iter_bits(bag):
-        if not cov_adj[u] & below:
-            ops.append(introduce(u))
-    for u in iter_bits(below):
-        ops.append(forget(u))
-    if below and below & (below - 1):  # at least two bits
-        lowbit = below & -below
-        parts = []
-        m = below
-        while m:
-            if m & lowbit and m != below:
-                rest = below & ~m
-                if all(not cov_adj[i] & rest for i in iter_bits(m)):
-                    parts.append(m)
-            m = (m - 1) & below
-        for part in sorted(parts):
-            ops.append(join_with_part(part))
-    return ops
-
-
-def tw_upper_ops(cov_adj, below, bag, ahead):
-    """Valid upper ops of a treewidth state on this triple.
-
-    The join check is the literal one: some nonempty part of `ahead` with no
-    edge to the rest of `ahead` or to `below`. (Taking the whole of `ahead`
-    always satisfies it, so this is equivalent to `ahead` being nonempty;
-    the solvers rely on that.)
-    """
-    ops = [introduce(v) for v in iter_bits(ahead)]
-    for v in iter_bits(bag):
-        if not cov_adj[v] & ahead:
-            ops.append(forget(v))
-    m = ahead
-    while m:
-        rest = (ahead & ~m) | below
-        if all(not cov_adj[i] & rest for i in iter_bits(m)):
-            ops.append(JOIN)
-            break
-        m = (m - 1) & ahead
-    return ops
-
-
-def pw_ops(cov_adj, below, bag, ahead):
-    """(lower ops, upper ops) of a pathwidth state; no joins in either."""
-    lowers = []
-    for u in iter_bits(bag):
-        if not cov_adj[u] & below:
-            lowers.append(introduce(u))
-    for u in iter_bits(below):
-        lowers.append(forget(u))
-    uppers = [introduce(v) for v in iter_bits(ahead)]
-    for v in iter_bits(bag):
-        if not cov_adj[v] & ahead:
-            uppers.append(forget(v))
-    return lowers, uppers
-
-
-def _mask_to_set(mask, order):
-    return {order[i] for i in iter_bits(mask)}
-
-
-def boundary_sets_tw(g, cover_order, state):
-    """Boundary sets of a treewidth state, as actual vertex sets.
-
-    Returns (crossing, lower_extra, upper_extra, confined, tight):
-      crossing     independent vertices with neighbors both below and ahead
-                   (they sit in every bag of this state),
-      lower_extra  extra content of the state's first bag (depends on the
-                   lower op),
-      upper_extra  extra content of the state's last bag (forget uppers only),
-      confined     independent vertices whose whole neighborhood is inside
-                   the bag (they get a private pendant bag),
-      tight        1 if some independent vertex needs a full private bag
-                   (treewidth: its neighborhood is exactly the bag), else 0.
-    """
-    below = _mask_to_set(state.below, cover_order)
-    bag = _mask_to_set(state.bag, cover_order)
-    ahead = _mask_to_set(state.ahead, cover_order)
-    cover = set(cover_order)
-    crossing, confined = set(), set()
-    tight = 0
-    lower_extra, upper_extra = set(), set()
-    low, up = state.lower, state.upper
-    for x in range(g.n):
-        if x in cover:
-            continue
-        nb = g.adj[x]
-        hits_below = bool(nb & below)
-        hits_ahead = bool(nb & ahead)
-        if hits_below and hits_ahead:
-            crossing.add(x)
-        if not hits_below and not hits_ahead:
-            confined.add(x)
-            if nb == frozenset(bag):
-                tight = 1
-        if low is not None and hits_below and not hits_ahead:
-            if low.kind == "introduce" and cover_order[low.arg] in nb:
-                lower_extra.add(x)
-            elif low.kind == "join":
-                part = _mask_to_set(low.arg, cover_order)
-                other = below - part
-                if nb & part and nb & other:
-                    lower_extra.add(x)
-        if up.kind == "forget" and not hits_below and hits_ahead:
-            if cover_order[up.arg] in nb:
-                upper_extra.add(x)
-    return crossing, lower_extra, upper_extra, confined, tight
-
-
-def boundary_sets_pw(g, cover_order, state):
-    """Boundary sets of a pathwidth state, as actual vertex sets.
-
-    Same shape as boundary_sets_tw, but `confined` only keeps vertices whose
-    pendant bag could not live in a neighboring state instead: with an
-    introduce(u) lower the vertex must see u, with a forget(v) upper it must
-    see v. `tight` is 1 iff `confined` is nonempty.
-    """
-    below = _mask_to_set(state.below, cover_order)
-    bag = _mask_to_set(state.bag, cover_order)
-    ahead = _mask_to_set(state.ahead, cover_order)
-    cover = set(cover_order)
-    crossing, confined = set(), set()
-    lower_extra, upper_extra = set(), set()
-    low, up = state.lower, state.upper
-    for x in range(g.n):
-        if x in cover:
-            continue
-        nb = g.adj[x]
-        hits_below = bool(nb & below)
-        hits_ahead = bool(nb & ahead)
-        if hits_below and hits_ahead:
-            crossing.add(x)
-        if not hits_below and not hits_ahead:
-            needed = True
-            if low is not None and low.kind == "introduce" \
-                    and cover_order[low.arg] not in nb:
-                needed = False  # pendant bag fits in the predecessor state
-            if up.kind == "forget" and cover_order[up.arg] not in nb:
-                needed = False  # pendant bag fits in the successor state
-            if needed:
-                confined.add(x)
-        if hits_below and not hits_ahead:
-            if low is not None and low.kind == "introduce" \
-                    and cover_order[low.arg] in nb:
-                lower_extra.add(x)
-        if not hits_below and hits_ahead:
-            if up.kind == "forget" and cover_order[up.arg] in nb:
-                upper_extra.add(x)
-    return crossing, lower_extra, upper_extra, confined, (1 if confined else 0)
-
-
-def local_width_tw(bag_size, crossing, lower_extra, upper_extra, tight):
-    """Largest bag this treewidth state forces, minus one (all args counts)."""
-    return bag_size + max(crossing + lower_extra, crossing + upper_extra, tight) - 1
-
-
-def local_width_pw(bag_size, crossing, lower_extra, upper_extra, tight):
-    """Largest bag this pathwidth state forces, minus one (all args counts)."""
-    return bag_size + crossing + max(lower_extra, upper_extra, tight) - 1
 
 
 class CoverContext:

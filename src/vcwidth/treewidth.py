@@ -297,7 +297,6 @@ def reconstruct_tree(g, ctx, table, apex, width):
                         children[p].append(c)
                 alive.discard(i)
                 merged = True
-        # also merge a parent into its only child when contained
     index = {i: j for j, i in enumerate(sorted(alive))}
     final_bags = [bags[i] for i in sorted(alive)]
     final_edges = [(index[i], index[parent[i]]) for i in sorted(alive)

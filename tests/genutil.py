@@ -5,10 +5,45 @@ widths from first principles (permutation search, literal submask sums) so
 they share no machinery with the package code they check.
 """
 
-import random
-from itertools import permutations
+from itertools import combinations, permutations
 
+from vcwidth.convolution import SetFunction
 from vcwidth.graph import Graph
+
+
+def path_graph(n):
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def cycle_graph(n):
+    if n < 3:
+        raise ValueError("cycle needs at least 3 vertices")
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def complete_graph(n):
+    return Graph(n, list(combinations(range(n), 2)))
+
+
+def grid_graph(rows, cols):
+    def vid(r, c):
+        return r * cols + c
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            if c + 1 < cols:
+                edges.append((vid(r, c), vid(r, c + 1)))
+            if r + 1 < rows:
+                edges.append((vid(r, c), vid(r + 1, c)))
+    return Graph(rows * cols, edges)
+
+
+def enumerate_small_graphs(n):
+    """Yield every labelled simple graph on n vertices (2^(n choose 2) many)."""
+    pairs = list(combinations(range(n), 2))
+    for pick in range(1 << len(pairs)):
+        edges = [pairs[i] for i in range(len(pairs)) if pick >> i & 1]
+        yield Graph(n, edges)
 
 
 def random_graph(rng, n, p):
@@ -43,6 +78,25 @@ def naive_convolve(f_values, g_values, s):
                 break
             v = (v - 1) & w
     return out
+
+
+def identity(s):
+    """The convolution identity: 1 on the empty set, 0 elsewhere."""
+    f = SetFunction(s)
+    f.values[0] = 1
+    return f
+
+
+def mobius(f):
+    """Inverse of zeta."""
+    out = list(f.values)
+    size = 1 << f.s
+    for i in range(f.s):
+        bit = 1 << i
+        for w in range(size):
+            if w & bit:
+                out[w] -= out[w ^ bit]
+    return SetFunction(f.s, out)
 
 
 def tw_by_elimination_orders(g):

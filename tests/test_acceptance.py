@@ -17,13 +17,13 @@ from vcwidth.decomposition import find_violations
 from vcwidth.errors import ParseError
 from vcwidth.formats import emit_gr, emit_td, parse_gr, parse_td
 from vcwidth.graph import Graph
-from vcwidth.oracle import (enumerate_small_graphs, pathwidth_exact,
-                            treewidth_exact)
+from vcwidth.oracle import pathwidth_exact, treewidth_exact
 from vcwidth.pathwidth import pathwidth_vc
 from vcwidth.treewidth import treewidth_vc_4k
 from vcwidth.treewidth_fast import treewidth_vc_3k
 
-from genutil import naive_convolve, random_graph, random_graph_with_cover
+from genutil import (enumerate_small_graphs, identity, naive_convolve,
+                     random_graph, random_graph_with_cover)
 
 TRIPLE_CAP = lambda k: 3 ** (k + 1)  # noqa: E731
 
@@ -125,7 +125,7 @@ def test_criterion_4_cross_solver_equality(exhaustive6, random_suite):
 def test_criterion_5_subset_convolution():
     rng = random.Random(77)
     for s in range(1, 13):
-        identity = SetFunction.identity(s)
+        one = identity(s)
         for _ in range(100):
             fv = [rng.randrange(0, 50) for _ in range(1 << s)]
             gv = [rng.randrange(0, 50) for _ in range(1 << s)]
@@ -133,7 +133,7 @@ def test_criterion_5_subset_convolution():
             fast = convolve(f, g).values
             assert fast == naive_convolve(fv, gv, s)
             assert convolve(g, f).values == fast
-            assert convolve(f, identity).values == fv
+            assert convolve(f, one).values == fv
 
 
 def test_criterion_6_universal_vertex_shift():

@@ -2,6 +2,7 @@
 
 import io
 import os
+import random
 import subprocess
 import sys
 import types
@@ -10,6 +11,8 @@ import pytest
 
 from vcwidth import cli
 from vcwidth.errors import InternalError
+
+from genutil import random_graph
 
 
 def gr_text(n, edges):
@@ -252,3 +255,24 @@ def test_nonpositive_caps_exit_2(tmp_path, flags, argv):
     assert result.returncode == 2 and result.stdout == ""
     assert result.stderr.startswith("error:") and "must be positive" in \
         result.stderr
+
+
+@pytest.mark.parametrize("n, p, algo, message", [
+    (200, 0.03, "vc", "vertex cover exceeds the cap 18"),
+    (150, 0.04, "vc", "vertex cover exceeds the cap 18"),
+    (200, 0.03, "cvc", "complement cover exceeds the supported maximum of 26"),
+])
+def test_cover_far_above_the_cap_exits_3_at_once(tmp_path, n, p, algo,
+                                                 message):
+    # the cap bounds the cover search: G(200, 0.03) has a matching of 90
+    # edges, and an exact search for its cover runs for minutes
+    g = random_graph(random.Random(20260814), n, p)
+    path = write(tmp_path, "g.gr", gr_text(n, sorted(g.edges)))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-m", "vcwidth", "pw", "--algo", algo,
+         "--input", path],
+        env=env, capture_output=True, text=True, timeout=20)
+    assert result.returncode == 3 and result.stdout == ""
+    assert result.stderr == f"error: {message}\n"

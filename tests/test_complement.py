@@ -11,11 +11,11 @@ from vcwidth.cover import minimum_vertex_cover
 from vcwidth.decomposition import find_violations
 from vcwidth.errors import ResourceLimitError
 from vcwidth.formats import emit_gr
-from vcwidth.graph import Graph, complete_graph, cycle_graph
+from vcwidth.graph import Graph
 from vcwidth.oracle import pathwidth_exact
 from vcwidth.pathwidth import pathwidth_vc
 
-from genutil import random_graph
+from genutil import complete_graph, cycle_graph, random_graph
 
 
 def solved(g, **kw):

@@ -6,10 +6,10 @@ from itertools import combinations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vcwidth.cover import is_vertex_cover, minimum_vertex_cover
-from vcwidth.graph import Graph, complete_graph, path_graph
+from vcwidth.cover import _greedy_cover, is_vertex_cover, minimum_vertex_cover
+from vcwidth.graph import Graph
 
-from genutil import random_graph
+from genutil import complete_graph, path_graph, random_graph
 
 
 def brute_force_cover_size(g):
@@ -54,7 +54,7 @@ def test_minimum_on_random_graphs():
         assert is_vertex_cover(g, c)
         assert len(c) == brute_force_cover_size(g), f"trial {trial}: {g}"
         outside = sorted(set(range(n)) - c)
-        assert not any(g.has_edge(u, v)
+        assert not any(v in g.adj[u]
                        for u, v in combinations(outside, 2)), \
             f"trial {trial}: complement of the cover is not independent"
 
@@ -68,3 +68,26 @@ def test_minimum_cover_hypothesis(n, data):
     c = minimum_vertex_cover(g)
     assert is_vertex_cover(g, c)
     assert len(c) == brute_force_cover_size(g)
+
+
+def test_limit_matches_the_unbounded_search():
+    # within the limit the bounded search returns the very same cover; over
+    # it, None. Limits below the greedy cover, where the search starts from
+    # the limit instead of from that cover, are among those within.
+    rng = random.Random(20261018)
+    within = over = greedy_over = 0
+    for _ in range(300):
+        n = rng.randrange(1, 26)
+        g = random_graph(rng, n, rng.choice([0.08, 0.15, 0.3, 0.6]))
+        full = minimum_vertex_cover(g)
+        greedy = len(_greedy_cover([set(g.adj[v]) for v in range(n)]))
+        for limit in range(len(full) + 2):
+            got = minimum_vertex_cover(g, limit=limit)
+            if len(full) <= limit:
+                assert got == full
+                within += 1
+                greedy_over += limit < greedy
+            else:
+                assert got is None
+                over += 1
+    assert within and over and greedy_over

@@ -5,14 +5,15 @@ from collections import deque
 
 import pytest
 
-from vcwidth.decomposition import (Decomposition, find_violations, make_nice,
-                                   trace_of_node, validate)
+from vcwidth.decomposition import Decomposition, find_violations, validate
 from vcwidth.errors import InvalidDecompositionError
-from vcwidth.graph import Graph, complete_graph, path_graph
-from vcwidth.states import CoverContext, is_valid_triple
+from vcwidth.graph import Graph
+from vcwidth.states import CoverContext
 from vcwidth.cover import minimum_vertex_cover
 
-from genutil import elimination_decomposition, random_graph
+from genutil import (complete_graph, elimination_decomposition, path_graph,
+                     random_graph)
+from spec import is_valid_triple, make_nice, trace_of_node
 
 
 # --- an independent re-derivation of the three axioms, used as a cross-check

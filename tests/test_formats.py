@@ -8,11 +8,11 @@ from vcwidth.decomposition import Decomposition
 from vcwidth.errors import ParseError
 from vcwidth.formats import (decomposition_of, emit_gr, emit_td, parse_cover,
                              parse_gr, parse_td)
-from vcwidth.graph import Graph, path_graph
+from vcwidth.graph import Graph
 from vcwidth.pathwidth import pathwidth_vc
 from vcwidth.treewidth import treewidth_vc_4k
 
-from genutil import random_graph
+from genutil import path_graph, random_graph
 
 
 def test_parse_gr_examples():

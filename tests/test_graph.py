@@ -1,13 +1,13 @@
-"""Graph data model: neighborhoods, complement, universal vertex, subgraphs."""
+"""Graph data model: adjacency, complement, universal vertex."""
 
 import random
 
 import pytest
 
-from vcwidth.graph import (Graph, complete_graph, cycle_graph, grid_graph,
-                           path_graph)
+from vcwidth.graph import Graph
 
-from genutil import random_graph
+from genutil import (complete_graph, cycle_graph, grid_graph, path_graph,
+                     random_graph)
 
 
 def test_constructor_rejects_bad_input():
@@ -23,30 +23,10 @@ def test_constructor_rejects_bad_input():
 
 def test_neighborhood():
     p3 = path_graph(3)
-    assert p3.neighborhood(1) == {0, 2}
-    assert Graph(3, [(0, 1)]).neighborhood(2) == set()
+    assert set(p3.adj[1]) == {0, 2}
+    assert set(Graph(3, [(0, 1)]).adj[2]) == set()
     k4 = complete_graph(4)
-    assert all(k4.neighborhood(v) == set(range(4)) - {v} for v in range(4))
-
-
-def test_set_neighborhood():
-    p4 = path_graph(4)
-    assert p4.set_neighborhood({1, 2}) == {0, 3}
-    assert p4.set_neighborhood(range(4)) == set()
-    star = Graph(4, [(0, 1), (0, 2), (0, 3)])
-    assert star.set_neighborhood({1}) == {0}
-    assert star.set_neighborhood(set()) == set()
-
-
-def test_set_neighborhood_is_union_minus_w():
-    rng = random.Random(11)
-    for _ in range(40):
-        g = random_graph(rng, rng.randrange(1, 10), rng.random())
-        w = {v for v in range(g.n) if rng.random() < 0.4}
-        union = set()
-        for v in w:
-            union |= g.adj[v]
-        assert g.set_neighborhood(w) == union - w
+    assert all(set(k4.adj[v]) == set(range(4)) - {v} for v in range(4))
 
 
 def test_complement_examples():
@@ -54,7 +34,7 @@ def test_complement_examples():
     assert path_graph(3).complement() == Graph(3, [(0, 2)])
     c5c = cycle_graph(5).complement()
     assert c5c.m == 5
-    assert all(c5c.degree(v) == 2 for v in range(5))
+    assert all(len(c5c.adj[v]) == 2 for v in range(5))
 
 
 def test_complement_involution():
@@ -66,26 +46,15 @@ def test_complement_involution():
 
 def test_add_universal_vertex():
     gp, univ = path_graph(3).add_universal_vertex()
-    assert gp.n == 4 and univ == 3 and gp.degree(univ) == 3
+    assert gp.n == 4 and univ == 3 and len(gp.adj[univ]) == 3
     star, centre = Graph(2).add_universal_vertex()
     assert star == Graph(3, [(0, 2), (1, 2)]) and centre == 2
     rng = random.Random(7)
     for _ in range(25):
         g = random_graph(rng, rng.randrange(8), rng.random())
         gp, u = g.add_universal_vertex()
-        assert gp.degree(u) == g.n and gp.m == g.m + g.n
-        assert all(gp.degree(v) == g.degree(v) + 1 for v in range(g.n))
-
-
-def test_induced_subgraph():
-    k4 = complete_graph(4)
-    sub, to_sub, to_orig = k4.induced_subgraph({1, 3})
-    assert sub == complete_graph(2)
-    assert to_orig == [1, 3] and to_sub == {1: 0, 3: 1}
-    empty, _, _ = k4.induced_subgraph(set())
-    assert empty.n == 0
-    sub, _, _ = cycle_graph(5).induced_subgraph({1, 2, 3})
-    assert sub == path_graph(3)
+        assert len(gp.adj[u]) == g.n and gp.m == g.m + g.n
+        assert all(len(gp.adj[v]) == len(g.adj[v]) + 1 for v in range(g.n))
 
 
 def test_no_self_adjacency():
@@ -95,11 +64,6 @@ def test_no_self_adjacency():
         assert all(v not in g.adj[v] for v in range(g.n))
 
 
-def test_adjacency_masks():
-    g = path_graph(3)
-    assert g.adjacency_masks() == [0b010, 0b101, 0b010]
-
-
 def test_constructions():
     assert path_graph(1).m == 0
     assert cycle_graph(3) == complete_graph(3)
@@ -107,4 +71,4 @@ def test_constructions():
         cycle_graph(2)
     g = grid_graph(3, 3)
     assert g.n == 9 and g.m == 12
-    assert g.has_edge(0, 1) and g.has_edge(0, 3) and not g.has_edge(0, 4)
+    assert 1 in g.adj[0] and 3 in g.adj[0] and 4 not in g.adj[0]

@@ -5,13 +5,12 @@ import random
 import pytest
 
 from vcwidth.errors import ResourceLimitError
-from vcwidth.graph import (Graph, complete_graph, cycle_graph, grid_graph,
-                           path_graph)
-from vcwidth.oracle import (enumerate_small_graphs, pathwidth_exact,
-                            treewidth_exact)
+from vcwidth.graph import Graph
+from vcwidth.oracle import pathwidth_exact, treewidth_exact
 
-from genutil import (pw_by_layouts, random_graph, random_tree,
-                     tw_by_elimination_orders)
+from genutil import (complete_graph, cycle_graph, enumerate_small_graphs,
+                     grid_graph, path_graph, pw_by_layouts, random_graph,
+                     random_tree, tw_by_elimination_orders)
 
 
 def binary_tree(height):

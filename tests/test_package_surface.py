@@ -1,0 +1,98 @@
+"""The package ships only what its solvers and its CLI run.
+
+Every module-level function, class and assignment in `src/vcwidth/`, and
+every method, must be referenced somewhere in the package outside its own
+definition, be exported through `__all__`, or be the CLI entry point
+`main`. Dunder names are exempt: the interpreter calls them. A name that
+only a test uses belongs in `tests/` (reference code in `spec.py`, helpers
+in `genutil.py`).
+"""
+
+import ast
+from pathlib import Path
+
+import vcwidth
+
+PACKAGE = Path(vcwidth.__file__).parent
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _definitions(tree):
+    """(name, defining node) of every module-level def, class and assigned
+    name, and of every method."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append((node.name, node))
+            if isinstance(node, ast.ClassDef):
+                out += [(item.name, item) for item in node.body
+                        if isinstance(item, ast.FunctionDef)]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            out += [(t.id, node) for target in targets
+                    for t in ast.walk(target) if isinstance(t, ast.Name)]
+    return [(name, node) for name, node in out if not _is_dunder(name)]
+
+
+def _references(tree, skip):
+    """Names read as identifiers or attributes anywhere in `tree`, except
+    inside the node `skip`."""
+    refs = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return refs
+
+
+def _exported(trees):
+    names = set()
+    for tree in trees.values():
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets):
+                names |= set(ast.literal_eval(node.value))
+    return names
+
+
+def unreferenced_names():
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    allowed = _exported(trees) | {"main"}
+    unused = []
+    for module, tree in trees.items():
+        for name, node in _definitions(tree):
+            if name in allowed:
+                continue
+            if not any(name in _references(other, node)
+                       for other in trees.values()):
+                unused.append(f"{module}: {name}")
+    return unused
+
+
+def test_every_name_in_the_package_is_used_by_it():
+    assert unreferenced_names() == []
+
+
+def test_package_does_not_import_test_code():
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert not any(m.split(".")[0] in ("spec", "genutil", "tests")
+                           for m in modules), path.name

@@ -6,17 +6,17 @@ import pytest
 
 from vcwidth.cover import minimum_vertex_cover
 from vcwidth.decomposition import find_violations
-from vcwidth.graph import (Graph, complete_graph, cycle_graph, grid_graph,
-                           path_graph)
+from vcwidth.graph import Graph
 from vcwidth.oracle import pathwidth_exact
 from vcwidth.pathwidth import (_state_chain, partial_width_table,
                                pathwidth_vc)
-from vcwidth.states import (CoverContext, State, boundary_sets_pw, forget,
-                            introduce, iter_bits, local_width_pw)
+from vcwidth.states import CoverContext, iter_bits
 from vcwidth.treewidth import treewidth_table, treewidth_vc_4k
 
-from genutil import (pw_by_full_sweep, random_graph, random_graph_with_cover,
+from genutil import (complete_graph, cycle_graph, grid_graph, path_graph,
+                     pw_by_full_sweep, random_graph, random_graph_with_cover,
                      random_tree)
+from spec import State, boundary_sets_pw, forget, introduce, local_width_pw
 
 
 def solved(g, **kw):

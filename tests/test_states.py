@@ -3,20 +3,20 @@
 import random
 from itertools import combinations
 
-from vcwidth.graph import Graph, path_graph
+from vcwidth.graph import Graph
 from vcwidth.pathwidth import _tight
-from vcwidth.states import (CoverContext, State, _forgets, _lowers,
-                            boundary_sets_pw, boundary_sets_tw,
+from vcwidth.states import (CoverContext, _forgets, _lowers,
                             components_outside, enumerate_valid_triples,
-                            forget, introduce, is_valid_triple, iter_bits,
-                            join_with_part, local_width_pw, local_width_tw,
-                            precedes, pw_ops, touching, tw_lower_ops,
-                            tw_upper_ops)
+                            iter_bits, touching)
 from vcwidth.treewidth import _join_splits
 from vcwidth.cover import minimum_vertex_cover
 
-from genutil import (pw_tight_by_scan, random_graph, random_graph_with_cover,
-                     scan_types)
+from genutil import (path_graph, pw_tight_by_scan, random_graph,
+                     random_graph_with_cover, scan_types)
+from spec import (State, boundary_sets_pw, boundary_sets_tw, forget,
+                  introduce, is_valid_triple, join_with_part, local_width_pw,
+                  local_width_tw, precedes, pw_ops, tw_lower_ops,
+                  tw_upper_ops)
 
 
 def cover_adjacency(rng, k, p):

@@ -7,15 +7,16 @@ import pytest
 
 from vcwidth.cover import minimum_vertex_cover
 from vcwidth.decomposition import find_violations
-from vcwidth.graph import (Graph, complete_graph, cycle_graph, grid_graph,
-                           path_graph)
+from vcwidth.graph import Graph
 from vcwidth.oracle import treewidth_exact
 from vcwidth.pathwidth import pathwidth_vc
-from vcwidth.states import CoverContext, tw_lower_ops
+from vcwidth.states import CoverContext
 from vcwidth.treewidth import _join_splits, treewidth_table, treewidth_vc_4k
 
-from genutil import (random_graph, random_tree, scan_types,
+from genutil import (complete_graph, cycle_graph, grid_graph, path_graph,
+                     random_graph, random_tree, scan_types,
                      tw_by_elimination_orders)
+from spec import tw_lower_ops
 
 
 def solved(g, **kw):

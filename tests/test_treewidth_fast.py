@@ -5,9 +5,8 @@ import random
 
 from vcwidth.cover import minimum_vertex_cover
 from vcwidth.decomposition import find_violations
-from vcwidth.graph import (Graph, complete_graph, cycle_graph, grid_graph,
-                           path_graph)
-from vcwidth.oracle import enumerate_small_graphs, treewidth_exact
+from vcwidth.graph import Graph
+from vcwidth.oracle import treewidth_exact
 from vcwidth.states import CoverContext
 from vcwidth.treewidth import treewidth_vc_4k
 from vcwidth import treewidth_fast
@@ -15,8 +14,9 @@ from vcwidth.treewidth_fast import (_bag_joins, _chunk_size, _join_minima,
                                     _layer_sweep, _split_minima,
                                     treewidth_vc_3k)
 
-from genutil import (join_minima_by_splits, random_graph,
-                     random_graph_with_cover, random_tree)
+from genutil import (complete_graph, cycle_graph, enumerate_small_graphs,
+                     grid_graph, join_minima_by_splits, path_graph,
+                     random_graph, random_graph_with_cover, random_tree)
 
 
 def solved(g, **kw):
