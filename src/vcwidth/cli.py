@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from .complement import MAX_COMPLEMENT_COVER, pathwidth_cvc
 from .cover import is_vertex_cover, minimum_vertex_cover
@@ -41,28 +40,6 @@ _SELECTORS = {
     "oracle": {None: "oracle-tw", "tw": "oracle-tw", "oracle-tw": "oracle-tw",
                "pw": "oracle-pw", "oracle-pw": "oracle-pw"},
 }
-
-
-@dataclass
-class RunConfig:
-    algo: str
-    input_path: str | None = None
-    cover_path: str | None = None
-    emit_witness: bool = False
-    stats: bool = False
-    max_k: int | None = None
-    max_n: int = DEFAULT_MAX_N
-    algo_defaulted: bool = False
-
-    def __post_init__(self):
-        allowed = {"pw-vc", "tw-vc-4k", "tw-vc-3k", "pw-cvc",
-                   "oracle-tw", "oracle-pw"}
-        if self.algo not in allowed:
-            raise InputError(f"unknown selector {self.algo!r}")
-        if self.max_k is not None and self.max_k <= 0:
-            raise InputError(f"--max-k must be positive, got {self.max_k}")
-        if self.max_n <= 0:
-            raise InputError(f"--max-n must be positive, got {self.max_n}")
 
 
 def _read_input(path):
@@ -95,27 +72,19 @@ def _print_stats(stats):
             print(f"{label}: {stats[key]}")
 
 
-def _load_cover(config, g):
-    data = _read_input(config.cover_path) if config.cover_path else None
-    if data is None:
-        return None
-    return parse_cover(data, g.n)
-
-
-def _run_solver(config, g):
+def _run_solver(args, algo, g):
     """Dispatch one solve; returns (width, witness-or-None, stats dict)."""
-    algo = config.algo
     stats = {}
     if algo in ("oracle-tw", "oracle-pw"):
-        if g.n > config.max_n:
+        if g.n > args.max_n:
             raise ResourceLimitError(
-                f"graph has {g.n} vertices, oracle cap is {config.max_n}")
+                f"graph has {g.n} vertices, oracle cap is {args.max_n}")
         w = treewidth_exact(g) if algo == "oracle-tw" else pathwidth_exact(g)
         stats["states"] = 1 << g.n
         stats["peak_table"] = 1 << g.n
         return w, None, stats
-    cap = config.max_k if config.max_k is not None else DEFAULT_MAX_K[algo]
-    cover = _load_cover(config, g)
+    cap = args.max_k if args.max_k is not None else DEFAULT_MAX_K[algo]
+    cover = parse_cover(_read_input(args.cover), g.n) if args.cover else None
     if algo == "pw-cvc":
         w, dec = pathwidth_cvc(g, cover=cover, stats=stats,
                                max_cover=min(cap, MAX_COMPLEMENT_COVER))
@@ -125,8 +94,8 @@ def _run_solver(config, g):
     elif not is_vertex_cover(g, cover):
         raise InputError("supplied vertex set is not a vertex cover")
     if cover is None or len(cover) > cap:
-        if (config.algo_defaulted and algo == "tw-vc-3k"
-                and g.n <= ORACLE_FALLBACK_MAX_N and not config.emit_witness):
+        if (args.algo is None and algo == "tw-vc-3k"
+                and g.n <= ORACLE_FALLBACK_MAX_N and not args.emit_witness):
             # small instance with a large cover: the plain oracle is cheaper
             w = treewidth_exact(g)
             stats["states"] = 1 << g.n
@@ -140,13 +109,13 @@ def _run_solver(config, g):
     return w, dec, stats
 
 
-def run(config):
-    g = parse_gr(_read_input(config.input_path))
-    width, witness, stats = _run_solver(config, g)
+def run(args, algo):
+    g = parse_gr(_read_input(args.input))
+    width, witness, stats = _run_solver(args, algo, g)
     print(f"width: {width}")
-    if config.stats:
+    if args.stats:
         _print_stats(stats)
-    if config.emit_witness:
+    if args.emit_witness:
         if witness is None:
             print("error: the oracle computes widths only, no witness",
                   file=sys.stderr)
@@ -211,19 +180,14 @@ def main(argv=None):
         if args.algo not in table:
             parser.error(f"unknown --algo {args.algo!r} for "
                          f"{args.subcommand}")
-        config = RunConfig(
-            algo=table[args.algo],
-            input_path=args.input,
-            cover_path=args.cover,
-            emit_witness=args.emit_witness,
-            stats=args.stats,
-            max_k=args.max_k,
-            max_n=args.max_n,
-            algo_defaulted=args.algo is None,
-        )
-        if config.emit_witness and config.algo.startswith("oracle"):
+        algo = table[args.algo]
+        if args.max_k is not None and args.max_k <= 0:
+            raise InputError(f"--max-k must be positive, got {args.max_k}")
+        if args.max_n <= 0:
+            raise InputError(f"--max-n must be positive, got {args.max_n}")
+        if args.emit_witness and algo.startswith("oracle"):
             parser.error("--emit-witness is not available for the oracle")
-        return run(config)
+        return run(args, algo)
     except ParseError as exc:
         print(f"error: line {exc.line}: {exc.message}", file=sys.stderr)
         return 2

@@ -8,9 +8,9 @@ then glues a left part (ending in N(L)), the big middle bag S plus N(L), and
 a mirrored right part built from R = C minus N[L].
 
 Table value for L: rooted[L] = max(|N(L) \\ L|, min over u in L of
-rooted[L minus u]), rooted[empty] = 0. The neighborhood unions are built
-incrementally in blocks of the low 16 subset bits so the only full-size
-allocation is the table itself: one byte per subset, or two once n > 256,
+rooted[L minus u]), rooted[empty] = 0. Unions of neighbourhoods over L are
+read from two small tables, one over the low 16 bits of L and one over the
+rest, so the only full-size allocation is the table itself: one byte per subset, or two once n > 256,
 since its values are widths up to n - 1 (graphs with more than 65535
 vertices are rejected).
 """
@@ -20,7 +20,7 @@ from __future__ import annotations
 from array import array
 
 from .cover import is_vertex_cover, minimum_vertex_cover
-from .decomposition import Decomposition, validate
+from .decomposition import Decomposition, contract, validate
 from .errors import InputError, InternalError, ResourceLimitError
 from .states import iter_bits
 
@@ -29,18 +29,13 @@ MAX_VERTICES = 65535  # widths must fit the table's unsigned 16-bit entries
 _BLOCK_BITS = 16
 
 
-def _vertex_masks(g, order):
-    """Adjacency as whole-graph bitmasks plus the mask of `order` itself."""
-    adj = []
-    for v in order:
-        m = 0
-        for u in g.adj[v]:
-            m |= 1 << u
-        adj.append(m)
-    placed = 0
-    for v in order:
-        placed |= 1 << v
-    return adj, placed
+def _unions(masks):
+    """unions[P]: the union of masks[i] over the bits i of P."""
+    out = [0] * (1 << len(masks))
+    for p in range(1, len(out)):
+        low = p & -p
+        out[p] = out[p ^ low] | masks[low.bit_length() - 1]
+    return out
 
 
 def rooted_pw_table(g, order):
@@ -51,25 +46,19 @@ def rooted_pw_table(g, order):
     decomposition of G[N[L]] with N(L) as its inner end bag.
     """
     k = len(order)
-    adj, _ = _vertex_masks(g, order)
+    adj = [sum(1 << u for u in g.adj[v]) for v in order]
     vbit = [1 << v for v in order]
     # widths are at most n - 1; a bytearray is faster to index when they fit
     rooted = (bytearray(1 << k) if g.n <= 256
               else array("H", [0]) * (1 << k))
-    # per block of the low b subset bits: neighborhood union and vertex mask
+    # neighbourhood unions and vertex masks per block of the low b subset
+    # bits and of the high ones
     b = min(k, _BLOCK_BITS)
-    um_low = [0] * (1 << b)
-    lf_low = [0] * (1 << b)
-    for low in range(1, 1 << b):
-        i = (low & -low).bit_length() - 1
-        um_low[low] = um_low[low ^ (1 << i)] | adj[i]
-        lf_low[low] = lf_low[low ^ (1 << i)] | vbit[i]
+    um_low, um_hi = _unions(adj[:b]), _unions(adj[b:])
+    lf_low, lf_hi = _unions(vbit[:b]), _unions(vbit[b:])
     for high in range(1 << (k - b)):
-        um_high = 0
-        lf_high = 0
-        for i in iter_bits(high):
-            um_high |= adj[b + i]
-            lf_high |= vbit[b + i]
+        um_high = um_hi[high]
+        lf_high = lf_hi[high]
         base = high << b
         for low in range(1 << b):
             mask = base | low
@@ -150,8 +139,9 @@ def pathwidth_cvc(g, cover=None, stats=None, max_cover=MAX_COMPLEMENT_COVER):
             f"of {max_cover}")
     order = sorted(cover)
     pos = {v: i for i, v in enumerate(order)}
-    adj, cover_mask = _vertex_masks(g, order)
-    outside = [v for v in range(g.n) if v not in cover]
+    # cover neighbours in cover positions
+    cov = [sum(1 << pos[u] for u in g.adj[v] if u in pos) for v in order]
+    outside = [v for v in range(g.n) if v not in pos]
     rooted = rooted_pw_table(g, order)
     if stats is not None:
         stats["cover_size"] = k
@@ -159,38 +149,29 @@ def pathwidth_cvc(g, cover=None, stats=None, max_cover=MAX_COMPLEMENT_COVER):
         stats["states"] = 1 << k  # one rooted-table state per subset of C
         stats["peak_table"] = 1 << k
 
+    # glue: L, the middle bag S plus N(L) in C, and R = C minus N[L]
+    full = (1 << k) - 1
+    b = min(k, _BLOCK_BITS)
+    cn_low, cn_hi = _unions(cov[:b]), _unions(cov[b:])
+    s_width = len(outside) - 1  # the middle bag's width when N(L) is empty
     best = None
-    for l_mask in range(1 << k):
-        um = 0
-        lf = 0
-        for i in iter_bits(l_mask):
-            um |= adj[i]
-            lf |= 1 << order[i]
-        r_vertices = cover_mask & ~(lf | um)
-        r_mask = 0
-        for v in iter_bits(r_vertices):
-            r_mask |= 1 << pos[v]
-        middle = len(outside) + (um & cover_mask & ~lf).bit_count()
-        cand = max(rooted[l_mask], rooted[r_mask], middle - 1)
-        if best is None or cand < best[0]:
-            best = (cand, l_mask, r_mask)
-    width, l_mask, r_mask = best
+    for high in range(1 << (k - b)):
+        cn_high = cn_hi[high]
+        for low in range(1 << b):
+            l_mask = high << b | low
+            cn = (cn_high | cn_low[low]) & ~l_mask
+            r_mask = full ^ (l_mask | cn)
+            cand = max(rooted[l_mask], rooted[r_mask],
+                       s_width + cn.bit_count())
+            if best is None or cand < best[0]:
+                best = (cand, l_mask, cn, r_mask)
+    width, l_mask, cn, r_mask = best
 
     left = _side_bags(g, order, _peel_order(rooted, l_mask))
     right = _side_bags(g, order, _peel_order(rooted, r_mask))
-    um = 0
-    lf = 0
-    for i in iter_bits(l_mask):
-        um |= adj[i]
-        lf |= 1 << order[i]
-    middle_bag = set(outside) | {v for v in iter_bits(um & cover_mask & ~lf)}
-    sequence = list(reversed(left)) + [middle_bag] + right
-    bags = []
-    for bag in sequence:
-        if bag and (not bags or bag != bags[-1]):
-            bags.append(bag)
-    edges = [(i, i + 1) for i in range(len(bags) - 1)]
-    dec = Decomposition(bags, edges, kind="path")
+    middle = set(outside) | {order[i] for i in iter_bits(cn)}
+    bags = list(reversed(left)) + [middle] + right
+    dec = contract(bags, [(i, i + 1) for i in range(len(bags) - 1)], "path")
     measured = validate(g, dec)
     if measured != width:
         raise InternalError(

@@ -1,4 +1,4 @@
-"""Tree/path decompositions: data model and validation.
+"""Tree/path decompositions: data model, validation and witness contraction.
 
 A Decomposition is a list of bags (frozensets of vertices) plus tree edges
 between bag indices. `kind` records whether it is meant as a path
@@ -48,6 +48,41 @@ class Decomposition:
     def __repr__(self):
         return (f"Decomposition(nodes={len(self.bags)}, width={self.width}, "
                 f"kind={self.kind!r})")
+
+
+def contract(bags, edges, kind):
+    """Decomposition of `bags` and tree `edges`, with every bag that a
+    neighbour contains merged into it; this drops empty, repeated and
+    subset bags.
+
+    Merging bag i into a neighbour j that contains it reattaches i's other
+    neighbours to j. The bag graph stays a tree, and a path stays a path.
+    Every vertex and edge of i is in j, and a vertex whose bags ran through
+    i now runs through j, so all three axioms still hold. No bag grows, so
+    neither does the width. One pass in index order suffices: the vertices
+    two bags share lie in every bag between them, so a bag that gains a
+    neighbour containing it already had one.
+    """
+    bags = [frozenset(b) for b in bags]
+    nbr = [set() for _ in bags]
+    for i, j in edges:
+        nbr[i].add(j)
+        nbr[j].add(i)
+    keep = []
+    for i, bag in enumerate(bags):
+        j = min((j for j in nbr[i] if bag <= bags[j]), default=None)
+        if j is None:
+            keep.append(i)
+            continue
+        nbr[j].discard(i)
+        for h in nbr[i] - {j}:
+            nbr[h].discard(i)
+            nbr[h].add(j)
+            nbr[j].add(h)
+    index = {i: n for n, i in enumerate(keep)}
+    return Decomposition([bags[i] for i in keep],
+                         sorted((index[i], index[j]) for i in keep
+                                for j in nbr[i] if i < j), kind)
 
 
 def find_violations(g, dec):

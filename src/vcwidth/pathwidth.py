@@ -23,11 +23,10 @@ byte slot 0 is the introduce upper, slot u+1 the forget(u) upper.
 
 from __future__ import annotations
 
-from .cover import is_vertex_cover, minimum_vertex_cover
-from .decomposition import Decomposition, validate
-from .errors import InputError, InternalError
-from .states import (CoverContext, _forgets, _lowers, _pack, _read,
-                     touching)
+from .decomposition import Decomposition, contract, validate
+from .errors import InternalError
+from .states import (_forgets, _lowers, _pack, apex_context, final_value,
+                     state_bags, touching)
 
 
 def _pw_lowers(ctx, table, below, bag, apex):
@@ -102,16 +101,13 @@ def _state_chain(ctx, table, apex_pos):
     (lower code, below, bag, upper slot). Ties go to the lowest lower code,
     i.e. the lowest encoded state key.
     """
-    k = ctx.k
     full = ctx.full
     inside = ctx.inside
     apex = 1 << apex_pos
     below = full ^ apex
     bag = apex
     slot = apex_pos + 1
-    val = _read(table, k, below, bag, slot)
-    if val is None:
-        raise InternalError("final pathwidth state is unreachable")
+    val = final_value(ctx, table, apex_pos)
     chain = []
     while True:
         ahead = full & ~(below | bag)
@@ -150,44 +146,27 @@ def reconstruct_path(g, ctx, table, apex, width):
 
     Every state contributes a run of bags: first bag with the lower-op
     boundary vertices, one pendant bag per not-yet-placed confined vertex,
-    last bag with the upper-op boundary vertices. The apex is stripped at
-    the end; the result is validated against g before being returned.
+    last bag with the upper-op boundary vertices. The apex is stripped and
+    the path contracted; the result is validated against g before being
+    returned.
     """
-    apex_pos = ctx.position[apex]
-    chain = _state_chain(ctx, table, apex_pos)
-    placed = set()
     bags = []
-    for code, below, bag, slot in chain:
-        ahead = ctx.full & ~(below | bag)
-        bag_set = ctx.expand(bag)
-        core = bag_set | set(ctx.vertices_of_types(
-            lambda m: m & below and m & ahead))
-        introduced = code if code < 32 else -1
-        forgotten = slot - 1 if slot else -1
-        first = set(core)
-        if introduced >= 0:
-            first |= set(ctx.vertices_of_types(
-                lambda m: m & below and not m & ahead and m >> introduced & 1))
-        last = set(core)
-        if forgotten >= 0:
-            last |= set(ctx.vertices_of_types(
-                lambda m: m & ahead and not m & below and m >> forgotten & 1))
-        confined = [x for x in ctx.vertices_of_types(
-            lambda m: not m & (below | ahead)
-            and (introduced < 0 or m >> introduced & 1)
-            and (forgotten < 0 or m >> forgotten & 1)) if x not in placed]
+    placed = set()
+    for code, below, bag, slot in _state_chain(ctx, table,
+                                               ctx.position[apex]):
+        lower = (below, 1 << code) if code < 32 else None
+        core, first, last = state_bags(ctx, below, bag, lower, slot - 1)
+        # as in _tight, `bag` stands for "no condition"
+        confined = ctx.touching_vertices(
+            bag, 1 << code if code < 32 else bag,
+            1 << (slot - 1) if slot else bag)
         bags.append(first)
-        for x in sorted(confined):
+        for x in sorted(set(confined) - placed):
             bags.append(core | {x})
             placed.add(x)
         bags.append(last)
-    cleaned = []
-    for b in bags:
-        b.discard(apex)
-        if b and (not cleaned or b != cleaned[-1]):
-            cleaned.append(b)
-    dec = Decomposition(cleaned, [(i, i + 1) for i in range(len(cleaned) - 1)],
-                        kind="path")
+    bags = [b - {apex} for b in bags]
+    dec = contract(bags, [(i, i + 1) for i in range(len(bags) - 1)], "path")
     measured = validate(g, dec)
     if measured != width:
         raise InternalError(
@@ -204,22 +183,8 @@ def pathwidth_vc(g, cover=None, stats=None):
     """
     if g.n == 0:
         return -1, Decomposition([], [], kind="path")
-    if cover is None:
-        cover = minimum_vertex_cover(g)
-    else:
-        cover = set(cover)
-        if not is_vertex_cover(g, cover):
-            raise InputError("provided vertex set is not a vertex cover")
-    gp, apex = g.add_universal_vertex()
-    ctx = CoverContext(gp, cover | {apex})
-    if stats is not None:
-        stats["cover_size"] = len(cover)
+    ctx, apex = apex_context(g, cover, stats)
     apex_pos = ctx.position[apex]
     table = partial_width_table(ctx, stats, apex_pos=apex_pos)
-    final = _read(table, ctx.k, ctx.full ^ (1 << apex_pos), 1 << apex_pos,
-                  apex_pos + 1)
-    if final is None:
-        raise InternalError("pathwidth DP finished without a final state")
-    width = final - 1
-    witness = reconstruct_path(g, ctx, table, apex, width)
-    return width, witness
+    width = final_value(ctx, table, apex_pos) - 1
+    return width, reconstruct_path(g, ctx, table, apex, width)

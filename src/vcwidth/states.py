@@ -34,7 +34,11 @@ from __future__ import annotations
 from functools import cached_property
 
 from .convolution import SetFunction, zeta
-from .errors import ResourceLimitError
+from .cover import is_vertex_cover, minimum_vertex_cover
+from .errors import InputError, InternalError, ResourceLimitError
+
+# Largest cover the solvers take; the apex makes it 26 cover positions.
+MAX_COVER = 25
 
 
 def iter_bits(mask):
@@ -99,9 +103,6 @@ class CoverContext:
         self.graph = g
         self.order = sorted(cover)
         self.k = len(self.order)
-        if self.k > 26:
-            raise ResourceLimitError(
-                f"cover of size {self.k} exceeds the supported maximum of 26")
         self.position = {v: i for i, v in enumerate(self.order)}
         self.full = (1 << self.k) - 1
         self.cov_adj = [0] * self.k
@@ -140,13 +141,62 @@ class CoverContext:
         """Cover mask -> set of actual vertex ids."""
         return {self.order[i] for i in iter_bits(mask)}
 
-    def vertices_of_types(self, pred):
-        """All independent-side vertices whose type mask satisfies `pred`."""
-        out = []
-        for m, vs in self.type_vertices.items():
-            if pred(m):
-                out.extend(vs)
-        return out
+    def touching_vertices(self, outer, a, b):
+        """The independent-side vertices that touching(inside, outer, a, b)
+        counts."""
+        return [x for m, vs in self.type_vertices.items()
+                if not m & ~outer and m & a and m & b for x in vs]
+
+
+def apex_context(g, cover, stats):
+    """(CoverContext, apex) of g plus an apex vertex, for the cover solvers.
+
+    `cover` is checked if given, else a minimum one is searched within
+    MAX_COVER. The apex joins the cover; `stats["cover_size"]` counts the
+    cover without it.
+    """
+    if cover is None:
+        cover = minimum_vertex_cover(g, limit=MAX_COVER)
+    elif not is_vertex_cover(g, cover):
+        raise InputError("provided vertex set is not a vertex cover")
+    if cover is None or len(cover) > MAX_COVER:
+        size = "" if cover is None else f" of size {len(cover)}"
+        raise ResourceLimitError(
+            f"cover{size} exceeds the supported maximum of {MAX_COVER}")
+    if stats is not None:
+        stats["cover_size"] = len(cover)
+    gp, apex = g.add_universal_vertex()
+    return CoverContext(gp, set(cover) | {apex}), apex
+
+
+def final_value(ctx, table, apex_pos):
+    """Value of the final state: everything but the apex below, the apex
+    alone in the bag and forgotten next. The width is one less."""
+    val = _read(table, ctx.k, ctx.full ^ (1 << apex_pos), 1 << apex_pos,
+                apex_pos + 1)
+    if val is None:
+        raise InternalError("the DP finished without a final state")
+    return val
+
+
+def state_bags(ctx, below, bag, lower, forgotten):
+    """(core, first, last) bags of one state of an optimal witness.
+
+    The core is the bag plus the vertices crossing from below to ahead. The
+    first bag adds those the lower op joins, touching(below | bag, *lower):
+    `lower` is (below, 1 << u) for introduce(u), (part1, part2) for a join
+    and None otherwise. The last bag adds those forget(`forgotten`) leaves
+    ahead; `forgotten` is -1 under any other upper op.
+    """
+    ahead = ctx.full & ~(below | bag)
+    core = ctx.expand(bag) | set(ctx.touching_vertices(ctx.full, below, ahead))
+    first = set(core)
+    if lower is not None:
+        first.update(ctx.touching_vertices(below | bag, *lower))
+    last = set(core)
+    if forgotten >= 0:
+        last.update(ctx.touching_vertices(bag | ahead, ahead, 1 << forgotten))
+    return core, first, last
 
 
 def touching(inside, outer, a, b):

@@ -21,11 +21,11 @@ the layered solver reads precomputed minima.
 
 from __future__ import annotations
 
-from .cover import is_vertex_cover, minimum_vertex_cover
-from .decomposition import Decomposition, validate
-from .errors import InputError, InternalError
-from .states import (CoverContext, _forgets, _lowers, _pack, _read,
-                     components_outside, iter_bits, touching)
+from .decomposition import Decomposition, contract, validate
+from .errors import InternalError
+from .states import (_forgets, _lowers, _pack, _read, apex_context,
+                     components_outside, final_value, iter_bits, state_bags,
+                     touching)
 
 
 def _join_splits(ctx, table, below, bag, comps=None):
@@ -139,13 +139,15 @@ def treewidth_table(ctx, apex_pos, stats=None, join_values=None):
     return _tw_sweep(ctx, apex_pos, join_candidates, stats, join_values)
 
 
-def _expand_tree(ctx, table, apex_pos, below, bag, slot, val, nodes, parent):
+def _expand_tree(ctx, table, below, bag, slot, val, nodes):
     """Recreate one optimal state and recurse into its predecessors.
 
-    Appends (lower tag, below, bag, slot, child state indices) entries to
-    `nodes`; candidate lowers are probed in encoded-key order (introduce,
-    forget, then joins by ascending first part), taking the first that
-    reproduces `val`.
+    Appends (lower, below, bag, slot, child state indices) entries to
+    `nodes`, where `lower` is state_bags' pair: (below, 1 << u) for
+    introduce(u), (part1, part2) for a join, None for a forget or a
+    degenerate state. Candidate lowers are probed in encoded-key order
+    (introduce, forget, then joins by ascending first part), taking the
+    first that reproduces `val`.
     """
     k = ctx.k
     full = ctx.full
@@ -168,26 +170,22 @@ def _expand_tree(ctx, table, apex_pos, below, bag, slot, val, nodes, parent):
     for code, xl, pred in _lowers(ctx, table, below, bag):
         if max(pred, cross + max(xl, xr), base + tight) == val:
             if code < 32:
-                child = _expand_tree(ctx, table, apex_pos, below,
-                                     bag ^ (1 << code), 0, pred, nodes, me)
-                tag = ("introduce", code)
+                lower = (below, 1 << code)
+                child = _expand_tree(ctx, table, below, bag ^ (1 << code), 0,
+                                     pred, nodes)
             else:
+                lower = None
                 u = code - 32
-                child = _expand_tree(ctx, table, apex_pos, below ^ (1 << u),
-                                     bag | (1 << u), u + 1, pred, nodes, me)
-                tag = ("forget", u)
-            nodes[me] = (tag, below, bag, slot, [child])
+                child = _expand_tree(ctx, table, below ^ (1 << u),
+                                     bag | (1 << u), u + 1, pred, nodes)
+            nodes[me] = (lower, below, bag, slot, [child])
             return me
     for part1, part2, pred, xl in _join_splits(ctx, table, below, bag):
         if max(pred, cross + max(xl, xr), base + tight) == val:
-            join_slot = k + 1
-            v1 = _read(table, k, part1, bag, join_slot)
-            v2 = _read(table, k, part2, bag, join_slot)
-            c1 = _expand_tree(ctx, table, apex_pos, part1, bag, join_slot,
-                              v1, nodes, me)
-            c2 = _expand_tree(ctx, table, apex_pos, part2, bag, join_slot,
-                              v2, nodes, me)
-            nodes[me] = (("join", (part1, part2)), below, bag, slot, [c1, c2])
+            children = [_expand_tree(ctx, table, part, bag, k + 1,
+                                     _read(table, k, part, bag, k + 1), nodes)
+                        for part in (part1, part2)]
+            nodes[me] = ((part1, part2), below, bag, slot, children)
             return me
     raise InternalError("treewidth back-walk lost the optimum")
 
@@ -195,113 +193,36 @@ def _expand_tree(ctx, table, apex_pos, below, bag, slot, val, nodes, parent):
 def reconstruct_tree(g, ctx, table, apex, width):
     """Expand the optimal state tree into a tree decomposition of g.
 
-    Each state becomes a three-bag chain (first/middle/last); children hang
-    below the first bag, confined vertices get pendant bags off the middle
-    one, the apex is stripped, empty bags are spliced out, and any bag
-    contained in a neighbor is merged away. Validated before returning.
+    Each state becomes a three-bag chain (first/core/last); children hang
+    below the first bag and confined vertices get pendant bags off the
+    core. The apex is stripped and the tree contracted; the result is
+    validated before returning.
     """
-    k = ctx.k
     apex_pos = ctx.position[apex]
-    below0 = ctx.full ^ (1 << apex_pos)
-    bag0 = 1 << apex_pos
-    val0 = _read(table, k, below0, bag0, apex_pos + 1)
-    if val0 is None:
-        raise InternalError("final treewidth state is unreachable")
     states = []
-    root_state = _expand_tree(ctx, table, apex_pos, below0, bag0,
-                              apex_pos + 1, val0, states, -1)
-
+    _expand_tree(ctx, table, ctx.full ^ (1 << apex_pos), 1 << apex_pos,
+                 apex_pos + 1, final_value(ctx, table, apex_pos), states)
     bags = []
-    tree_edges = []
+    edges = []
     placed = set()
 
     def emit(idx):
-        tag, below, bag, slot, children = states[idx]
-        ahead = ctx.full & ~(below | bag)
-        bag_set = ctx.expand(bag)
-        core = bag_set | set(ctx.vertices_of_types(
-            lambda m: m & below and m & ahead))
-        first = set(core)
-        if tag is not None and tag[0] == "introduce":
-            u = tag[1]
-            first |= set(ctx.vertices_of_types(
-                lambda m: m & below and not m & ahead and m >> u & 1))
-        elif tag is not None and tag[0] == "join":
-            part1, part2 = tag[1]
-            first |= set(ctx.vertices_of_types(
-                lambda m: m & part1 and m & part2 and not m & ahead))
-        forgotten = slot - 1 if 1 <= slot <= k else -1
-        last = set(core)
-        if forgotten >= 0:
-            last |= set(ctx.vertices_of_types(
-                lambda m: m & ahead and not m & below and m >> forgotten & 1))
-        i_first = len(bags)
-        bags.append(first)
-        i_mid = len(bags)
-        bags.append(set(core))
-        i_last = len(bags)
-        bags.append(last)
-        tree_edges.append((i_first, i_mid))
-        tree_edges.append((i_mid, i_last))
-        for x in ctx.vertices_of_types(lambda m: not m & (below | ahead)):
+        lower, below, bag, slot, children = states[idx]
+        forgotten = slot - 1 if 1 <= slot <= ctx.k else -1
+        i = len(bags)
+        bags.extend(state_bags(ctx, below, bag, lower, forgotten))
+        edges.extend([(i, i + 1), (i, i + 2)])
+        for x in ctx.touching_vertices(bag, bag, bag):
             if x not in placed:
                 placed.add(x)
-                pendant = set(ctx.graph.adj[x]) | {x}
-                bags.append(pendant)
-                tree_edges.append((len(bags) - 1, i_mid))
+                edges.append((i, len(bags)))
+                bags.append(set(ctx.graph.adj[x]) | {x})
         for c in children:
-            c_last = emit(c)
-            tree_edges.append((c_last, i_first))
-        return i_last
+            edges.append((emit(c), i + 1))
+        return i + 2
 
-    root_bag = emit(root_state)
-
-    for b in bags:
-        b.discard(apex)
-    # splice out empty bags, then merge bags contained in a neighbor
-    parent = {}
-    children = {i: [] for i in range(len(bags))}
-    for a, b in tree_edges:  # edges are (child side, parent side) ordered
-        parent[a] = b
-        children[b].append(a)
-    order = [root_bag]
-    for i in order:
-        order.extend(children[i])
-    alive = set(range(len(bags)))
-    for i in reversed(order):
-        if bags[i]:
-            continue
-        alive.discard(i)
-        p = parent.get(i)
-        if p is None:  # empty root: promote the first surviving child
-            kids = [c for c in children[i] if c in alive]
-            if kids:
-                parent[kids[0]] = None
-                for c in kids[1:]:
-                    parent[c] = kids[0]
-                children[kids[0]].extend(kids[1:])
-        else:
-            for c in children[i]:
-                parent[c] = p
-                children[p].append(c)
-        children[i] = []
-    merged = True
-    while merged:
-        merged = False
-        for i in sorted(alive):
-            p = parent.get(i)
-            if p is not None and p in alive and bags[i] <= bags[p]:
-                for c in list(children[i]):
-                    if c in alive:
-                        parent[c] = p
-                        children[p].append(c)
-                alive.discard(i)
-                merged = True
-    index = {i: j for j, i in enumerate(sorted(alive))}
-    final_bags = [bags[i] for i in sorted(alive)]
-    final_edges = [(index[i], index[parent[i]]) for i in sorted(alive)
-                   if parent.get(i) is not None and parent[i] in alive]
-    dec = Decomposition(final_bags, final_edges, kind="tree")
+    emit(0)
+    dec = contract([b - {apex} for b in bags], edges, "tree")
     measured = validate(g, dec)
     if measured != width:
         raise InternalError(
@@ -319,22 +240,8 @@ def treewidth_vc_4k(g, cover=None, stats=None, join_values=None):
     """
     if g.n == 0:
         return -1, Decomposition([], [], kind="tree")
-    if cover is None:
-        cover = minimum_vertex_cover(g)
-    else:
-        cover = set(cover)
-        if not is_vertex_cover(g, cover):
-            raise InputError("provided vertex set is not a vertex cover")
-    gp, apex = g.add_universal_vertex()
-    ctx = CoverContext(gp, cover | {apex})
-    if stats is not None:
-        stats["cover_size"] = len(cover)
+    ctx, apex = apex_context(g, cover, stats)
     apex_pos = ctx.position[apex]
     table = treewidth_table(ctx, apex_pos, stats, join_values)
-    final = _read(table, ctx.k, ctx.full ^ (1 << apex_pos), 1 << apex_pos,
-                  apex_pos + 1)
-    if final is None:
-        raise InternalError("treewidth DP finished without a final state")
-    width = final - 1
-    witness = reconstruct_tree(g, ctx, table, apex, width)
-    return width, witness
+    width = final_value(ctx, table, apex_pos) - 1
+    return width, reconstruct_tree(g, ctx, table, apex, width)

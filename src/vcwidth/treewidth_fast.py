@@ -41,10 +41,9 @@ that is a fixpoint of the recurrence.
 from __future__ import annotations
 
 from .convolution import STATS, SetFunction, convolve, zeta
-from .cover import is_vertex_cover, minimum_vertex_cover
 from .decomposition import Decomposition
-from .errors import InputError, InternalError
-from .states import CoverContext, _read, components_outside
+from .errors import InternalError
+from .states import apex_context, components_outside, final_value
 from .treewidth import _tw_sweep, reconstruct_tree
 
 
@@ -230,16 +229,8 @@ def treewidth_vc_3k(g, cover=None, stats=None, join_values=None):
     """
     if g.n == 0:
         return -1, Decomposition([], [], kind="tree")
-    if cover is None:
-        cover = minimum_vertex_cover(g)
-    else:
-        cover = set(cover)
-        if not is_vertex_cover(g, cover):
-            raise InputError("provided vertex set is not a vertex cover")
-    gp, apex = g.add_universal_vertex()
-    ctx = CoverContext(gp, cover | {apex})
+    ctx, apex = apex_context(g, cover, stats)
     if stats is not None:
-        stats["cover_size"] = len(cover)
         stats.setdefault("join_cells", 0)
         stats.setdefault("layers", 0)
         calls0 = STATS["convolve_calls"]
@@ -269,10 +260,5 @@ def treewidth_vc_3k(g, cover=None, stats=None, join_values=None):
     if stats is not None:  # this solve's real convolution work
         stats["convolve_calls"] = STATS["convolve_calls"] - calls0
         stats["convolve_cells"] = STATS["convolve_cells"] - cells0
-    final = _read(table, ctx.k, ctx.full ^ (1 << apex_pos), 1 << apex_pos,
-                  apex_pos + 1)
-    if final is None:
-        raise InternalError("treewidth DP finished without a final state")
-    width = final - 1
-    witness = reconstruct_tree(g, ctx, table, apex, width)
-    return width, witness
+    width = final_value(ctx, table, apex_pos) - 1
+    return width, reconstruct_tree(g, ctx, table, apex, width)

@@ -276,3 +276,20 @@ def test_cover_far_above_the_cap_exits_3_at_once(tmp_path, n, p, algo,
         env=env, capture_output=True, text=True, timeout=20)
     assert result.returncode == 3 and result.stdout == ""
     assert result.stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("solver", [["pw"], ["tw"], ["tw", "--algo", "4k"]])
+@pytest.mark.parametrize("cover", [True, False])
+def test_cover_limit_does_not_count_the_apex(tmp_path, capsys, solver, cover):
+    # 26 disjoint edges have a minimum cover of 26, within --max-k 26; with
+    # the apex that is 27 cover positions, one more than the tables hold
+    path = write(tmp_path, "m26.gr",
+                 gr_text(52, [(2 * i, 2 * i + 1) for i in range(26)]))
+    argv = [*solver, "--max-k", "26", "--input", path]
+    if cover:
+        argv += ["--cover", write(tmp_path, "m26.cover",
+                                  " ".join(str(2 * i + 1) for i in range(26)))]
+    rc, out, err = run(capsys, argv)
+    assert (rc, out) == (3, "")
+    assert err == "error: cover of size 26 exceeds the supported maximum " \
+        "of 25\n"

@@ -1,11 +1,13 @@
-"""Decomposition model, the validator, nice form, and node traces."""
+"""Decomposition model, the validator, contraction, nice form, and node
+traces."""
 
 import random
 from collections import deque
 
 import pytest
 
-from vcwidth.decomposition import Decomposition, find_violations, validate
+from vcwidth.decomposition import (Decomposition, contract, find_violations,
+                                   validate)
 from vcwidth.errors import InvalidDecompositionError
 from vcwidth.graph import Graph
 from vcwidth.states import CoverContext
@@ -114,6 +116,88 @@ def test_validator_matches_naive_checker():
         else:
             agree_invalid += 1
     assert agree_valid and agree_invalid  # both outcomes exercised
+
+
+# --- contraction
+
+
+def layout_decomposition(rng, g):
+    """A path decomposition from a random vertex layout: bag t holds the
+    t-th vertex and every earlier one with a neighbour at t or later."""
+    order = list(range(g.n))
+    rng.shuffle(order)
+    pos = {v: i for i, v in enumerate(order)}
+    bags = [{v} | {u for u in order[:t] if any(pos[w] >= t for w in g.adj[u])}
+            for t, v in enumerate(order)]
+    return Decomposition(bags, [(i, i + 1) for i in range(len(bags) - 1)],
+                         kind="path")
+
+
+def spliced(rng, dec, extra):
+    """`dec` with `extra` empty, repeated or subset bags added: each goes
+    between the two ends of a bag edge, holding what they share and maybe
+    more of one end, or (trees, and the ends of paths) hangs off a bag as a
+    leaf holding part of it. Bag order stays path order for paths."""
+    bags = [set(b) for b in dec.bags]
+    edges = sorted(dec.edges)
+    for _ in range(extra):
+        roll = rng.random()
+        if edges and roll < 0.5:  # subdivide an edge
+            e = rng.randrange(len(edges))
+            i, j = edges[e]
+            side = bags[rng.choice((i, j))]
+            new = (bags[i] & bags[j]) | {v for v in side if rng.random() < 0.5}
+            if dec.kind == "path":  # i, j = t, t + 1: shift the tail right
+                bags.insert(j, new)
+                edges = [(t, t + 1) for t in range(len(bags) - 1)]
+            else:
+                bags.append(new)
+                edges[e] = (i, len(bags) - 1)
+                edges.append((j, len(bags) - 1))
+        else:  # a leaf: empty, a repeat, or a random part of its neighbour
+            if dec.kind == "path":
+                at = rng.choice((0, len(bags) - 1))
+            else:
+                at = rng.randrange(len(bags))
+            new = rng.choice([set(), set(bags[at]),
+                              {v for v in bags[at] if rng.random() < 0.5}])
+            if dec.kind == "path" and at == 0:
+                bags.insert(0, new)
+                edges = [(t, t + 1) for t in range(len(bags) - 1)]
+            else:
+                bags.append(new)
+                edges.append((at, len(bags) - 1) if dec.kind == "tree"
+                             else (len(bags) - 2, len(bags) - 1))
+    return Decomposition(bags, edges, kind=dec.kind)
+
+
+def test_contract_keeps_axioms_width_and_shape():
+    rng = random.Random(515)
+    merged = 0
+    for trial in range(300):
+        g = random_graph(rng, rng.randrange(1, 9), rng.random())
+        make = elimination_decomposition if trial % 2 else \
+            layout_decomposition
+        dec = spliced(rng, make(rng, g), rng.randrange(0, 6))
+        width = validate(g, dec)
+        out = contract(dec.bags, dec.edges, dec.kind)
+        assert validate(g, out) == width
+        assert out.kind == dec.kind
+        for i, j in out.edges:
+            assert not (out.bags[i] <= out.bags[j]
+                        or out.bags[j] <= out.bags[i]), (dec.bags, out.bags)
+        if dec.kind == "path":
+            assert sorted(out.edges) == [(i, i + 1)
+                                         for i in range(len(out.bags) - 1)]
+        merged += len(dec.bags) - len(out.bags)
+    assert merged > 300
+
+
+def test_contract_of_one_bag_and_of_no_bags():
+    assert contract([{0, 1}], [], "tree") == Decomposition([{0, 1}], [])
+    assert contract([], [], "path") == Decomposition([], [], kind="path")
+    assert contract([set(), {0}, {0}, set()], [(0, 1), (1, 2), (2, 3)],
+                    "path") == Decomposition([{0}], [], kind="path")
 
 
 # --- nice form

@@ -3,11 +3,14 @@
 import random
 from itertools import combinations
 
+import pytest
+
+from vcwidth.errors import ResourceLimitError
 from vcwidth.graph import Graph
 from vcwidth.pathwidth import _tight
-from vcwidth.states import (CoverContext, _forgets, _lowers,
-                            components_outside, enumerate_valid_triples,
-                            iter_bits, touching)
+from vcwidth.states import (MAX_COVER, CoverContext, _forgets, _lowers,
+                            apex_context, components_outside,
+                            enumerate_valid_triples, iter_bits, touching)
 from vcwidth.treewidth import _join_splits
 from vcwidth.cover import minimum_vertex_cover
 
@@ -258,32 +261,77 @@ def _count_spec_contexts():
 
 
 def test_boundary_counts_match_type_scan():
+    # every count is also the length of the matching touching_vertices list
     table = _AllReachable()
     checked = splits = 0
     for ctx, ap in _count_spec_contexts():
         inside = ctx.inside
+
+        def listed(outer, a, b):
+            return len(ctx.touching_vertices(outer, a, b))
+
         for below, bag in ctx.valid_triples():
             ahead = ctx.full & ~(below | bag)
+            below_bag, ahead_bag = below | bag, ahead | bag
             crossing, below_only, ahead_only, bag_only = scan_types(
                 ctx.types, below, ahead)
             assert touching(inside, ctx.full, below, ahead) == crossing
+            assert listed(ctx.full, below, ahead) == crossing
             want = [(u, sum(c for m, c in below_only if m >> u & 1))
                     for u in iter_bits(bag) if not ctx.cov_adj[u] & below]
             want += [(32 + u, 0) for u in iter_bits(below)]
-            assert [(code, xl) for code, xl, _ in
-                    _lowers(ctx, table, below, bag)] == want
-            assert _forgets(ctx, bag, ahead) == [
+            lowers = _lowers(ctx, table, below, bag)
+            assert [(code, xl) for code, xl, _ in lowers] == want
+            for code, xl, _ in lowers:
+                if code < 32:
+                    assert listed(below_bag, below, 1 << code) == xl
+            forgets = _forgets(ctx, bag, ahead)
+            assert forgets == [
                 (v + 1, sum(c for m, c in ahead_only if m >> v & 1), v)
                 for v in iter_bits(bag) if not ctx.cov_adj[v] & ahead]
+            for _, xr, v in forgets:
+                assert listed(ahead_bag, ahead, 1 << v) == xr
             for p1, p2, _, xl in _join_splits(ctx, table, below, bag):
                 assert xl == sum(c for m, c in below_only
                                  if m & p1 and m & p2)
+                assert listed(below_bag, p1, p2) == xl
                 splits += 1
             if bag >> ap & 1:  # pathwidth bags all hold the apex
                 for code in [32] + list(iter_bits(bag)):
                     for f in [-1] + list(iter_bits(bag)):
                         introduced = code if code < 32 else -1
-                        assert _tight(inside, bag, code, f) == \
+                        tight = _tight(inside, bag, code, f)
+                        assert tight == \
                             pw_tight_by_scan(bag_only, introduced, f)
+                        a = 1 << code if code < 32 else bag
+                        b = 1 << f if f >= 0 else bag
+                        assert tight == min(1, listed(bag, a, b))
             checked += 1
     assert checked > 1000 and splits > 100
+
+
+def disjoint_edges(count):
+    return Graph(2 * count, [(2 * i, 2 * i + 1) for i in range(count)])
+
+
+def test_apex_context_takes_the_largest_cover_without_solving():
+    # 25 cover vertices plus the apex: 26 positions, the most the packed
+    # tables hold. Only the context is built; no zeta table, no sweep.
+    stats = {}
+    g = disjoint_edges(MAX_COVER)
+    ctx, apex = apex_context(g, None, stats)
+    assert (ctx.k, apex, stats["cover_size"]) == (26, 2 * MAX_COVER, 25)
+    assert ctx.order[-1] == apex and "inside" not in vars(ctx)
+    cover = {2 * i + 1 for i in range(MAX_COVER)}
+    assert apex_context(g, cover, None)[0].order == sorted(cover) + [apex]
+
+
+def test_apex_context_rejects_a_cover_above_the_maximum():
+    g = disjoint_edges(MAX_COVER + 1)
+    with pytest.raises(ResourceLimitError,
+                       match="^cover of size 26 exceeds the supported "
+                             "maximum of 25$"):
+        apex_context(g, {2 * i for i in range(MAX_COVER + 1)}, {})
+    with pytest.raises(ResourceLimitError,
+                       match="^cover exceeds the supported maximum of 25$"):
+        apex_context(g, None, {})
