@@ -22,9 +22,10 @@ group of such children sharing one z value v1, a single subset convolution
 pairs the group's 0/1 indicator with every child of value at most t, packed
 as g[B] = 1 << ((c+1) * rank(z[B])): h[L] counts the splits of L per partner
 rank in digits of c+1 bits, so the top non-zero digit of h[L] names the best
-partner z for v1. A chunk of partner ranks per convolution is as large as
-convolve's 64-bit overflow guard allows (_chunk_size); larger rank sets take
-several chunks, best first, and stop once no target can gain.
+partner z for v1. _chunk_size caps the partner ranks of one convolution so
+that each of its packed rank lanes stays under 64 bits: a convolution's ints
+then hold at most 2c+1 such lanes per cell, however large n is. Larger rank
+sets take several chunks, best first, and stop once no target can gain.
 
 The bag data (components, z, the union of each component pick, the split
 penalty base) does not depend on the layer and is built once per solve; a
@@ -48,9 +49,11 @@ from .treewidth import _tw_sweep, reconstruct_tree
 
 
 def _chunk_size(c):
-    """Most partner z ranks one packed convolution can carry on a c-bit
-    universe: the largest r with (c+1) * 4^c * 2^((c+1)(r-1)) < 2^63, the
-    bound convolve enforces for a 0/1 indicator against digits of c+1 bits."""
+    """Most partner z ranks one packed convolution carries on a c-bit
+    universe: the largest r with (c+1) * 4^c * 2^((c+1)(r-1)) < 2^63. A 0/1
+    indicator against digits of c+1 bits then has convolve pack its rank
+    lanes in under 64 bits each, so one convolution holds at most 2^c cells
+    of 2c+1 lanes."""
     r = 1
     while (c + 1) << (2 * c + (c + 1) * r) < 1 << 63:
         r += 1
@@ -74,7 +77,8 @@ def _split_minima(c, z, a, base):
     convolution h[P] then counts, digit by digit, the splits of P whose
     B-side z has that rank (at most 2^c < 2^(c+1) of them), so the top
     non-zero digit of h[P] names the best partner of v1 in P. Ranks are cut
-    into chunks of _chunk_size(c) so that convolve's overflow guard holds.
+    into chunks of _chunk_size(c), which bounds the memory of one
+    convolution by 2^c cells of 2c+1 lanes under 64 bits each.
     """
     size = 1 << c
     full = size - 1
