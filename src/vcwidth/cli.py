@@ -55,6 +55,9 @@ def _read_input(path):
 # Solver-specific counters, printed after the common four when collected.
 _EXTRA_STATS = [
     ("table_entries", "table entries"),  # pw-cvc
+    ("threshold_levels", "threshold levels"),
+    ("reach_sweeps", "reach sweeps"),
+    ("glue_evaluated", "glue subsets evaluated"),
     ("layers", "join layers"),  # tw-vc-3k from here on
     ("join_cells", "join cells"),
     ("convolve_calls", "convolve calls"),

@@ -388,3 +388,45 @@ def trace_of_node(nd, i, cover):
     below = (below_union & cover) - here
     ahead = cover - here - below
     return frozenset(below), frozenset(here), frozenset(ahead)
+
+
+def rooted_pw_by_recurrence(g, order):
+    """The complement-cover solver's rooted table by its recurrence, one
+    mask at a time: rooted[L] = max(|N(L) \\ L|, min over u in L of
+    rooted[L minus u]), rooted[empty] = 0, with L over the positions of
+    `order`."""
+    k = len(order)
+    adj = [sum(1 << u for u in g.adj[v]) for v in order]
+    rooted = [0] * (1 << k)
+    for mask in range(1, 1 << k):
+        members = union = 0
+        for i in iter_bits(mask):
+            members |= 1 << order[i]
+            union |= adj[i]
+        rooted[mask] = max((union & ~members).bit_count(),
+                           min(rooted[mask ^ (1 << i)]
+                               for i in iter_bits(mask)))
+    return rooted
+
+
+def glue_by_scan(g, order, rooted):
+    """(width, L) of the complement-cover glue by a scan over every L in
+    increasing order, keeping a candidate only when it is strictly better:
+    width max(rooted[L], rooted[R], |S| - 1 + |N(L) in C|), where R is the
+    cover minus N[L] and S the vertices outside the cover."""
+    k = len(order)
+    pos = {v: i for i, v in enumerate(order)}
+    cov = [sum(1 << pos[u] for u in g.adj[v] if u in pos) for v in order]
+    full = (1 << k) - 1
+    s_width = g.n - k - 1
+    best = None
+    for l_mask in range(1 << k):
+        cn = 0
+        for i in iter_bits(l_mask):
+            cn |= cov[i]
+        cn &= ~l_mask
+        cand = max(rooted[l_mask], rooted[full ^ (l_mask | cn)],
+                   s_width + cn.bit_count())
+        if best is None or cand < best[0]:
+            best = (cand, l_mask)
+    return best

@@ -100,6 +100,21 @@ def test_stats_block_of_the_layered_solver(tmp_path, capsys):
     assert again == out
 
 
+def test_stats_block_of_the_complement_cover_solver(tmp_path, capsys):
+    path = write(tmp_path, "c5.gr", C5)
+    rc, out, err = run(capsys, ["pw", "--algo", "cvc", "--stats",
+                                "--input", path])
+    assert rc == 0 and err == ""
+    pairs = [line.split(": ") for line in out.splitlines()]
+    assert [label for label, _ in pairs[-4:]] == [
+        "table entries", "threshold levels", "reach sweeps",
+        "glue subsets evaluated"]
+    counts = {label: int(value) for label, value in pairs}
+    assert counts["cover size"] == 3 and counts["table entries"] == 8
+    assert 1 <= counts["threshold levels"] <= counts["reach sweeps"]
+    assert 1 <= counts["glue subsets evaluated"] <= 8
+
+
 def test_witness_round_trips_through_check(tmp_path, capsys):
     for name, text, sub, want in [("p3", P3, "tw", 1), ("c5", C5, "pw", 2),
                                   ("k8", K8, "tw", 7)]:

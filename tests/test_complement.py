@@ -1,11 +1,13 @@
 """Pathwidth via a vertex cover of the complement: table recurrence,
+bitset helpers, the rooted table and the glue against the per-mask spec,
 oracle equality on dense graphs, witness shape, limits."""
 
 import random
+from array import array
 
 import pytest
 
-from vcwidth import cli
+from vcwidth import cli, complement
 from vcwidth.complement import MAX_VERTICES, pathwidth_cvc, rooted_pw_table
 from vcwidth.cover import minimum_vertex_cover
 from vcwidth.decomposition import find_violations
@@ -15,7 +17,9 @@ from vcwidth.graph import Graph
 from vcwidth.oracle import pathwidth_exact
 from vcwidth.pathwidth import pathwidth_vc
 
-from genutil import complete_graph, cycle_graph, random_graph
+from genutil import (complete_graph, cycle_graph, random_graph,
+                     random_graph_with_cover)
+from spec import glue_by_scan, rooted_pw_by_recurrence
 
 
 def solved(g, **kw):
@@ -67,6 +71,110 @@ def test_rooted_table_recurrence():
             sub = min(rooted[mask ^ (1 << i)]
                       for i in range(len(order)) if mask >> i & 1)
             assert rooted[mask] == max(len(boundary), sub)
+
+
+def subsets(k):
+    return range(1 << k)
+
+
+def test_subsets_of_by_brute_force():
+    rng = random.Random(64)
+    for k in range(7):
+        for _ in range(20):
+            t = rng.randrange(1 << k)
+            family = complement._subsets_of(t)
+            assert family == sum(1 << m for m in subsets(k) if m & ~t == 0)
+
+
+def test_bit_plane_count_and_at_most_by_brute_force():
+    rng = random.Random(65)
+    for k in range(6):
+        size = 1 << k
+        for _ in range(10):
+            planes, counts = [], [0] * size
+            for _ in range(rng.randrange(12)):
+                x, j = rng.randrange(1 << size), rng.randrange(4)
+                complement._add(planes, x, j)
+                for m in subsets(k):
+                    counts[m] += (x >> m & 1) << j
+            assert [sum((p >> m & 1) << j for j, p in enumerate(planes))
+                    for m in subsets(k)] == counts
+            full = (1 << size) - 1
+            for w in range(-1, max(counts) + 2):
+                assert complement._at_most(planes, w, full) == sum(
+                    1 << m for m in subsets(k) if counts[m] <= w)
+
+
+def test_lanes_planes_and_members_by_brute_force(monkeypatch):
+    monkeypatch.setattr(complement, "_PIECE", 16)  # k > 4 spans pieces
+    rng = random.Random(66)
+    for k in range(8):
+        size = 1 << k
+        values = bytearray(rng.randrange(256) for _ in range(size))
+        planes = [sum((v >> j & 1) << m for m, v in enumerate(values))
+                  for j in range(8)]
+        assert complement._table_planes(values, 8) == planes
+        assert complement._byte_lanes(planes, size) == values
+        family = planes[0]
+        assert list(complement._members(family, size)) == [
+            m for m in subsets(k) if family >> m & 1]
+        wide = array("H", (rng.randrange(1 << 16) for _ in range(size)))
+        assert complement._table_planes(wide, 16) == [
+            sum((v >> j & 1) << m for m, v in enumerate(wide))
+            for j in range(16)]
+
+
+def spied_glue(monkeypatch, g, cover):
+    """pathwidth_cvc's (width, L, stats): L is the first mask it peels."""
+    peeled = []
+    peel = complement._peel_order
+
+    def spy(rooted, mask):
+        peeled.append(mask)
+        return peel(rooted, mask)
+
+    stats = {}
+    with monkeypatch.context() as patch:
+        patch.setattr(complement, "_peel_order", spy)
+        w, dec = pathwidth_cvc(g, cover=cover, stats=stats)
+    assert not find_violations(g, dec) and dec.width == w
+    return w, peeled[0], stats
+
+
+def assert_matches_spec(monkeypatch, g, cover):
+    order = sorted(cover)
+    want = rooted_pw_by_recurrence(g, order)
+    assert list(rooted_pw_table(g, order)) == want
+    w, l_mask, stats = spied_glue(monkeypatch, g, cover)
+    assert (w, l_mask) == glue_by_scan(g, order, want)
+    assert 0 < stats["glue_evaluated"] <= 1 << len(order)
+    assert stats["reach_sweeps"] >= stats["threshold_levels"]
+
+
+def test_table_and_glue_match_the_spec(monkeypatch):
+    # the table entry for entry, and the glue's (width, L), where L is the
+    # one a scan over every L in increasing order keeps on ties
+    rng = random.Random(67)
+    tested = 0
+    while tested < 2000:
+        n = rng.randrange(1, 15)
+        p = rng.choice([0.15, 0.3, 0.5, 0.7])
+        g = random_graph(rng, n, p).complement()
+        if rng.random() < 0.2:  # isolated vertices
+            g = Graph(n + rng.randrange(1, 3), g.edges)
+        cover = minimum_vertex_cover(g.complement())
+        if rng.random() < 0.1:  # no outside: the whole vertex set
+            cover = set(range(g.n))
+        if len(cover) > 12:
+            continue
+        tested += 1
+        assert_matches_spec(monkeypatch, g, cover)
+    for n in (1, 2, 6):  # k' = 0
+        assert_matches_spec(monkeypatch, complete_graph(n), set())
+    rng = random.Random(68)
+    for k in (14, 16):  # dense-cvc-shaped: complements of sparse instances
+        g = random_graph_with_cover(rng, k, k + 6, 0.35).complement()
+        assert_matches_spec(monkeypatch, g, set(range(k)))
 
 
 def test_matches_oracle_on_dense_graphs():
@@ -140,6 +248,18 @@ def test_widths_above_one_byte(tmp_path, capsys):
     td.write_text(out.split("\n", 1)[1])
     assert cli.main(["check", str(gr), str(td)]) == 0
     assert capsys.readouterr().out == "width: 298\n"
+
+
+def test_16_bit_table_matches_the_spec(monkeypatch):
+    # K_300 minus a matching of m edges: one end of each matching edge covers
+    # the complement, and widths reach 298
+    for m in (8, 10):
+        g = Graph(300, [(u, v) for u in range(300) for v in range(u + 1, 300)
+                        if not (v == u + 1 and u % 2 == 0 and u < 2 * m)])
+        cover = set(range(0, 2 * m, 2))
+        assert rooted_pw_table(g, sorted(cover)).itemsize == 2
+        assert_matches_spec(monkeypatch, g, cover)
+        assert solved(g, cover=cover) == 298
 
 
 def test_vertex_count_cap():
