@@ -58,8 +58,7 @@ _EXTRA_STATS = [
     ("threshold_levels", "threshold levels"),
     ("reach_sweeps", "reach sweeps"),
     ("glue_evaluated", "glue subsets evaluated"),
-    ("layers", "join layers"),  # tw-vc-3k from here on
-    ("join_cells", "join cells"),
+    ("join_cells", "join cells"),  # tw-vc-3k from here on
     ("convolve_calls", "convolve calls"),
     ("convolve_cells", "convolve cells"),
 ]

@@ -15,8 +15,8 @@ which is at most max|f| * max|g| * 2^s in absolute value; `width` leaves a
 sign bit above that, so the lane decodes exactly for any integer inputs,
 negative or beyond 64 bits. Universes are capped at s = 30.
 
-STATS counts convolve calls and output cells; the layered treewidth solver's
-operation accounting reads it.
+STATS counts convolve calls and output cells across the process;
+treewidth_vc_3k reports the difference over one solve.
 """
 
 from __future__ import annotations

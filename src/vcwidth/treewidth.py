@@ -16,7 +16,8 @@ layout is the one in states.py, with byte slot k+1 for the join upper op.
 One sweep body, _tw_sweep, serves both treewidth solvers; they differ only
 in where a triple's join candidates come from. treewidth_table enumerates
 the bipartitions of `below` into component unions over the live table;
-the layered solver reads precomputed minima.
+treewidth_fast computes each bag's minima by subset convolution, rank by
+rank, as the sweep reaches them.
 """
 
 from __future__ import annotations
@@ -125,7 +126,8 @@ def treewidth_table(ctx, apex_pos, stats=None, join_values=None):
 
     Returns the packed table. If `join_values` is a dict, the minimum over
     join-lower candidates is recorded per (below, bag, upper slot) — the
-    layered solver computes exactly these numbers and tests compare them.
+    subset-convolution solver computes exactly these numbers and tests
+    compare them.
     """
     comps_of = {}
 
@@ -236,7 +238,7 @@ def treewidth_vc_4k(g, cover=None, stats=None, join_values=None):
     Joins enumerate explicit part bipartitions (quartic-in-3^k state count).
     `cover` may inject a verified vertex cover; `join_values`, if a dict, is
     filled with the per-state join-only minima for cross-checking against
-    the layered solver.
+    treewidth_vc_3k.
     """
     if g.n == 0:
         return -1, Decomposition([], [], kind="tree")

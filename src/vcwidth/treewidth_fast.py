@@ -1,11 +1,13 @@
-"""Layered treewidth solver: joins via subset convolution instead of part
+"""Treewidth solver with joins via subset convolution instead of part
 enumeration.
 
-Same states and values as treewidth.py, but the per-state minimum over join
-bipartitions is not found by enumerating bipartitions of `below`. Layer d
-stores, per state, the best width achievable with at most d nested joins on
-any root-to-leaf path. The layer-d join minima are assembled from layer d-1,
-one bag X at a time.
+Same states, values and sweep as treewidth.py, but the per-state minimum
+over join bipartitions is not found by enumerating bipartitions of `below`.
+The sweep runs once, in (|below|, |bag|) order. The first time it reaches a
+triple with |below| = s at bag X, it computes X's join minima for every
+target of cover rank s from the live table: a join of a target of rank s
+reads only children of rank below s at X, and the sweep has finished all of
+those, while no child of rank s or higher at X has been reached yet.
 
 The universe of a bag's joins is its c components: the connected components
 of the cover graph minus X. Every feasible child W and every target L is a
@@ -22,53 +24,45 @@ group of such children sharing one z value v1, a single subset convolution
 pairs the group's 0/1 indicator with every child of value at most t, packed
 as g[B] = 1 << ((c+1) * rank(z[B])): h[L] counts the splits of L per partner
 rank in digits of c+1 bits, so the top non-zero digit of h[L] names the best
-partner z for v1. _chunk_size caps the partner ranks of one convolution so
-that each of its packed rank lanes stays under 64 bits: a convolution's ints
-then hold at most 2c+1 such lanes per cell, however large n is. Larger rank
-sets take several chunks, best first, and stop once no target can gain.
+partner z for v1. Larger rank sets take several chunks of _chunk_size(c)
+ranks, best first, and stop once no target can gain.
 
 The bag data (components, z, the union of each component pick, the split
-penalty base) does not depend on the layer and is built once per solve; a
-bag whose child values are unchanged since the previous layer reuses its
-minima. Values stabilize by layer k at the latest (a trimmed decomposition
-never nests more than k joins), and the stable table satisfies the same
-recurrence the direct solver computes, so the answers — and the recorded
-per-state join minima — agree exactly. The table sweep and the witness
-reconstruction are treewidth.py's: the sweep takes each triple's join
-candidate from the layer's minima, and the back-walk only needs a table
-that is a fixpoint of the recurrence.
+penalty base, the targets by rank) is built once per solve. The table is
+treewidth_table's entry for entry, so the answers, the recorded per-state
+join minima and the witness reconstruction are treewidth.py's.
 """
 
 from __future__ import annotations
 
 from .convolution import STATS, SetFunction, convolve, zeta
 from .decomposition import Decomposition
-from .errors import InternalError
 from .states import apex_context, components_outside, final_value
 from .treewidth import _tw_sweep, reconstruct_tree
 
 
 def _chunk_size(c):
     """Most partner z ranks one packed convolution carries on a c-bit
-    universe: the largest r with (c+1) * 4^c * 2^((c+1)(r-1)) < 2^63. A 0/1
-    indicator against digits of c+1 bits then has convolve pack its rank
-    lanes in under 64 bits each, so one convolution holds at most 2^c cells
-    of 2c+1 lanes."""
+    universe: the largest r with (c+1) * 4^c * 2^((c+1)(r-1)) < 2^63.
+    convolve is exact on any ints, so the chunk only bounds the memory of
+    one convolution: its packed rank lanes stay under 64 bits each, and it
+    holds at most 2^c cells of 2c+1 lanes."""
     r = 1
     while (c + 1) << (2 * c + (c + 1) * r) < 1 << 63:
         r += 1
     return r
 
 
-def _split_minima(c, z, a, base):
-    """Best split value of every union of at least two of c components.
+def _split_minima(c, z, a, base, targets):
+    """Best split value of each target, a union of at least two of c
+    components.
 
     `z[P]` counts the non-cover vertices confined to the components in P,
     `a[P]` is the child value of P (None if P is no feasible child), and
-    `base` is the local width of a split that confines nothing. Returns a
-    list indexed by P: the minimum over splits P = A + B into two feasible
-    children of max(a[A], a[B], base - z[~P] - z[A] - z[B]), None where P
-    has no such split.
+    `base` is the local width of a split that confines nothing. Returns
+    {P: value} over the targets P that split into two feasible children,
+    the value being the minimum over splits P = A + B of max(a[A], a[B],
+    base - z[~P] - z[A] - z[B]).
 
     Thresholds t run over the distinct child values; at t only splits whose
     larger child value is exactly t are new, so the A side is a group of
@@ -78,7 +72,7 @@ def _split_minima(c, z, a, base):
     B-side z has that rank (at most 2^c < 2^(c+1) of them), so the top
     non-zero digit of h[P] names the best partner of v1 in P. Ranks are cut
     into chunks of _chunk_size(c), which bounds the memory of one
-    convolution by 2^c cells of 2c+1 lanes under 64 bits each.
+    convolution.
     """
     size = 1 << c
     full = size - 1
@@ -88,12 +82,12 @@ def _split_minima(c, z, a, base):
     for p in range(1, size):
         if a[p] is not None:
             by_value.setdefault(a[p], []).append(p)
-    best = [None] * size
-    pending = [p for p in range(size) if p & (p - 1)]
+    best = {}
+    pending = targets
     active = []
     for t in sorted(by_value):
         # a split first seen at t is worth at least t
-        pending = [p for p in pending if best[p] is None or best[p] > t]
+        pending = [p for p in pending if best.get(p, t + 1) > t]
         if not pending:
             break
         new = by_value[t]
@@ -129,20 +123,22 @@ def _split_minima(c, z, a, base):
                 hi = lo
         for p, ssum in straddle.items():
             val = max(t, base - z[full ^ p] - ssum)
-            if best[p] is None or val < best[p]:
+            if val < best.get(p, val + 1):
                 best[p] = val
     return best
 
 
 class _BagJoins:
-    """Layer-invariant join data of one bag, plus its last join minima.
+    """Join data of one bag, built once per solve.
 
     The universe is the bag's c components outside the cover: every child
     and every target of a join below the bag is a union of them. `keys[P]`
-    is the state key of the union of the components in P.
+    is the state key of the union of the components in P, and `targets`
+    maps each cover rank s to the unions of two or more components with s
+    cover vertices whose minima are still to be computed.
     """
 
-    __slots__ = ("cells", "c", "z", "base", "keys", "child", "minima")
+    __slots__ = ("cells", "c", "z", "base", "keys", "targets")
 
     def __init__(self, ctx, bag, rest, comps):
         k = ctx.k
@@ -168,64 +164,65 @@ class _BagJoins:
         self.z = zeta(SetFunction(c, cnt)).values
         self.base = bag.bit_count() - 1 + total
         self.keys = [(w << k) | bag for w in masks]
-        self.child = None
-        self.minima = []
+        self.targets = {}
+        for p in range(3, size):
+            if p & (p - 1):
+                self.targets.setdefault(masks[p].bit_count(), []).append(p)
 
 
 def _bag_joins(ctx, apex_pos):
-    """_BagJoins of every apex bag whose outside has two or more components."""
-    bags = []
+    """{bag: _BagJoins} of every apex bag whose outside has two or more
+    components."""
+    bags = {}
     for bag in range(1 << ctx.k):
         if not bag >> apex_pos & 1:
             continue
         rest = ctx.full ^ bag
         comps = components_outside(ctx.cov_adj, rest)
         if len(comps) >= 2:
-            bags.append(_BagJoins(ctx, bag, rest, comps))
+            bags[bag] = _BagJoins(ctx, bag, rest, comps)
     return bags
 
 
-def _join_minima(ctx, apex_pos, prev, stats, memo=None):
-    """Best join-bipartition value per (below, bag), from the previous layer.
-
-    Returns {(below << k) | bag: value} covering every below that splits
-    into two feasible children; entries already include the split penalty
+def _join_minima(ctx, bj, targets, table):
+    """Best join-bipartition value of each target of one bag, read from the
+    live table: {(below << k) | bag: value} over the targets that split
+    into two reached children. Entries already include the split penalty
     (crossing + straddlers) but not the bag-only tightness or upper terms.
-    `memo`, the _bag_joins list kept across the layers of one solve, holds
-    the bag data and each bag's last minima; a bag whose child values did not
-    change since the previous layer reuses them.
     """
-    if memo is None:
-        memo = _bag_joins(ctx, apex_pos)
     join_shift = 8 * (ctx.k + 1)
-    out = {}
-    for bj in memo:
-        if stats is not None:
-            stats["join_cells"] += bj.cells
-        child = [(prev.get(key, 0) >> join_shift) & 255 for key in bj.keys]
-        if child != bj.child:
-            bj.child = child
-            a = [v - 1 if v else None for v in child]
-            best = _split_minima(bj.c, bj.z, a, bj.base)
-            bj.minima = [(bj.keys[p], v) for p, v in enumerate(best)
-                         if v is not None]
-        out.update(bj.minima)
-    return out
+    a = []
+    for key in bj.keys:
+        v = (table.get(key, 0) >> join_shift) & 255
+        a.append(v - 1 if v else None)
+    best = _split_minima(bj.c, bj.z, a, bj.base, targets)
+    return {bj.keys[p]: v for p, v in best.items()}
 
 
-def _layer_sweep(ctx, apex_pos, jmin, stats=None, join_values=None):
-    """One full table sweep, taking join candidates from `jmin`."""
+def _layer_sweep(ctx, apex_pos, stats=None, join_values=None):
+    """The one table sweep, computing each bag's join minima rank by rank
+    as the sweep reaches them."""
     k = ctx.k
+    bags = _bag_joins(ctx, apex_pos)
+    if stats is not None:
+        stats["join_cells"] = sum(bj.cells for bj in bags.values())
+    jmin = {}
 
     def join_candidates(table, below, bag, cross):
-        split = jmin.get((below << k) | bag)
+        bj = bags.get(bag)
+        if bj is None:
+            return []
+        targets = bj.targets.pop(below.bit_count(), None)
+        if targets:
+            jmin.update(_join_minima(ctx, bj, targets, table))
+        split = jmin.pop((below << k) | bag, None)
         return [] if split is None else [split]
 
     return _tw_sweep(ctx, apex_pos, join_candidates, stats, join_values)
 
 
 def treewidth_vc_3k(g, cover=None, stats=None, join_values=None):
-    """Exact treewidth of g via the layered join computation, plus witness.
+    """Exact treewidth of g via joins by subset convolution, plus witness.
 
     Interface matches treewidth_vc_4k, and so do the computed values —
     including the per-(below, bag, upper) join minima optionally collected
@@ -235,32 +232,10 @@ def treewidth_vc_3k(g, cover=None, stats=None, join_values=None):
         return -1, Decomposition([], [], kind="tree")
     ctx, apex = apex_context(g, cover, stats)
     if stats is not None:
-        stats.setdefault("join_cells", 0)
-        stats.setdefault("layers", 0)
         calls0 = STATS["convolve_calls"]
         cells0 = STATS["convolve_cells"]
     apex_pos = ctx.position[apex]
-    prev = _layer_sweep(ctx, apex_pos, {}, stats)
-    if stats is not None:
-        stats["layers"] = 1
-    table = prev
-    layer_values = None
-    stable = False
-    memo = _bag_joins(ctx, apex_pos)
-    for _ in range(ctx.k + 1):
-        jmin = _join_minima(ctx, apex_pos, prev, stats, memo)
-        layer_values = {} if join_values is not None else None
-        table = _layer_sweep(ctx, apex_pos, jmin, stats, layer_values)
-        if stats is not None:
-            stats["layers"] += 1
-        if table == prev:
-            stable = True
-            break
-        prev = table
-    if not stable:
-        raise InternalError("join layering did not stabilize within its bound")
-    if join_values is not None:
-        join_values.update(layer_values)
+    table = _layer_sweep(ctx, apex_pos, stats, join_values)
     if stats is not None:  # this solve's real convolution work
         stats["convolve_calls"] = STATS["convolve_calls"] - calls0
         stats["convolve_cells"] = STATS["convolve_cells"] - cells0

@@ -177,15 +177,16 @@ def elimination_decomposition(rng, g):
     return Decomposition(bags, edges, kind="tree")
 
 
-def join_minima_by_splits(ctx, apex_pos, prev):
-    """Layered treewidth join minima by trying every split of every target.
+def join_minima_by_splits(ctx, apex_pos, table):
+    """treewidth_fast's join minima by trying every split of every target.
 
     For each bag holding the apex, the targets are the unions P of two or
     more components of the cover graph outside the bag; the value of P is
-    the min over splits P = A + B into children that have a value in `prev`
-    of max(a[A], a[B], |bag| - 1 + (vertices straddling the split)), where
-    a non-cover vertex straddles unless all its neighbours outside the bag
-    lie in A, in B or outside P.
+    the min over splits P = A + B into children that have a value in the
+    finished treewidth `table` of max(a[A], a[B], |bag| - 1 + (vertices
+    straddling the split)), where a non-cover vertex straddles unless all
+    its neighbours outside the bag lie in A, in B or outside P. Returns
+    {(union(P) << k) | bag: value} over the targets that have a split.
     """
     k = ctx.k
     slot = 8 * (k + 1)
@@ -210,7 +211,7 @@ def join_minima_by_splits(ctx, apex_pos, prev):
             left &= ~comp
 
         def child(w):
-            v = (prev.get((w << k) | bag, 0) >> slot) & 255
+            v = (table.get((w << k) | bag, 0) >> slot) & 255
             return v - 1 if v else None
 
         def straddling(a_side, b_side):

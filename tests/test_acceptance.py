@@ -156,8 +156,7 @@ def test_criterion_7_structural_bounds(exhaustive6, random_suite):
         stats = {}
         treewidth_vc_3k(g, cover=set(range(k)), stats=stats)
         assert stats["valid_triples"] <= TRIPLE_CAP(k)
-        work_per_layer = stats["join_cells"] / (stats["layers"] - 1)
-        ratios.append(work_per_layer / 3 ** k)
+        ratios.append(stats["join_cells"] / 3 ** k)
     assert max(ratios) <= 4 * min(ratios), ratios
 
 

@@ -9,6 +9,8 @@ in `genutil.py`).
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import vcwidth
@@ -98,3 +100,28 @@ def test_package_does_not_import_test_code():
             assert not any(m.split(".")[0] in ("spec", "genutil", "tests",
                                                "numpy")
                            for m in modules), path.name
+
+
+def _benchmark_spans():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
+def test_traced_layers_resolve_in_the_package():
+    # `perfbench/run.py --trace 1` rebinds these names and fails on any
+    # that is gone, so a rename in the package must show up here first
+    spans = _benchmark_spans()
+    homes = {}
+    for name, (module, attr, cls) in spans.LAYERS.items():
+        owner = importlib.import_module(f"vcwidth.{module}")
+        if cls is not None:
+            owner = getattr(owner, cls)
+        assert callable(owner.__dict__.get(attr)), name
+        homes.setdefault(attr, owner.__dict__[attr])
+    for module, names in spans.REQUIRED_SITES.items():
+        site = importlib.import_module(f"vcwidth.{module}")
+        for attr in names:
+            assert vars(site).get(attr) is homes[attr], f"{module}.{attr}"

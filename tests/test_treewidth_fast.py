@@ -1,5 +1,5 @@
-"""Layered treewidth solver: must be value-for-value identical to the
-bipartition-join solver, with monotone, stabilizing layer sweeps."""
+"""Treewidth by subset-convolution joins: one sweep, value-for-value
+identical to the bipartition-join solver's table."""
 
 import random
 
@@ -8,10 +8,9 @@ from vcwidth.decomposition import find_violations
 from vcwidth.graph import Graph
 from vcwidth.oracle import treewidth_exact
 from vcwidth.states import CoverContext
-from vcwidth.treewidth import treewidth_vc_4k
+from vcwidth.treewidth import treewidth_table, treewidth_vc_4k
 from vcwidth import treewidth_fast
-from vcwidth.treewidth_fast import (_bag_joins, _chunk_size, _join_minima,
-                                    _layer_sweep, _split_minima,
+from vcwidth.treewidth_fast import (_chunk_size, _layer_sweep, _split_minima,
                                     treewidth_vc_3k)
 
 from genutil import (complete_graph, cycle_graph, enumerate_small_graphs,
@@ -75,18 +74,52 @@ def test_matches_oracle_random():
         assert solved(g) == treewidth_exact(g)
 
 
-def layer_tables(g):
+def apex_ctx(g, cover):
     gp, apex = g.add_universal_vertex()
-    ctx = CoverContext(gp, minimum_vertex_cover(g) | {apex})
-    ap = ctx.position[apex]
-    tables = [_layer_sweep(ctx, ap, {})]
-    while True:
-        jmin = _join_minima(ctx, ap, tables[-1], None)
-        tables.append(_layer_sweep(ctx, ap, jmin))
-        if tables[-1] == tables[-2]:
-            break
-        assert len(tables) <= ctx.k + 2, "layering failed to stabilize"
-    return ctx, ap, tables
+    ctx = CoverContext(gp, cover | {apex})
+    return ctx, ctx.position[apex]
+
+
+def instance_mix(rng, trials):
+    """(ctx, apex position) of random graphs with a cover: kind 0 searches
+    a minimum cover, kind 1 plants one, kind 2 plants an independent cover
+    whose vertices are each a component of the cover graph."""
+    for trial in range(trials):
+        kind = trial % 3
+        if kind == 0:
+            g = random_graph(rng, rng.randrange(2, 9), rng.choice([0.2, 0.4]))
+            cover = minimum_vertex_cover(g)
+        else:
+            k = rng.randrange(2, 7)
+            n = k + rng.randrange(1, 8)
+            if kind == 1:
+                g = random_graph_with_cover(rng, k, n, 0.4)
+            else:
+                g = Graph(n, [(u, v) for u in range(k) for v in range(k, n)
+                              if rng.random() < 0.5])
+            cover = set(range(k))
+        yield apex_ctx(g, cover)
+
+
+def test_sweep_table_equals_treewidth_table():
+    rng = random.Random(54)
+    for ctx, ap in instance_mix(rng, 45):
+        assert _layer_sweep(ctx, ap) == treewidth_table(ctx, ap)
+    for _ in range(25):
+        g = random_graph(rng, rng.randrange(2, 9), rng.random())
+        ctx, ap = apex_ctx(g, minimum_vertex_cover(g))
+        assert _layer_sweep(ctx, ap) == treewidth_table(ctx, ap), g.edges
+
+
+def fed_sweep(ctx, ap, jmin):
+    """A treewidth sweep whose join candidates are read from `jmin`."""
+    k = ctx.k
+
+    def join_candidates(table, below, bag, cross):
+        split = jmin.get((below << k) | bag)
+        return [] if split is None else [split]
+
+    return treewidth_fast._tw_sweep(ctx, ap, join_candidates, None, None)
 
 
 def iter_slots(packed):
@@ -102,33 +135,53 @@ def test_layers_monotone_and_stable():
     rng = random.Random(54)
     for _ in range(25):
         g = random_graph(rng, rng.randrange(2, 9), rng.choice([0.2, 0.4]))
-        ctx, ap, tables = layer_tables(g)
-        for early, late in zip(tables, tables[1:]):
-            for key, packed in early.items():
-                later = late.get(key, 0)
-                for slot, val in iter_slots(packed):
-                    lv = (later >> (8 * slot)) & 255
-                    assert lv, "a reachable state vanished in a later layer"
-                    assert lv - 1 <= val, "a layer made a state worse"
-        # one extra sweep after the fixed point changes nothing
-        jmin = _join_minima(ctx, ap, tables[-1], None)
-        assert _layer_sweep(ctx, ap, jmin) == tables[-1]
+        ctx, ap = apex_ctx(g, minimum_vertex_cover(g))
+        no_joins = fed_sweep(ctx, ap, {})
+        table = _layer_sweep(ctx, ap)
+        # the joins only add states and lower values
+        for key, packed in no_joins.items():
+            later = table.get(key, 0)
+            for slot, val in iter_slots(packed):
+                lv = (later >> (8 * slot)) & 255
+                assert lv, "a reachable state vanished once joins were added"
+                assert lv - 1 <= val, "the joins made a state worse"
+        # the one sweep is already the fixed point: a further sweep fed the
+        # join minima of its finished table changes nothing
+        assert fed_sweep(ctx, ap, join_minima_by_splits(ctx, ap, table)) \
+            == table, g.edges
         stats = {}
         treewidth_vc_3k(g, stats=stats)
-        assert stats["layers"] == len(tables)
-        assert stats["layers"] <= ctx.k + 2
+        assert "layers" not in stats
 
 
 def test_stable_table_matches_final_answer():
     rng = random.Random(55)
     for _ in range(20):
         g = random_graph(rng, rng.randrange(2, 8), rng.random())
-        ctx, ap, tables = layer_tables(g)
+        ctx, ap = apex_ctx(g, minimum_vertex_cover(g))
+        table = _layer_sweep(ctx, ap)
         final_key = ((ctx.full ^ (1 << ap)) << ctx.k) | (1 << ap)
-        packed = tables[-1][final_key]
+        packed = table[final_key]
         val = ((packed >> (8 * (ap + 1))) & 255) - 1
         w, _ = treewidth_vc_3k(g)
         assert val - 1 == w
+
+
+def test_one_sweep_per_solve(monkeypatch):
+    calls = []
+    real = treewidth_fast._tw_sweep
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(treewidth_fast, "_tw_sweep", counting)
+    rng = random.Random(55)
+    for _ in range(10):
+        g = random_graph(rng, rng.randrange(2, 9), rng.choice([0.2, 0.4]))
+        calls.clear()
+        treewidth_vc_3k(g)
+        assert len(calls) == 1
 
 
 def test_join_values_dominate_bag_size():
@@ -148,39 +201,37 @@ def test_join_cell_accounting():
         stats = {}
         treewidth_vc_3k(g, stats=stats)
         k = stats["cover_size"] + 1
-        assert 0 <= stats["join_cells"] <= (stats["layers"] - 1) * 3 ** (k - 1)
+        assert 0 <= stats["join_cells"] <= 3 ** (k - 1)
 
 
-def test_join_minima_match_split_enumeration():
+def test_join_minima_match_split_enumeration(monkeypatch):
+    seen = []
+    real = treewidth_fast._join_minima
+
+    def recording(ctx, bj, targets, table):
+        got = real(ctx, bj, targets, table)
+        # keys[P] packs (union of P) << k | bag, so keys[0] is the bag
+        seen.append((bj.keys[0], bj.keys[targets[0]] >> ctx.k, got))
+        return got
+
+    monkeypatch.setattr(treewidth_fast, "_join_minima", recording)
     rng = random.Random(58)
-    for trial in range(45):
-        kind = trial % 3
-        if kind == 0:
-            g = random_graph(rng, rng.randrange(2, 9), rng.choice([0.2, 0.4]))
-            cover = minimum_vertex_cover(g)
-        else:
-            k = rng.randrange(2, 7)
-            n = k + rng.randrange(1, 8)
-            if kind == 1:
-                g = random_graph_with_cover(rng, k, n, 0.4)
-            else:  # independent cover: every cover vertex is a component
-                g = Graph(n, [(u, v) for u in range(k) for v in range(k, n)
-                              if rng.random() < 0.5])
-            cover = set(range(k))
-        gp, apex = g.add_universal_vertex()
-        ctx = CoverContext(gp, cover | {apex})
-        ap = ctx.position[apex]
-        prev = _layer_sweep(ctx, ap, {})
-        memo = _bag_joins(ctx, ap)
-        for _ in range(ctx.k + 1):
-            want = join_minima_by_splits(ctx, ap, prev)
-            assert _join_minima(ctx, ap, prev, None, memo) == want, \
-                f"trial {trial}: {g.edges}"
-            assert _join_minima(ctx, ap, prev, None) == want
-            table = _layer_sweep(ctx, ap, want)
-            if table == prev:
-                break
-            prev = table
+    for trial, (ctx, ap) in enumerate(instance_mix(rng, 45)):
+        k = ctx.k
+        want = join_minima_by_splits(ctx, ap, treewidth_table(ctx, ap))
+        seen.clear()
+        _layer_sweep(ctx, ap)
+        done = set()
+        for bag, below, got in seen:
+            rank = below.bit_count()
+            assert (bag, rank) not in done
+            done.add((bag, rank))
+            assert got == {key: v for key, v in want.items()
+                           if key & ctx.full == bag
+                           and (key >> k).bit_count() == rank}, \
+                f"trial {trial}: bag {bag:b}, rank {rank}"
+        assert {(key & ctx.full, (key >> k).bit_count())
+                for key in want} <= done, f"trial {trial}"
 
 
 def split_minima_by_enumeration(c, z, a, base, targets):
@@ -215,14 +266,14 @@ def test_split_minima_over_several_rank_chunks(monkeypatch):
         assert len(set(z)) > _chunk_size(c)
         a = [None] + [rng.choice([0, 1, 2, None]) for _ in range(size - 1)]
         base = 2 * values
-        calls.clear()
-        got = _split_minima(c, z, a, base)
-        assert max(calls.values()) > 1, "no indicator met two rank chunks"
         targets = [p for p in range(size) if p & (p - 1)]
         if n_targets is not None:
             targets = rng.sample(targets, n_targets)
+        calls.clear()
+        got = _split_minima(c, z, a, base, targets)
+        assert max(calls.values()) > 1, "no indicator met two rank chunks"
         want = split_minima_by_enumeration(c, z, a, base, targets)
-        assert {p: got[p] for p in targets} == want
+        assert {p: got.get(p) for p in targets} == want
 
 
 def test_chunk_size_is_largest_under_the_overflow_guard():
