@@ -32,11 +32,10 @@ from .states import iter_bits
 
 MAX_COMPLEMENT_COVER = 26
 MAX_VERTICES = 65535  # widths must fit the table's unsigned 16-bit entries
-# subsets per piece in plane / lane / member conversions; a multiple of 8
+# subsets per piece in lane / member conversions; a multiple of 8
 _PIECE = 1 << 16
-# "0"/"1" to 0/2^j, and a byte to "1" when its bit j is set, else "0"
+# "0"/"1" to 0/2^j
 _SPREAD = [bytes.maketrans(b"01", bytes([0, 1 << j])) for j in range(8)]
-_BIT = [(b"0" * (1 << j) + b"1" * (1 << j)) * (128 >> j) for j in range(8)]
 
 
 def _subsets_of(t):
@@ -173,8 +172,9 @@ def _byte_lanes(planes, size):
 
 
 def rooted_pw_table(g, order, stats=None):
-    """rooted[L] for every L subset of the cover, as a byte or 16-bit array
-    over masks.
+    """(rooted, planes): rooted[L] for every L subset of the cover, as a
+    byte or 16-bit array over masks, and the bit planes of its values
+    (least significant first, as many as its largest value needs).
 
     order fixes the bit positions; rooted[L] is the least width of a path
     decomposition of G[N[L]] with N(L) as its inner end bag. `stats`, when
@@ -203,30 +203,12 @@ def rooted_pw_table(g, order, stats=None):
     for b in range(lanes):
         data[b::lanes] = _byte_lanes(value[8 * b:], 1 << k)
     if lanes == 1:
-        return data
+        return data, value
     rooted = array("H")
     rooted.frombytes(data)
     if sys.byteorder == "big":
         rooted.byteswap()
-    return rooted
-
-
-def _table_planes(rooted, bits):
-    """The low `bits` bit planes of a table's entries, read back from its
-    bytes a piece at a time."""
-    lanes = memoryview(rooted).itemsize
-    data = rooted if lanes == 1 else rooted.tobytes()
-    parts = [[] for _ in range(bits)]
-    for start, width in _pieces(len(rooted)):
-        piece = data[start * lanes:(start + width) * lanes]
-        # each byte of the lanes, reversed: int() reads the top digit first
-        backwards = [piece[b::lanes][::-1] for b in range(lanes)]
-        if sys.byteorder == "big":
-            backwards.reverse()
-        for j, part in enumerate(parts):
-            plane = int(backwards[j >> 3].translate(_BIT[j & 7]), 2)
-            part.append(plane.to_bytes((width + 7) // 8, "little"))
-    return [int.from_bytes(b"".join(part), "little") for part in parts]
+    return rooted, value
 
 
 def _members(family, size):
@@ -241,7 +223,7 @@ def _members(family, size):
             i = bits.rfind("1", 0, i)
 
 
-def _glue(rooted, cov, s_width, bits):
+def _glue(rooted, planes, cov, s_width):
     """(width, L, N(L) in C, subsets evaluated) of the best glue.
 
     Gluing at L costs max(rooted[L], rooted[R], s_width + |N(L) in C|),
@@ -249,21 +231,20 @@ def _glue(rooted, cov, s_width, bits):
     |N(L) in C| <= w - s_width, so w walks upward and the L that first pass
     both tests at w are evaluated in increasing order, each once. The first
     w that some L attains is the least width, and the least L attaining it
-    is the one a scan over all L in increasing order would keep. `bits`
-    bounds the bit length of the table's entries.
+    is the one a scan over all L in increasing order would keep. `planes`
+    are the bit planes of the table's entries.
     """
     k = len(cov)
     full = (1 << k) - 1
     all_subsets = (1 << (1 << k)) - 1
     cover_boundary = _boundary_planes(k, cov, {})
-    table = _table_planes(rooted, bits)
     seen = evaluated = 0
     best = {}  # width -> (least L evaluated with it, N(L) in C)
     w = max(s_width, 0)
     while True:
         hit = best.get(w)
         fresh = (_at_most(cover_boundary, w - s_width, all_subsets)
-                 & _at_most(table, w, all_subsets) & ~seen)
+                 & _at_most(planes, w, all_subsets) & ~seen)
         seen |= fresh
         for l_mask in _members(fresh, 1 << k):
             if hit is not None and l_mask > hit[0]:
@@ -349,7 +330,7 @@ def pathwidth_cvc(g, cover=None, stats=None, max_cover=MAX_COMPLEMENT_COVER):
     # cover neighbours in cover positions
     cov = [sum(1 << pos[u] for u in g.adj[v] if u in pos) for v in order]
     outside = [v for v in range(g.n) if v not in pos]
-    rooted = rooted_pw_table(g, order, stats)
+    rooted, planes = rooted_pw_table(g, order, stats)
     if stats is not None:
         stats["cover_size"] = k
         stats["table_entries"] = 1 << k
@@ -358,8 +339,7 @@ def pathwidth_cvc(g, cover=None, stats=None, max_cover=MAX_COMPLEMENT_COVER):
 
     # glue: L, the middle bag S plus N(L) in C, and R = C minus N[L]
     s_width = len(outside) - 1  # the middle bag's width when N(L) is empty
-    width, l_mask, cn, evaluated = _glue(
-        rooted, cov, s_width, (g.n - 1).bit_length())
+    width, l_mask, cn, evaluated = _glue(rooted, planes, cov, s_width)
     r_mask = ((1 << k) - 1) ^ (l_mask | cn)
     if stats is not None:
         stats["glue_evaluated"] = evaluated

@@ -47,7 +47,7 @@ class SetFunction:
         self.values = values
 
     def max_abs(self):
-        return max((abs(v) for v in self.values), default=0)
+        return max(map(abs, self.values), default=0)
 
     def __eq__(self, other):
         return (isinstance(other, SetFunction)

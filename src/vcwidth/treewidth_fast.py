@@ -22,10 +22,10 @@ split's larger child value is one of them, so the probe is exhaustive. At t
 the new splits are those whose larger child value is exactly t. For each
 group of such children sharing one z value v1, a single subset convolution
 pairs the group's 0/1 indicator with every child of value at most t, packed
-as g[B] = 1 << ((c+1) * rank(z[B])): h[L] counts the splits of L per partner
-rank in digits of c+1 bits, so the top non-zero digit of h[L] names the best
-partner z for v1. Larger rank sets take several chunks of _chunk_size(c)
-ranks, best first, and stop once no target can gain.
+as g[B] = 1 << ((c+1) * rank(z[B])) over every partner rank at once: h[L]
+counts the splits of L per partner rank in digits of c+1 bits, so the top
+non-zero digit of h[L] names the best partner z for v1. A group is skipped
+once no pending target can gain from it.
 
 The bag data (components, z, the union of each component pick, the split
 penalty base, the targets by rank) is built once per solve. The table is
@@ -39,18 +39,6 @@ from .convolution import STATS, SetFunction, convolve, zeta
 from .decomposition import Decomposition
 from .states import apex_context, components_outside, final_value
 from .treewidth import _tw_sweep, reconstruct_tree
-
-
-def _chunk_size(c):
-    """Most partner z ranks one packed convolution carries on a c-bit
-    universe: the largest r with (c+1) * 4^c * 2^((c+1)(r-1)) < 2^63.
-    convolve is exact on any ints, so the chunk only bounds the memory of
-    one convolution: its packed rank lanes stay under 64 bits each, and it
-    holds at most 2^c cells of 2c+1 lanes."""
-    r = 1
-    while (c + 1) << (2 * c + (c + 1) * r) < 1 << 63:
-        r += 1
-    return r
 
 
 def _split_minima(c, z, a, base, targets):
@@ -70,14 +58,14 @@ def _split_minima(c, z, a, base, targets):
     a <= t. The B side is packed as g[B] = 1 << ((c+1) * rank(z[B])): the
     convolution h[P] then counts, digit by digit, the splits of P whose
     B-side z has that rank (at most 2^c < 2^(c+1) of them), so the top
-    non-zero digit of h[P] names the best partner of v1 in P. Ranks are cut
-    into chunks of _chunk_size(c), which bounds the memory of one
-    convolution.
+    non-zero digit of h[P] names the best partner of v1 in P. One
+    convolution carries every partner rank: with R distinct z values among
+    the children of value at most t (R <= min(2^c, n) on n vertices), it
+    holds 2^c cells of at most 2c+1 lanes of (c+1)*R + 1 bits each.
     """
     size = 1 << c
     full = size - 1
     digit = c + 1
-    chunk = _chunk_size(c)
     by_value = {}
     for p in range(1, size):
         if a[p] is not None:
@@ -97,30 +85,23 @@ def _split_minima(c, z, a, base, targets):
         groups = {}
         for p in new:
             groups.setdefault(z[p], []).append(p)
+        g = [0] * size
+        for p in active:
+            g[p] = 1 << (digit * rank[z[p]])
+        g = SetFunction(c, g)
         straddle = {}
         for v1 in sorted(groups, reverse=True):
+            if all(straddle.get(p, -1) >= v1 + vals[-1] for p in pending):
+                break  # nor can any group of a smaller v1
             f = [0] * size
             for p in groups[v1]:
                 f[p] = 1
-            f = SetFunction(c, f)
-            hi = len(vals)
-            while hi > 0:  # chunks of partner ranks, best first
-                lo = max(0, hi - chunk)
-                top = v1 + vals[hi - 1]
-                if all(straddle.get(p, -1) >= top for p in pending):
-                    break
-                g = [0] * size
-                for p in active:
-                    r = rank[z[p]] - lo
-                    if 0 <= r < hi - lo:
-                        g[p] = 1 << (digit * r)
-                h = convolve(f, SetFunction(c, g)).values
-                for p in pending:
-                    if h[p]:
-                        ssum = v1 + vals[lo + (h[p].bit_length() - 1) // digit]
-                        if ssum > straddle.get(p, -1):
-                            straddle[p] = ssum
-                hi = lo
+            h = convolve(SetFunction(c, f), g).values
+            for p in pending:
+                if h[p]:
+                    ssum = v1 + vals[(h[p].bit_length() - 1) // digit]
+                    if ssum > straddle.get(p, -1):
+                        straddle[p] = ssum
         for p, ssum in straddle.items():
             val = max(t, base - z[full ^ p] - ssum)
             if val < best.get(p, val + 1):

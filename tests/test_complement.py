@@ -3,7 +3,6 @@ bitset helpers, the rooted table and the glue against the per-mask spec,
 oracle equality on dense graphs, witness shape, limits."""
 
 import random
-from array import array
 
 import pytest
 
@@ -45,10 +44,10 @@ def test_degenerate_sizes():
 
 
 def test_rooted_table_trivial_masks():
-    assert rooted_pw_table(complete_graph(4), []) == bytearray([0])
+    assert rooted_pw_table(complete_graph(4), []) == (bytearray([0]), [])
     g = cycle_graph(4)
     order = sorted(minimum_vertex_cover(g.complement()))
-    rooted = rooted_pw_table(g, order)
+    rooted = rooted_pw_table(g, order)[0]
     assert rooted[0] == 0
     for i, v in enumerate(order):
         assert rooted[1 << i] == len(g.adj[v])
@@ -61,7 +60,7 @@ def test_rooted_table_recurrence():
         order = sorted(minimum_vertex_cover(g.complement()))
         if len(order) > 10:
             continue
-        rooted = rooted_pw_table(g, order)
+        rooted = rooted_pw_table(g, order)[0]
         for mask in range(1, 1 << len(order)):
             members = {order[i] for i in range(len(order)) if mask >> i & 1}
             boundary = set()
@@ -113,15 +112,39 @@ def test_lanes_planes_and_members_by_brute_force(monkeypatch):
         values = bytearray(rng.randrange(256) for _ in range(size))
         planes = [sum((v >> j & 1) << m for m, v in enumerate(values))
                   for j in range(8)]
-        assert complement._table_planes(values, 8) == planes
         assert complement._byte_lanes(planes, size) == values
         family = planes[0]
         assert list(complement._members(family, size)) == [
             m for m in subsets(k) if family >> m & 1]
-        wide = array("H", (rng.randrange(1 << 16) for _ in range(size)))
-        assert complement._table_planes(wide, 16) == [
-            sum((v >> j & 1) << m for m, v in enumerate(wide))
-            for j in range(16)]
+
+
+def k300_minus_matching(m):
+    """K_300 minus a matching of m edges: one end of each matching edge
+    covers the complement, and widths reach 298."""
+    return Graph(300, [(u, v) for u in range(300) for v in range(u + 1, 300)
+                       if not (v == u + 1 and u % 2 == 0 and u < 2 * m)])
+
+
+def table_planes(rooted):
+    """The bit planes of a table's entries, as many as its largest needs."""
+    return [sum((v >> j & 1) << m for m, v in enumerate(rooted))
+            for j in range(max(rooted).bit_length())]
+
+
+def test_returned_planes_are_the_table_bit_planes():
+    # the glue reads its threshold tests from these planes, not the bytes
+    rng = random.Random(68)
+    for _ in range(40):
+        g = random_graph(rng, rng.randrange(1, 14), 0.25).complement()
+        order = sorted(minimum_vertex_cover(g.complement()))
+        rooted, planes = rooted_pw_table(g, order)
+        assert isinstance(rooted, bytearray)
+        assert planes == table_planes(rooted)
+    for m in (8, 10):  # 16-bit entries
+        rooted, planes = rooted_pw_table(k300_minus_matching(m),
+                                         list(range(0, 2 * m, 2)))
+        assert rooted.itemsize == 2 and max(rooted) == 298
+        assert planes == table_planes(rooted)
 
 
 def spied_glue(monkeypatch, g, cover):
@@ -144,7 +167,7 @@ def spied_glue(monkeypatch, g, cover):
 def assert_matches_spec(monkeypatch, g, cover):
     order = sorted(cover)
     want = rooted_pw_by_recurrence(g, order)
-    assert list(rooted_pw_table(g, order)) == want
+    assert list(rooted_pw_table(g, order)[0]) == want
     w, l_mask, stats = spied_glue(monkeypatch, g, cover)
     assert (w, l_mask) == glue_by_scan(g, order, want)
     assert 0 < stats["glue_evaluated"] <= 1 << len(order)
@@ -236,7 +259,7 @@ def test_widths_above_one_byte(tmp_path, capsys):
         assert solved(complete_minus_two_edges(n)) == n - 2
     g = complete_minus_two_edges(300)
     order = sorted(minimum_vertex_cover(g.complement()))
-    rooted = rooted_pw_table(g, order)
+    rooted = rooted_pw_table(g, order)[0]
     assert rooted.itemsize == 2 and max(rooted) == 298
     gr = tmp_path / "k300.gr"
     gr.write_text(emit_gr(complete_minus_two_edges(300)))
@@ -251,13 +274,10 @@ def test_widths_above_one_byte(tmp_path, capsys):
 
 
 def test_16_bit_table_matches_the_spec(monkeypatch):
-    # K_300 minus a matching of m edges: one end of each matching edge covers
-    # the complement, and widths reach 298
     for m in (8, 10):
-        g = Graph(300, [(u, v) for u in range(300) for v in range(u + 1, 300)
-                        if not (v == u + 1 and u % 2 == 0 and u < 2 * m)])
+        g = k300_minus_matching(m)
         cover = set(range(0, 2 * m, 2))
-        assert rooted_pw_table(g, sorted(cover)).itemsize == 2
+        assert rooted_pw_table(g, sorted(cover))[0].itemsize == 2
         assert_matches_spec(monkeypatch, g, cover)
         assert solved(g, cover=cover) == 298
 

@@ -11,6 +11,7 @@ in `genutil.py`).
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import vcwidth
@@ -125,3 +126,16 @@ def test_traced_layers_resolve_in_the_package():
         site = importlib.import_module(f"vcwidth.{module}")
         for attr in names:
             assert vars(site).get(attr) is homes[attr], f"{module}.{attr}"
+
+
+def test_traced_stats_arguments_are_named_stats():
+    # the traced run hands a fresh dict to the argument at this position
+    # when the caller passed None, so it must be the stats parameter
+    spans = _benchmark_spans()
+    for name, position in spans._STATS_ARG.items():
+        module, attr, cls = spans.LAYERS[name]
+        owner = importlib.import_module(f"vcwidth.{module}")
+        if cls is not None:
+            owner = getattr(owner, cls)
+        params = list(inspect.signature(owner.__dict__[attr]).parameters)
+        assert params[position] == "stats", name

@@ -10,8 +10,7 @@ from vcwidth.oracle import treewidth_exact
 from vcwidth.states import CoverContext
 from vcwidth.treewidth import treewidth_table, treewidth_vc_4k
 from vcwidth import treewidth_fast
-from vcwidth.treewidth_fast import (_chunk_size, _layer_sweep, _split_minima,
-                                    treewidth_vc_3k)
+from vcwidth.treewidth_fast import _layer_sweep, _split_minima, treewidth_vc_3k
 
 from genutil import (complete_graph, cycle_graph, enumerate_small_graphs,
                      grid_graph, join_minima_by_splits, path_graph,
@@ -250,20 +249,23 @@ def split_minima_by_enumeration(c, z, a, base, targets):
     return out
 
 
-def test_split_minima_over_several_rank_chunks(monkeypatch):
-    calls = {}
+def test_split_minima_one_convolution_per_group(monkeypatch):
+    # z takes more distinct values than a 64-bit rank lane per partner
+    # would fit into one convolution: 11 ranks at c = 4, 3 at c = 12
+    calls = []
     real = treewidth_fast.convolve
 
-    def counting(f, g):
-        calls[id(f)] = calls.get(id(f), 0) + 1
+    def recording(f, g):
+        calls.append((f.values, g.values))
         return real(f, g)
 
-    monkeypatch.setattr(treewidth_fast, "convolve", counting)
+    monkeypatch.setattr(treewidth_fast, "convolve", recording)
     rng = random.Random(59)
-    for c, values, n_targets in ((4, 40, None), (12, 6, 150)):
+    for c, values, n_targets, lane_ranks in ((4, 40, None, 11),
+                                             (12, 6, 150, 3)):
         size = 1 << c
         z = [rng.randrange(values) for _ in range(size)]
-        assert len(set(z)) > _chunk_size(c)
+        assert len(set(z)) > lane_ranks
         a = [None] + [rng.choice([0, 1, 2, None]) for _ in range(size - 1)]
         base = 2 * values
         targets = [p for p in range(size) if p & (p - 1)]
@@ -271,14 +273,16 @@ def test_split_minima_over_several_rank_chunks(monkeypatch):
             targets = rng.sample(targets, n_targets)
         calls.clear()
         got = _split_minima(c, z, a, base, targets)
-        assert max(calls.values()) > 1, "no indicator met two rank chunks"
         want = split_minima_by_enumeration(c, z, a, base, targets)
         assert {p: got.get(p) for p in targets} == want
-
-
-def test_chunk_size_is_largest_under_the_overflow_guard():
-    assert _chunk_size(4) == 11 and _chunk_size(12) == 3
-    for c in range(1, 26):
-        r = _chunk_size(c)
-        assert (c + 1) << (2 * c + (c + 1) * (r - 1)) < 1 << 63
-        assert (c + 1) << (2 * c + (c + 1) * r) >= 1 << 63
+        # each call's indicator is one (threshold t, z value v1) group:
+        # the children with a == t and z == v1, convolved once
+        groups = []
+        for f, _ in calls:
+            group = {(a[p], z[p]) for p in range(size) if f[p]}
+            assert len(group) == 1
+            groups += group
+        assert len(groups) == len(set(groups))
+        # and one call carries every partner rank of its threshold
+        ranks = max(max(g).bit_length() // (c + 1) + 1 for _, g in calls)
+        assert ranks > lane_ranks
