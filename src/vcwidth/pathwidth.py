@@ -25,8 +25,8 @@ from __future__ import annotations
 
 from .decomposition import Decomposition, contract, validate
 from .errors import InternalError
-from .states import (_forgets, _lowers, _pack, apex_context, final_value,
-                     state_bags, touching)
+from .states import (_best_lower, _forgets, _lowers, _pack, _packed_forgets,
+                     apex_context, final_value, state_bags, touching)
 
 
 def _pw_lowers(ctx, table, below, bag, apex):
@@ -57,36 +57,46 @@ def partial_width_table(ctx, stats=None, *, apex_pos):
     inside = ctx.inside
     apex = 1 << apex_pos
     table = {}
+    get = table.get
     triples = ctx.valid_triples(require_bit=apex_pos)
     states = 0
     slots = 0
     for below, bag in triples:
-        lowers = _pw_lowers(ctx, table, below, bag, apex)
-        if not lowers:
-            continue
         ahead = full & ~(below | bag)
-        uppers = [(0, 0, -1)] if ahead else []
-        uppers += _forgets(ctx, bag, ahead)
-        if not uppers:
-            continue
         base = bag.bit_count() + touching(inside, full, below, ahead) - 1
-        states += len(lowers) * len(uppers)
-        m1 = min(max(pred, base + xl) for _, xl, pred in lowers)
+        if below == 0 and bag == apex:
+            m1, lowers = base, 1  # the base state: pred 0, xl 0
+        else:
+            m1, lowers = _best_lower(ctx, get, below, bag, base)
+            if not lowers:
+                continue
         if m1 > base or not inside[bag]:
             # the tightness term, 0 or 1, cannot raise a lower that reaches
             # m1 > base, and it is 0 when no vertex is confined to the bag
-            values = [(slot, max(m1, base + xr)) for slot, xr, _ in uppers]
+            packed, uppers = _packed_forgets(ctx, bag, ahead, m1, base)
+            if ahead:  # the introduce upper: max(m1, base) = m1
+                packed |= min(m1, 254) + 1
+                uppers += 1
+            if not uppers:
+                continue
         else:
             # the lowers reaching m1 = base have xl = 0 and pred <= base;
             # an upper with xr = 0 costs one more unless one of them leaves
             # every bag-confined vertex a pendant bag elsewhere
-            free = [code for code, xl, pred in lowers
+            listed = [(0, 0, -1)] if ahead else []
+            listed += _forgets(ctx, bag, ahead)
+            if not listed:
+                continue
+            free = [code for code, xl, pred
+                    in _pw_lowers(ctx, table, below, bag, apex)
                     if not xl and pred <= base]
-            values = [(slot, base + (xr or all(
+            packed = _pack([(slot, base + (xr or all(
                 _tight(inside, bag, code, forgotten) for code in free)))
-                      for slot, xr, forgotten in uppers]
-        table[(below << k) | bag] = _pack(values)
-        slots += len(uppers)
+                for slot, xr, forgotten in listed])
+            uppers = len(listed)
+        states += lowers * uppers
+        table[(below << k) | bag] = packed
+        slots += uppers
     if stats is not None:
         stats["valid_triples"] = len(triples)
         stats["states"] = states

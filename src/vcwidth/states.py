@@ -22,11 +22,12 @@ Degenerate treewidth states have below == 0, no lower op, and a forget upper
 op; they are the base cases of the treewidth recurrence. The pathwidth base
 is the introduce-lower state with below == 0 and the apex alone in the bag.
 
-States are ranked by (|below|, |bag|); that order linearly extends the
-predecessor relation, so one sweep over triples in this order sees every
-predecessor before its successors. The sweeps never build states or op
-tags: they pack each triple's values into one int, and the tests check
-them against the literal model in tests/spec.py.
+Triples are enumerated with |below| never falling, each `below`'s bags in
+ascending order, and no sort; that order linearly extends the predecessor
+relation, so one sweep over triples in this order sees every predecessor
+before its successors. The sweeps never build states or op tags: they pack
+each triple's values into one int, and the tests check them against the
+literal model in tests/spec.py.
 """
 
 from __future__ import annotations
@@ -68,26 +69,39 @@ def components_outside(cov_adj, verts):
 
 
 def enumerate_valid_triples(cov_adj, require_bit=None):
-    """All valid triples as (below, bag) mask pairs, sorted by (|below|, |bag|).
+    """All valid triples as (below, bag) mask pairs, |below| never falling.
 
-    ahead is implied. For each bag X, the valid `below` sets are exactly the
-    unions of connected components of the cover graph minus X (an edge from a
-    component straddling below/ahead would be a below-ahead edge). If
-    `require_bit` is given, only bags containing that position are produced
-    (used with the apex position: the solvers never need the other states).
+    ahead is implied. A triple is valid iff every cover neighbor of `below`
+    outside it is in the bag, so the bags of one `below` L are need | Y with
+    need = N(L) - L and Y any subset of the rest. The belows come rank by
+    rank (each L of rank r + 1 extends one of rank r by a bit above its top
+    bit) and each L's bags in ascending order of Y. That linearly extends
+    the predecessor relation: forget and join predecessors have a smaller
+    `below`, an introduce predecessor a smaller bag under the same one.
+    If `require_bit` is given, only bags containing that position are
+    produced (used with the apex position: the solvers never need the other
+    states).
     """
     k = len(cov_adj)
     full = (1 << k) - 1
+    req = 0 if require_bit is None else 1 << require_bit
     out = []
-    bags = range(full + 1)
-    if require_bit is not None:
-        bags = [bag for bag in bags if bag >> require_bit & 1]
-    for bag in bags:
-        belows = [0]
-        for comp in components_outside(cov_adj, full & ~bag):
-            belows += [below | comp for below in belows]
-        out += [(below, bag) for below in belows]
-    out.sort(key=lambda t: (t[0].bit_count(), t[1].bit_count(), t[0], t[1]))
+    level = [(0, 0)]  # (below, its cover neighbors) of one rank
+    while level:
+        higher = []
+        for below, near in level:
+            need = (near & ~below) | req
+            ys = [0]
+            m = full & ~(below | need)
+            while m:
+                bit = m & -m
+                m ^= bit
+                ys += [y | bit for y in ys]
+            out += [(below, need | y) for y in ys]
+            for i in range(below.bit_length(), k):
+                if i != require_bit:
+                    higher.append((below | 1 << i, near | cov_adj[i]))
+        level = higher
     return out
 
 
@@ -267,6 +281,73 @@ def _lowers(ctx, table, below, bag):
         if pv:
             out.append((32 + u, 0, pv - 1))
     return out
+
+
+# _best_lower's value when no lower is reachable; above every real value.
+_NO_LOWER = 1 << 62
+
+
+def _best_lower(ctx, get, below, bag, base):
+    """(min over the reachable non-join lowers of max(pred, base + xl),
+    their count): _lowers folded into one value, reading the table through
+    its `get`. The value is _NO_LOWER when the count is 0."""
+    k = ctx.k
+    cov_adj = ctx.cov_adj
+    inside = ctx.inside
+    below_bag = below | bag
+    extra = base + inside[below_bag] - inside[bag]
+    key = below << k
+    best = _NO_LOWER
+    count = 0
+    m = bag
+    while m:
+        bit = m & -m
+        m ^= bit
+        if cov_adj[bit.bit_length() - 1] & below:
+            continue
+        pv = get(key | (bag ^ bit), 0) & 255
+        if pv:
+            count += 1
+            val = extra - inside[below_bag ^ bit] + inside[bag ^ bit]
+            if pv > val:
+                val = pv - 1
+            if val < best:
+                best = val
+    m = below
+    while m:
+        bit = m & -m
+        m ^= bit
+        pv = (get(((below ^ bit) << k) | bag | bit, 0)
+              >> (8 * bit.bit_length())) & 255
+        if pv:  # a forget lower has xl = 0
+            count += 1
+            val = pv - 1 if pv > base else base
+            if val < best:
+                best = val
+    return best, count
+
+
+def _packed_forgets(ctx, bag, ahead, floor, base):
+    """(packed forget upper slots, their count): slot v+1 holds
+    max(floor, base + xr) of each valid forget(v), as _pack stores it."""
+    cov_adj = ctx.cov_adj
+    inside = ctx.inside
+    bag_ahead = bag | ahead
+    extra = base + inside[bag_ahead] - inside[bag]
+    packed = 0
+    count = 0
+    m = bag
+    while m:
+        bit = m & -m
+        m ^= bit
+        v = bit.bit_length()
+        if not cov_adj[v - 1] & ahead:
+            count += 1
+            val = extra - inside[bag_ahead ^ bit] + inside[bag ^ bit]
+            if val < floor:
+                val = floor
+            packed |= (val if val < 254 else 254) + 1 << (8 * v)
+    return packed, count
 
 
 def _forgets(ctx, bag, ahead):

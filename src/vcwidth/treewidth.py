@@ -24,9 +24,9 @@ from __future__ import annotations
 
 from .decomposition import Decomposition, contract, validate
 from .errors import InternalError
-from .states import (_forgets, _lowers, _pack, _read, apex_context,
-                     components_outside, final_value, iter_bits, state_bags,
-                     touching)
+from .states import (_best_lower, _forgets, _lowers, _packed_forgets, _read,
+                     apex_context, components_outside, final_value,
+                     iter_bits, state_bags, touching)
 
 
 def _join_splits(ctx, table, below, bag, comps=None):
@@ -76,7 +76,9 @@ def _tw_sweep(ctx, apex_pos, join_candidates, stats, join_values):
     full = ctx.full
     inside = ctx.inside
     type_masks = ctx.type_masks
+    join_shift = 8 * (k + 1)
     table = {}
+    get = table.get
     triples = ctx.valid_triples(require_bit=apex_pos)
     states = 0
     slots = 0
@@ -87,31 +89,36 @@ def _tw_sweep(ctx, apex_pos, join_candidates, stats, join_values):
         floor = base + 1 if bag in type_masks else base
         if below == 0:
             # degenerate base states: no lower op, forget uppers only
-            forgets = _forgets(ctx, bag, ahead)
-            if forgets:
-                table[bag] = _pack([(slot, max(base + xr, floor))
-                                    for slot, xr, _ in forgets])
-                states += len(forgets)
-                slots += len(forgets)
+            packed, uppers = _packed_forgets(ctx, bag, ahead, floor, base)
+            if uppers:
+                table[bag] = packed
+                states += uppers
+                slots += uppers
             continue
         cross = base + touching(inside, full, below, ahead)
-        lowers = _lowers(ctx, table, below, bag)
+        best, lowers = _best_lower(ctx, get, below, bag, cross)
         joins = join_candidates(table, below, bag, cross)
         if not lowers and not joins:
             continue
-        uppers = [(0, 0, -1), (k + 1, 0, -1)] if ahead else []
-        uppers += _forgets(ctx, bag, ahead)
+        if joins:
+            best = min(best, *joins)
+        # every candidate is at least cross, so the introduce and join
+        # uppers (xr = 0) take best itself
+        best = max(floor, best)
+        packed, uppers = _packed_forgets(ctx, bag, ahead, best, cross)
+        if ahead:
+            val = min(best, 254) + 1
+            packed |= val | val << join_shift
+            uppers += 2
         if not uppers:
             continue
-        states += (len(lowers) + len(joins)) * len(uppers)
-        best = max(floor, min(
-            [max(pred, cross + xl) for _, xl, pred in lowers] + joins))
-        table[(below << k) | bag] = _pack([(slot, max(best, cross + xr))
-                                           for slot, xr, _ in uppers])
-        slots += len(uppers)
+        states += (lowers + len(joins)) * uppers
+        table[(below << k) | bag] = packed
+        slots += uppers
         if join_values is not None and joins:
             mj = max(floor, min(joins))
-            for slot, xr, _ in uppers:
+            listed = [(0, 0, -1), (k + 1, 0, -1)] if ahead else []
+            for slot, xr, _ in listed + _forgets(ctx, bag, ahead):
                 join_values[(below, bag, slot)] = max(mj, cross + xr)
     if stats is not None:
         stats["valid_triples"] = len(triples)

@@ -7,11 +7,13 @@ import pytest
 
 from vcwidth.errors import ResourceLimitError
 from vcwidth.graph import Graph
-from vcwidth.pathwidth import _tight
-from vcwidth.states import (MAX_COVER, CoverContext, _forgets, _lowers,
+from vcwidth.pathwidth import _tight, partial_width_table, pathwidth_vc
+from vcwidth.states import (_NO_LOWER, MAX_COVER, CoverContext, _best_lower,
+                            _forgets, _lowers, _pack, _packed_forgets,
                             apex_context, components_outside,
                             enumerate_valid_triples, iter_bits, touching)
-from vcwidth.treewidth import _join_splits
+from vcwidth.treewidth import _join_splits, treewidth_table, treewidth_vc_4k
+from vcwidth.treewidth_fast import treewidth_vc_3k
 from vcwidth.cover import minimum_vertex_cover
 
 from genutil import (path_graph, pw_tight_by_scan, random_graph,
@@ -80,12 +82,18 @@ def test_triple_counts():
         assert set(triples) == brute_force_triples(adj)
 
 
+def below_ranks_never_fall(triples):
+    ranks = [below.bit_count() for below, _ in triples]
+    return ranks == sorted(ranks)
+
+
 def test_enumeration_is_linear_extension_of_precedence():
     rng = random.Random(14)
     for _ in range(10):
         k = rng.randrange(2, 6)
         adj = cover_adjacency(rng, k, rng.random())
         triples = enumerate_valid_triples(adj)
+        assert below_ranks_never_fall(triples)
         for a, b in combinations(range(len(triples)), 2):
             # a strictly later triple must never precede an earlier one
             assert not (precedes(triples[b], triples[a])
@@ -100,6 +108,9 @@ def test_require_bit_filters_bags():
         bit = rng.randrange(k)
         with_bit = enumerate_valid_triples(adj, require_bit=bit)
         assert all(bag >> bit & 1 for _, bag in with_bit)
+        # tw-vc-3k computes a bag's joins of rank s at its first triple of
+        # rank s, so every lower rank must be swept by then
+        assert below_ranks_never_fall(with_bit)
         expect = [t for t in enumerate_valid_triples(adj) if t[1] >> bit & 1]
         assert sorted(with_bit) == sorted(expect)
 
@@ -308,6 +319,66 @@ def test_boundary_counts_match_type_scan():
                         assert tight == min(1, listed(bag, a, b))
             checked += 1
     assert checked > 1000 and splits > 100
+
+
+def _helper_cases():
+    """(context, live table) pairs: the contexts above and K_{2,300}, whose
+    forget costs pass one byte, each with a random part of its finished
+    treewidth and pathwidth tables, as a sweep sees its table part done."""
+    rng = random.Random(71)
+    wide = Graph(302, [(a, x) for a in (0, 1) for x in range(2, 302)])
+    gp, apex = wide.add_universal_vertex()
+    contexts = list(_count_spec_contexts())
+    contexts.append((CoverContext(gp, {0, 1, apex}), 2))
+    for ctx, ap in contexts:
+        for full_table in (treewidth_table(ctx, ap),
+                           partial_width_table(ctx, apex_pos=ap)):
+            yield ctx, {key: val for key, val in full_table.items()
+                        if rng.random() < 0.7}
+
+
+def test_folded_helpers_match_their_lists():
+    # _best_lower folds _lowers into one value and _packed_forgets packs
+    # _forgets with _pack's clamp; both must agree on every triple
+    rng = random.Random(72)
+    lowers_seen = wide_slots = 0
+    for ctx, table in _helper_cases():
+        for below, bag in ctx.valid_triples():
+            ahead = ctx.full & ~(below | bag)
+            base = rng.randrange(0, 8)
+            lowers = _lowers(ctx, table, below, bag)
+            best, count = _best_lower(ctx, table.get, below, bag, base)
+            assert count == len(lowers)
+            if lowers:
+                assert best == min(max(pred, base + xl)
+                                   for _, xl, pred in lowers)
+                lowers_seen += 1
+            else:
+                assert best == _NO_LOWER
+            forgets = _forgets(ctx, bag, ahead)
+            for floor in (base, base + rng.randrange(1, 300)):
+                values = [(slot, max(floor, base + xr))
+                          for slot, xr, _ in forgets]
+                assert _packed_forgets(ctx, bag, ahead, floor, base) == \
+                    (_pack(values), len(forgets))
+                wide_slots += sum(val > 254 for _, val in values)
+    assert lowers_seen > 1000 and wide_slots > 100
+
+
+def test_sweep_counters_of_the_ladder_k11_instance():
+    # the counters of ladder k = 11 (benchmark workload sparse-ladder):
+    # the sweeps' order and helpers may change, the work they count not
+    g = random_graph_with_cover(random.Random(20260814), 11, 28, 0.35)
+    counted = ("valid_triples", "states", "peak_table")
+    expect = {pathwidth_vc: (7623, 148770, 27363),
+              treewidth_vc_4k: (7623, 164360, 28844),
+              treewidth_vc_3k: (7623, 157720, 28844)}
+    for solve, want in expect.items():
+        stats = {}
+        solve(g, set(range(11)), stats)
+        assert tuple(stats[name] for name in counted) == want, solve
+    assert (stats["join_cells"], stats["convolve_calls"],
+            stats["convolve_cells"]) == (49424, 4059, 31936)
 
 
 def disjoint_edges(count):
