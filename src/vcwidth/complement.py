@@ -25,7 +25,7 @@ from __future__ import annotations
 import sys
 from array import array
 
-from .cover import is_vertex_cover, minimum_vertex_cover
+from .cover import minimum_vertex_cover
 from .decomposition import Decomposition, contract, validate
 from .errors import InputError, InternalError, ResourceLimitError
 from .states import iter_bits
@@ -308,16 +308,21 @@ def pathwidth_cvc(g, cover=None, stats=None, max_cover=MAX_COMPLEMENT_COVER):
         raise ResourceLimitError(
             f"graph has {g.n} vertices, the complement-cover solver "
             f"supports at most {MAX_VERTICES}")
-    comp = g.complement()
     if cover is None:
-        cover = minimum_vertex_cover(comp, limit=max_cover)
+        # every complement edge has an end in the cover, and one cover
+        # vertex ends at most n - 1 of them: check before building them
+        if g.n * (g.n - 1) // 2 - g.m <= max_cover * (g.n - 1):
+            cover = minimum_vertex_cover(g.complement(), limit=max_cover)
         if cover is None:
             raise ResourceLimitError(
                 f"complement cover exceeds the supported maximum "
                 f"of {max_cover}")
     else:
+        # a cover of the complement leaves a clique of g outside; the check
+        # stops at the first vertex missing a neighbor there
         cover = set(cover)
-        if not is_vertex_cover(comp, cover):
+        outside = set(range(g.n)) - cover
+        if any(len(outside - g.adj[v]) > 1 for v in outside):
             raise InputError(
                 "provided vertex set is not a vertex cover of the complement")
     k = len(cover)

@@ -1,8 +1,9 @@
 """Exact pathwidth parameterized by vertex cover size.
 
 Plan: add an apex vertex adjacent to everything, run a DP over states
-(lower op, below, bag, ahead, upper op) in precedence order, and read the
-answer off the state that forgets the apex last. Independent-side vertices
+(lower op, below, bag, ahead, upper op) in precedence order over the half
+of the triples with |below| <= |ahead|, and glue the two halves of the
+best path at its balanced state (see below). Independent-side vertices
 enter the arithmetic only as counts grouped by their cover-neighborhood
 type, read in O(1) from the zeta table `CoverContext.inside`; the witness
 builder expands them back into concrete bags.
@@ -17,6 +18,24 @@ apex alone in the bag) and the final state (everything else below, the apex
 alone in the bag). The DP over apex bags therefore reaches the optimum, and
 the 2^(k-1) bags without the apex (apex ahead or below) are never swept.
 
+Meet in the middle. Reversing a path decomposition maps the state
+(a, L, X, R, b) to (b*, R, X, L, a*), where * swaps introduce and forget of
+the same vertex, and every part of a state's local width survives that:
+- the triple stays valid, since the test (no L-R edge) is symmetric;
+- the crossing count touching(full, L, R) is symmetric in L and R;
+- the extra of an introduce(u) lower, touching(L | X, L, u), is the extra
+  of the mirrored forget(u) upper, touching(X | R', R', u) with R' = L;
+- the tightness term touching(X, a, b) is symmetric in a and b.
+So the reversed apex path has the same width. Along an apex path each op
+raises |L| - |R| by exactly one, from -m to m (m cover vertices besides the
+apex), so every apex path passes exactly one balanced state s0 with
+|L| = |R|. Its part up to s0 lies in the half, and the mirror of its part
+after s0 is again an apex path from the base state, in the half too. Hence
+pw + 1 = min over s0 and its upper ops of max(T[s0][op], T[mirror(s1)][op*])
+with s1 the state after s0 (_glue), and the witness chain is the left
+back-walk followed by the right one reversed and mirrored (_optimal_chain).
+The sweep touches about half the apex triples, with fewer lowers each.
+
 Table layout: one packed int per valid triple, as described in states.py;
 byte slot 0 is the introduce upper, slot u+1 the forget(u) upper.
 """
@@ -25,8 +44,9 @@ from __future__ import annotations
 
 from .decomposition import Decomposition, contract, validate
 from .errors import InternalError
-from .states import (_best_lower, _forgets, _lowers, _pack, _packed_forgets,
-                     apex_context, final_value, state_bags, touching)
+from .states import (_best_lower, _lowers, _packed_forgets, _read,
+                     apex_context, final_value, iter_bits, state_bags,
+                     touching)
 
 
 def _pw_lowers(ctx, table, below, bag, apex):
@@ -49,16 +69,101 @@ def _tight(inside, bag, code, forgotten):
     return 1 if touching(inside, bag, a, b) else 0
 
 
+def _free_intros(ctx, get, below, bag, base, apex):
+    """The bits u of the introduce(u) lowers with xl = 0 and pred <= base:
+    the lowers that reach base. No forget(u) lower does: the vertices that
+    see u and ahead but nothing else below are both what this triple's
+    crossing adds to its predecessor's and that predecessor's forget(u)
+    extra, so the predecessor's value is at least base + 1."""
+    if below == 0 and bag == apex:
+        return [apex]  # the base state: pred 0, xl 0
+    cov_adj = ctx.cov_adj
+    inside = ctx.inside
+    below_bag = below | bag
+    extra = inside[below_bag] - inside[bag]
+    key = below << ctx.k
+    intro = []
+    m = bag
+    while m:
+        bit = m & -m
+        m ^= bit
+        if cov_adj[bit.bit_length() - 1] & below:
+            continue
+        pv = get(key | (bag ^ bit), 0) & 255
+        if (pv and pv <= base + 1
+                and extra == inside[below_bag ^ bit] - inside[bag ^ bit]):
+            intro.append(bit)
+    return intro
+
+
+def _tight_uppers(ctx, get, below, bag, ahead, base, apex):
+    """(packed upper slots, their count) of a triple whose best lower
+    reaches exactly base while some vertex is confined to the bag.
+
+    Only the free lowers (_free_intros) reach base. An upper with xr = 0
+    costs base + 1 unless _tight is 0 for one of them: it leaves every
+    bag-confined vertex a pendant bag in a neighboring state.
+    """
+    cov_adj = ctx.cov_adj
+    inside = ctx.inside
+    in_bag = inside[bag]
+    packed = 0
+    count = 0
+    if ahead:
+        # under the introduce upper, _tight of introduce(u) is 0 only when
+        # no confined vertex sees u: check those lowers alone
+        val = base + 1
+        below_bag = below | bag
+        extra = inside[below_bag] - in_bag
+        key = below << ctx.k
+        m = bag
+        while m:
+            bit = m & -m
+            m ^= bit
+            rest = bag ^ bit
+            if inside[rest] != in_bag or cov_adj[bit.bit_length() - 1] & below:
+                continue
+            pv = get(key | rest, 0) & 255
+            if (pv and pv <= base + 1
+                    and extra == inside[below_bag ^ bit] - inside[rest]):
+                val = base
+                break
+        packed = (val if val < 254 else 254) + 1
+        count = 1
+    intro = None
+    bag_ahead = bag | ahead
+    extra = inside[bag_ahead] - in_bag
+    m = bag
+    while m:
+        bit = m & -m
+        m ^= bit
+        v = bit.bit_length()
+        if cov_adj[v - 1] & ahead:
+            continue
+        count += 1
+        rest = bag ^ bit
+        val = base + extra - inside[bag_ahead ^ bit] + inside[rest]
+        if val == base:  # xr = 0
+            if intro is None:
+                intro = _free_intros(ctx, get, below, bag, base, apex)
+            val += all(
+                in_bag - inside[bag ^ a] - inside[rest] + inside[rest & ~a]
+                for a in intro)
+        packed |= (val if val < 254 else 254) + 1 << (8 * v)
+    return packed, count
+
+
 def partial_width_table(ctx, stats=None, *, apex_pos):
-    """Run the pathwidth DP sweep over the bags holding the apex; returns
-    the packed state-value table."""
+    """Run the pathwidth DP sweep over the apex triples with |below| <=
+    |ahead|, the half that _glue reads; returns the packed state-value
+    table."""
     k = ctx.k
     full = ctx.full
     inside = ctx.inside
     apex = 1 << apex_pos
     table = {}
     get = table.get
-    triples = ctx.valid_triples(require_bit=apex_pos)
+    triples = ctx.valid_triples(require_bit=apex_pos, half=True)
     states = 0
     slots = 0
     for below, bag in triples:
@@ -77,23 +182,11 @@ def partial_width_table(ctx, stats=None, *, apex_pos):
             if ahead:  # the introduce upper: max(m1, base) = m1
                 packed |= min(m1, 254) + 1
                 uppers += 1
-            if not uppers:
-                continue
         else:
-            # the lowers reaching m1 = base have xl = 0 and pred <= base;
-            # an upper with xr = 0 costs one more unless one of them leaves
-            # every bag-confined vertex a pendant bag elsewhere
-            listed = [(0, 0, -1)] if ahead else []
-            listed += _forgets(ctx, bag, ahead)
-            if not listed:
-                continue
-            free = [code for code, xl, pred
-                    in _pw_lowers(ctx, table, below, bag, apex)
-                    if not xl and pred <= base]
-            packed = _pack([(slot, base + (xr or all(
-                _tight(inside, bag, code, forgotten) for code in free)))
-                for slot, xr, forgotten in listed])
-            uppers = len(listed)
+            packed, uppers = _tight_uppers(ctx, get, below, bag, ahead, base,
+                                           apex)
+        if not uppers:
+            continue
         states += lowers * uppers
         table[(below << k) | bag] = packed
         slots += uppers
@@ -104,20 +197,65 @@ def partial_width_table(ctx, stats=None, *, apex_pos):
     return table
 
 
-def _state_chain(ctx, table, apex_pos):
-    """Back-walk the table from the apex-forgetting final state.
+def _glue(ctx, table, apex_pos):
+    """(pw + 1, meet): the best apex path, glued at its balanced state.
 
-    Returns the optimal state chain bottom-up as tuples
+    Every apex path passes exactly one state s0 with |below| = |ahead|,
+    and the state s1 after it mirrors into the half table, so pw + 1 is the
+    min over s0 and its upper ops of max(T[s0][op], T[mirror(s1)][op*]):
+    introduce(v) pairs with slot v+1 of (ahead - v, bag + v, below), and
+    forget(u), u not the apex, with slot 0 of (ahead, bag - u, below + u).
+    `meet` is ((below, bag, slot) of s0, the same of mirror(s1)). When the
+    cover is the apex alone, the base state is the final state and the
+    second part is None.
+    """
+    k = ctx.k
+    full = ctx.full
+    apex = 1 << apex_pos
+    if k == 1:
+        return final_value(ctx, table, apex_pos), ((0, apex, apex_pos + 1),
+                                                   None)
+    get = table.get
+    best = 255  # stored bytes: min(value, 254) + 1
+    meet = None
+    for key, packed in table.items():
+        below = key >> k
+        bag = key & full
+        if 2 * below.bit_count() + bag.bit_count() != k:
+            continue
+        ahead = full ^ below ^ bag
+        a = packed & 255
+        if a and a < best:
+            for v in iter_bits(ahead):
+                b = (get(((ahead ^ 1 << v) << k) | bag | 1 << v, 0)
+                     >> (8 * v + 8)) & 255
+                if b and max(a, b) < best:
+                    best = max(a, b)
+                    meet = ((below, bag, 0), (ahead ^ 1 << v, bag | 1 << v,
+                                              v + 1))
+        for u in iter_bits(bag ^ apex):
+            a = (packed >> (8 * u + 8)) & 255
+            if a and a < best:
+                b = get((ahead << k) | (bag ^ 1 << u), 0) & 255
+                if b and max(a, b) < best:
+                    best = max(a, b)
+                    meet = ((below, bag, u + 1), (ahead, bag ^ 1 << u, 0))
+    if meet is None:
+        raise InternalError("the DP finished without a balanced state")
+    return best - 1, meet
+
+
+def _state_chain(ctx, table, apex_pos, below, bag, slot, val):
+    """Back-walk the table from the state (below, bag, upper `slot`) of
+    value `val` to the base state.
+
+    Returns the state chain bottom-up as tuples
     (lower code, below, bag, upper slot). Ties go to the lowest lower code,
     i.e. the lowest encoded state key.
     """
     full = ctx.full
     inside = ctx.inside
     apex = 1 << apex_pos
-    below = full ^ apex
-    bag = apex
-    slot = apex_pos + 1
-    val = final_value(ctx, table, apex_pos)
     chain = []
     while True:
         ahead = full & ~(below | bag)
@@ -151,7 +289,36 @@ def _state_chain(ctx, table, apex_pos):
     return chain
 
 
-def reconstruct_path(g, ctx, table, apex, width):
+def _optimal_chain(ctx, table, apex_pos, meet):
+    """The optimal apex path's state chain, bottom-up, from _glue's meet.
+
+    The left half is walked back from s0. The right half is walked back
+    from mirror(s1), then reversed and mirrored: below and ahead swap, a
+    mirrored introduce(u) lower becomes the forget(u) upper, a mirrored
+    forget lower the introduce upper, a mirrored forget(v) upper the
+    introduce(v) lower, and a mirrored introduce upper the forget lower of
+    the vertex that the state before it in the chain keeps in its bag.
+    """
+    k = ctx.k
+    full = ctx.full
+    left, right = meet
+    chain = _state_chain(ctx, table, apex_pos, *left,
+                         _read(table, k, *left))
+    if right is None:
+        return chain
+    mirrored = _state_chain(ctx, table, apex_pos, *right,
+                            _read(table, k, *right))
+    for code, ahead, bag, slot in reversed(mirrored):
+        below = full & ~(ahead | bag)
+        if slot:
+            lower = slot - 1
+        else:
+            lower = 32 + (below ^ chain[-1][1]).bit_length() - 1
+        chain.append((lower, below, bag, code + 1 if code < 32 else 0))
+    return chain
+
+
+def reconstruct_path(g, ctx, table, apex, meet, width):
     """Expand the optimal state chain into a path decomposition of g.
 
     Every state contributes a run of bags: first bag with the lower-op
@@ -162,8 +329,8 @@ def reconstruct_path(g, ctx, table, apex, width):
     """
     bags = []
     placed = set()
-    for code, below, bag, slot in _state_chain(ctx, table,
-                                               ctx.position[apex]):
+    for code, below, bag, slot in _optimal_chain(ctx, table,
+                                                 ctx.position[apex], meet):
         lower = (below, 1 << code) if code < 32 else None
         core, first, last = state_bags(ctx, below, bag, lower, slot - 1)
         # as in _tight, `bag` stands for "no condition"
@@ -196,5 +363,5 @@ def pathwidth_vc(g, cover=None, stats=None):
     ctx, apex = apex_context(g, cover, stats)
     apex_pos = ctx.position[apex]
     table = partial_width_table(ctx, stats, apex_pos=apex_pos)
-    width = final_value(ctx, table, apex_pos) - 1
-    return width, reconstruct_path(g, ctx, table, apex, width)
+    value, meet = _glue(ctx, table, apex_pos)
+    return value - 1, reconstruct_path(g, ctx, table, apex, meet, value - 1)

@@ -68,7 +68,7 @@ def components_outside(cov_adj, verts):
     return comps
 
 
-def enumerate_valid_triples(cov_adj, require_bit=None):
+def enumerate_valid_triples(cov_adj, require_bit=None, half=False):
     """All valid triples as (below, bag) mask pairs, |below| never falling.
 
     ahead is implied. A triple is valid iff every cover neighbor of `below`
@@ -81,27 +81,39 @@ def enumerate_valid_triples(cov_adj, require_bit=None):
     If `require_bit` is given, only bags containing that position are
     produced (used with the apex position: the solvers never need the other
     states).
+
+    With `half`, only the triples with |below| <= |ahead| are produced: the
+    bags need | Y with |need | Y| <= k - 2|L|. An introduce predecessor has
+    a larger ahead and a forget predecessor a smaller below, so the set is
+    closed under predecessors. Every L' extending L has L | need within
+    L' | need', so |L'| + |need'| >= |L| + |need| and L' has no room left
+    once L has none: such an L is not extended.
     """
     k = len(cov_adj)
     full = (1 << k) - 1
     req = 0 if require_bit is None else 1 << require_bit
     out = []
     level = [(0, 0)]  # (below, its cover neighbors) of one rank
+    rank = 0
     while level:
         higher = []
         for below, near in level:
             need = (near & ~below) | req
-            ys = [0]
             m = full & ~(below | need)
+            room = k - 2 * rank - need.bit_count() if half else k
+            if room < 0:
+                continue
+            ys = [0]
             while m:
                 bit = m & -m
                 m ^= bit
-                ys += [y | bit for y in ys]
+                ys += [y | bit for y in ys if y.bit_count() < room]
             out += [(below, need | y) for y in ys]
             for i in range(below.bit_length(), k):
                 if i != require_bit:
                     higher.append((below | 1 << i, near | cov_adj[i]))
         level = higher
+        rank += 1
     return out
 
 
@@ -148,8 +160,8 @@ class CoverContext:
             cnt[m] = c
         return zeta(SetFunction(self.k, cnt)).values
 
-    def valid_triples(self, require_bit=None):
-        return enumerate_valid_triples(self.cov_adj, require_bit)
+    def valid_triples(self, require_bit=None, half=False):
+        return enumerate_valid_triples(self.cov_adj, require_bit, half)
 
     def expand(self, mask):
         """Cover mask -> set of actual vertex ids."""
@@ -236,14 +248,6 @@ def touching(inside, outer, a, b):
 # stores min(value, 254) + 1. Every optimum is at most k <= 26, so a
 # saturated state never wins and no back-walk visits one.
 
-def _pack(values):
-    """Packed int of a list of (slot, value) pairs."""
-    packed = 0
-    for slot, val in values:
-        packed |= (min(val, 254) + 1) << (8 * slot)
-    return packed
-
-
 def _read(table, k, below, bag, slot):
     pv = (table.get((below << k) | bag, 0) >> (8 * slot)) & 255
     return pv - 1 if pv else None
@@ -329,7 +333,8 @@ def _best_lower(ctx, get, below, bag, base):
 
 def _packed_forgets(ctx, bag, ahead, floor, base):
     """(packed forget upper slots, their count): slot v+1 holds
-    max(floor, base + xr) of each valid forget(v), as _pack stores it."""
+    max(floor, base + xr) of each valid forget(v), stored as the packed
+    tables store values."""
     cov_adj = ctx.cov_adj
     inside = ctx.inside
     bag_ahead = bag | ahead

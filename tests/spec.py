@@ -11,7 +11,9 @@ import sys
 from collections import namedtuple
 
 from vcwidth.decomposition import Decomposition
-from vcwidth.states import iter_bits
+from vcwidth.pathwidth import _pw_lowers, _tight
+from vcwidth.states import (_best_lower, _forgets, _packed_forgets,
+                            iter_bits, touching)
 
 
 OpTag = namedtuple("OpTag", ["kind", "arg"])
@@ -430,3 +432,69 @@ def glue_by_scan(g, order, rooted):
         if best is None or cand < best[0]:
             best = (cand, l_mask)
     return best
+
+
+def _pack(values):
+    """Packed int of a list of (slot, value) pairs, as the tables store
+    them (see states.py)."""
+    packed = 0
+    for slot, val in values:
+        packed |= (min(val, 254) + 1) << (8 * slot)
+    return packed
+
+
+def pw_apex_sweep_table(ctx, stats=None, *, apex_pos):
+    """The pathwidth DP over every apex triple, |below| > |ahead| included:
+    the packed table whose final state (everything but the apex below, the
+    apex alone in the bag, forgotten next) holds pw + 1. The solver sweeps
+    the half with |below| <= |ahead| and glues; its table must equal this
+    one on every key it holds, and its glued value this final value.
+    """
+    k = ctx.k
+    full = ctx.full
+    inside = ctx.inside
+    apex = 1 << apex_pos
+    table = {}
+    get = table.get
+    triples = ctx.valid_triples(require_bit=apex_pos)
+    states = 0
+    slots = 0
+    for below, bag in triples:
+        ahead = full & ~(below | bag)
+        base = bag.bit_count() + touching(inside, full, below, ahead) - 1
+        if below == 0 and bag == apex:
+            m1, lowers = base, 1  # the base state: pred 0, xl 0
+        else:
+            m1, lowers = _best_lower(ctx, get, below, bag, base)
+            if not lowers:
+                continue
+        if m1 > base or not inside[bag]:
+            packed, uppers = _packed_forgets(ctx, bag, ahead, m1, base)
+            if ahead:  # the introduce upper: max(m1, base) = m1
+                packed |= min(m1, 254) + 1
+                uppers += 1
+            if not uppers:
+                continue
+        else:
+            # the lowers reaching m1 = base have xl = 0 and pred <= base;
+            # an upper with xr = 0 costs one more unless one of them leaves
+            # every bag-confined vertex a pendant bag elsewhere
+            listed = [(0, 0, -1)] if ahead else []
+            listed += _forgets(ctx, bag, ahead)
+            if not listed:
+                continue
+            free = [code for code, xl, pred
+                    in _pw_lowers(ctx, table, below, bag, apex)
+                    if not xl and pred <= base]
+            packed = _pack([(slot, base + (xr or all(
+                _tight(inside, bag, code, forgotten) for code in free)))
+                for slot, xr, forgotten in listed])
+            uppers = len(listed)
+        states += lowers * uppers
+        table[(below << k) | bag] = packed
+        slots += uppers
+    if stats is not None:
+        stats["valid_triples"] = len(triples)
+        stats["states"] = states
+        stats["peak_table"] = slots
+    return table

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import types
 
 import pytest
@@ -291,6 +292,35 @@ def test_cover_far_above_the_cap_exits_3_at_once(tmp_path, n, p, algo,
         env=env, capture_output=True, text=True, timeout=20)
     assert result.returncode == 3 and result.stdout == ""
     assert result.stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("n", [3000, 6000])
+def test_complement_cover_far_above_the_cap_exits_at_once(tmp_path, n):
+    # a path's complement has about n^2 / 2 edges: the edge count rules out
+    # a cover within the cap before the complement is built, and a given
+    # cover is checked against the path's own edges
+    path = write(tmp_path, "p.gr",
+                 gr_text(n, [(i, i + 1) for i in range(n - 1)]))
+    beyond = "complement cover exceeds the supported maximum of 26"
+    cases = [
+        ([], 3, beyond),
+        (["--cover", write(tmp_path, "small.cover", "1 2 3")], 2,
+         "provided vertex set is not a vertex cover of the complement"),
+        (["--cover", write(tmp_path, "big.cover",
+                           " ".join(map(str, range(3, n + 1))))], 3,
+         f"complement cover of size {n - 2} exceeds the supported maximum "
+         f"of 26")]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    for extra, code, message in cases:
+        start = time.perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-m", "vcwidth", "pw", "--algo", "cvc",
+             "--input", path, *extra],
+            env=env, capture_output=True, text=True, timeout=20)
+        assert time.perf_counter() - start < 5
+        assert (result.returncode, result.stdout) == (code, "")
+        assert result.stderr == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("solver", [["pw"], ["tw"], ["tw", "--algo", "4k"]])

@@ -8,15 +8,17 @@ from vcwidth.cover import minimum_vertex_cover
 from vcwidth.decomposition import find_violations
 from vcwidth.graph import Graph
 from vcwidth.oracle import pathwidth_exact
-from vcwidth.pathwidth import (_state_chain, partial_width_table,
+from vcwidth.pathwidth import (_glue, _optimal_chain, partial_width_table,
                                pathwidth_vc)
-from vcwidth.states import CoverContext, iter_bits
+from vcwidth.states import (CoverContext, _lowers, final_value, iter_bits,
+                            touching)
 from vcwidth.treewidth import treewidth_table, treewidth_vc_4k
 
 from genutil import (complete_graph, cycle_graph, grid_graph, path_graph,
                      pw_by_full_sweep, random_graph, random_graph_with_cover,
                      random_tree)
-from spec import State, boundary_sets_pw, forget, introduce, local_width_pw
+from spec import (State, boundary_sets_pw, forget, introduce, local_width_pw,
+                  pw_apex_sweep_table)
 
 
 def solved(g, **kw):
@@ -149,21 +151,26 @@ def test_base_states_equal_their_local_width():
                 1, len(crossing), len(xl), len(xr), eps)
 
 
+def glued_chain(ctx, table, ap):
+    value, meet = _glue(ctx, table, ap)
+    return value, _optimal_chain(ctx, table, ap, meet)
+
+
 def test_witness_bag_count_bound():
     rng = random.Random(37)
     for _ in range(20):
         g = random_graph(rng, rng.randrange(2, 9), rng.random())
         w, dec = pathwidth_vc(g)
         gp, apex, ctx = context_of(g)
-        table = partial_width_table(ctx, apex_pos=ctx.position[apex])
-        chain = _state_chain(ctx, table, ctx.position[apex])
+        ap = ctx.position[apex]
+        chain = glued_chain(ctx, partial_width_table(ctx, apex_pos=ap), ap)[1]
         s = len(ctx.rest)
         assert len(dec.bags) <= len(chain) * (s + 2) + s
 
 
 def test_apex_bag_sweep_matches_full_sweep():
     # the sweep covers only bags holding the apex; sweeping every valid
-    # triple by literal type scans must reach the same final value
+    # triple by literal type scans must reach the glued value
     rng = random.Random(38)
     for trial in range(520):
         k = trial % 8
@@ -172,10 +179,114 @@ def test_apex_bag_sweep_matches_full_sweep():
         gp, apex = g.add_universal_vertex()
         ctx = CoverContext(gp, set(range(k)) | {apex})
         ap = ctx.position[apex]
-        table = partial_width_table(ctx, apex_pos=ap)
-        final = (table[((ctx.full ^ (1 << ap)) << ctx.k) | (1 << ap)]
-                 >> (8 * (ap + 1))) & 255
-        assert final - 1 == pw_by_full_sweep(ctx, ap), f"{g.edges}"
+        value = _glue(ctx, partial_width_table(ctx, apex_pos=ap), ap)[0]
+        assert value == pw_by_full_sweep(ctx, ap), f"{g.edges}"
+
+
+def half_and_spec_tables(rng):
+    """(graph, context, apex position, half table, spec table) of random
+    graphs with a minimum cover and of planted-cover graphs, K_{2,300}
+    last."""
+    graphs = [(g, minimum_vertex_cover(g)) for g in
+              (random_graph(rng, rng.randrange(1, 10), rng.random())
+               for _ in range(150))]
+    for k in range(8):
+        for _ in range(12):
+            graphs.append((random_graph_with_cover(
+                rng, k, k + rng.randrange(0, 9), rng.choice([0.2, 0.5, 0.8])),
+                set(range(k))))
+    graphs.append((Graph(302, [(a, x) for a in (0, 1)
+                               for x in range(2, 302)]), {0, 1}))
+    for g, cover in graphs:
+        gp, apex = g.add_universal_vertex()
+        ctx = CoverContext(gp, set(cover) | {apex})
+        ap = ctx.position[apex]
+        yield (g, ctx, ap, partial_width_table(ctx, apex_pos=ap),
+               pw_apex_sweep_table(ctx, apex_pos=ap))
+
+
+def test_half_table_equals_spec_table():
+    # the half sweep holds exactly the spec's entries with |below| <=
+    # |ahead|, value for value: every predecessor of such a triple is one
+    entries = 0
+    for g, ctx, ap, half, spec in half_and_spec_tables(random.Random(39)):
+        want = {key: packed for key, packed in spec.items()
+                if (key >> ctx.k).bit_count()
+                <= (ctx.full & ~((key >> ctx.k) | key)).bit_count()}
+        assert half == want, f"{g.edges}"
+        entries += len(half)
+    assert entries > 5000
+
+
+def test_no_forget_lower_reaches_the_local_base():
+    # the sweep's tightness branch looks only at introduce lowers: a
+    # forget(u) lower's predecessor already pays, as its forget extra, the
+    # crossing vertices this triple adds, so pred >= base + 1 (both clamped
+    # as stored: K_{2,300}'s predecessors saturate at 254)
+    forgets = 0
+    for g, ctx, ap, _, spec in half_and_spec_tables(random.Random(42)):
+        for below, bag in ctx.valid_triples(require_bit=ap):
+            ahead = ctx.full & ~(below | bag)
+            base = (bag.bit_count() - 1
+                    + touching(ctx.inside, ctx.full, below, ahead))
+            for code, xl, pred in _lowers(ctx, spec, below, bag):
+                if code >= 32:
+                    assert pred > min(base, 253), f"{g.edges}"
+                    forgets += 1
+    assert forgets > 5000
+
+
+def test_glued_width_matches_full_sweep_and_oracle():
+    # the glue over the balanced triples reads the spec's final value; the
+    # witness built from the glued chain validates at that width
+    saturated = 0
+    for g, ctx, ap, half, spec in half_and_spec_tables(random.Random(40)):
+        value, chain = glued_chain(ctx, half, ap)
+        assert value == final_value(ctx, spec, ap), f"{g.edges}"
+        assert value == pw_by_full_sweep(ctx, ap)
+        cover = set(ctx.order) - {ctx.order[ap]}
+        assert solved(g, cover=cover) == value - 1
+        if g.n <= 9:
+            assert value - 1 == pathwidth_exact(g), f"{g.edges}"
+        saturated += sum(val == 254 for *_, val in decode(half, ctx.k))
+    assert saturated > 0  # K_{2,300}'s forget slots
+
+
+def test_glued_chain_is_an_apex_path_at_the_glued_value():
+    # the chain runs from the base state to the final state one op at a
+    # time, passes its balanced state once, and the largest local width
+    # along it, by the spec's literal boundary sets, is the glued value
+    mirrored = 0
+    for g, ctx, ap, half, _ in half_and_spec_tables(random.Random(41)):
+        value, chain = glued_chain(ctx, half, ap)
+        apex = 1 << ap
+        assert chain[0][:3] == (ap, 0, apex)
+        assert chain[-1] == (chain[-1][0], ctx.full ^ apex, apex, ap + 1)
+        widths = []
+        for i, (code, below, bag, slot) in enumerate(chain):
+            ahead = ctx.full & ~(below | bag)
+            if i + 1 < len(chain):
+                nxt_code, nxt_below, nxt_bag, _ = chain[i + 1]
+                if slot == 0:  # introduce upper: the next state's lower
+                    assert nxt_code < 32 and nxt_below == below
+                    assert nxt_bag == bag | 1 << nxt_code
+                    assert ahead >> nxt_code & 1
+                else:
+                    assert nxt_code == 32 + slot - 1
+                    assert (nxt_below, nxt_bag) == (below | 1 << (slot - 1),
+                                                    bag ^ 1 << (slot - 1))
+            lower = introduce(code) if code < 32 else forget(code - 32)
+            upper = introduce(0) if slot == 0 else forget(slot - 1)
+            crossing, xl, xr, _, eps = boundary_sets_pw(
+                ctx.graph, ctx.order, State(lower, below, bag, ahead, upper))
+            widths.append(local_width_pw(bag.bit_count(), len(crossing),
+                                         len(xl), len(xr), eps))
+            mirrored += below.bit_count() > ahead.bit_count()
+        assert len(chain) == 2 * ctx.k - 1
+        assert sum(2 * below.bit_count() + bag.bit_count() == ctx.k
+                   for _, below, bag, _ in chain) == 1
+        assert max(widths) == value, f"{g.edges}"
+    assert mirrored > 500
 
 
 def valid_upper_slots(ctx, below, bag, join_slot):
@@ -194,6 +305,7 @@ def test_wide_values_saturate_inside_their_slot():
     ctx = CoverContext(gp, {0, 1, apex})
     ap = ctx.position[apex]
     tables = [(partial_width_table(ctx, apex_pos=ap), None),
+              (pw_apex_sweep_table(ctx, apex_pos=ap), None),
               (treewidth_table(ctx, ap), ctx.k + 1)]
     for table, join_slot in tables:
         for below, bag, slot, val in decode(table, ctx.k):

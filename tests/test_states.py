@@ -7,9 +7,9 @@ import pytest
 
 from vcwidth.errors import ResourceLimitError
 from vcwidth.graph import Graph
-from vcwidth.pathwidth import _tight, partial_width_table, pathwidth_vc
+from vcwidth.pathwidth import _tight, pathwidth_vc
 from vcwidth.states import (_NO_LOWER, MAX_COVER, CoverContext, _best_lower,
-                            _forgets, _lowers, _pack, _packed_forgets,
+                            _forgets, _lowers, _packed_forgets,
                             apex_context, components_outside,
                             enumerate_valid_triples, iter_bits, touching)
 from vcwidth.treewidth import _join_splits, treewidth_table, treewidth_vc_4k
@@ -20,8 +20,8 @@ from genutil import (path_graph, pw_tight_by_scan, random_graph,
                      random_graph_with_cover, scan_types)
 from spec import (State, boundary_sets_pw, boundary_sets_tw, forget,
                   introduce, is_valid_triple, join_with_part, local_width_pw,
-                  local_width_tw, precedes, pw_ops, tw_lower_ops,
-                  tw_upper_ops)
+                  local_width_tw, _pack, precedes, pw_apex_sweep_table,
+                  pw_ops, tw_lower_ops, tw_upper_ops)
 
 
 def cover_adjacency(rng, k, p):
@@ -113,6 +113,33 @@ def test_require_bit_filters_bags():
         assert below_ranks_never_fall(with_bit)
         expect = [t for t in enumerate_valid_triples(adj) if t[1] >> bit & 1]
         assert sorted(with_bit) == sorted(expect)
+
+
+def test_half_keeps_the_triples_with_below_at_most_ahead():
+    # the half is the full list filtered, in the same order, so it is a
+    # linear extension of precedence too; and it is closed under
+    # predecessors, which the pathwidth sweep reads
+    rng = random.Random(16)
+    kept = 0
+    for _ in range(40):
+        k = rng.randrange(1, 9)
+        adj = cover_adjacency(rng, k, rng.random())
+        full = (1 << k) - 1
+        for bit in (None, rng.randrange(k)):
+            half = enumerate_valid_triples(adj, require_bit=bit, half=True)
+            assert half == [
+                (below, bag)
+                for below, bag in enumerate_valid_triples(adj, require_bit=bit)
+                if below.bit_count() <= (full & ~(below | bag)).bit_count()]
+            held = set(half)
+            for below, bag in half:
+                for u in iter_bits(bag):  # introduce(u) predecessors
+                    if bit != u and not adj[u] & below:
+                        assert (below, bag ^ 1 << u) in held
+                for u in iter_bits(below):  # forget(u) predecessors
+                    assert (below ^ 1 << u, bag | 1 << u) in held
+            kept += len(half)
+    assert kept > 1000
 
 
 def test_tw_ops_examples():
@@ -332,7 +359,7 @@ def _helper_cases():
     contexts.append((CoverContext(gp, {0, 1, apex}), 2))
     for ctx, ap in contexts:
         for full_table in (treewidth_table(ctx, ap),
-                           partial_width_table(ctx, apex_pos=ap)):
+                           pw_apex_sweep_table(ctx, apex_pos=ap)):
             yield ctx, {key: val for key, val in full_table.items()
                         if rng.random() < 0.7}
 
@@ -367,10 +394,17 @@ def test_folded_helpers_match_their_lists():
 
 def test_sweep_counters_of_the_ladder_k11_instance():
     # the counters of ladder k = 11 (benchmark workload sparse-ladder):
-    # the sweeps' order and helpers may change, the work they count not
+    # the sweeps' order and helpers may change, the work they count not.
+    # pw-vc sweeps the apex triples with |below| <= |ahead|; the full apex
+    # sweep, kept as a spec, still counts what pw-vc counted before
     g = random_graph_with_cover(random.Random(20260814), 11, 28, 0.35)
     counted = ("valid_triples", "states", "peak_table")
-    expect = {pathwidth_vc: (7623, 148770, 27363),
+    gp, apex = g.add_universal_vertex()
+    ctx = CoverContext(gp, set(range(11)) | {apex})
+    stats = {}
+    pw_apex_sweep_table(ctx, stats, apex_pos=ctx.position[apex])
+    assert tuple(stats[name] for name in counted) == (7623, 148770, 27363)
+    expect = {pathwidth_vc: (4037, 42527, 8021),
               treewidth_vc_4k: (7623, 164360, 28844),
               treewidth_vc_3k: (7623, 157720, 28844)}
     for solve, want in expect.items():
