@@ -13,6 +13,19 @@ forget is ever valid (everything neighbors the apex), so no value is finite,
 and with the apex below a state cannot reach the final one. The packed table
 layout is the one in states.py, with byte slot k+1 for the join upper op.
 
+The sweep fills only the states within an upper bound on the final value,
+width_bound's greedy elimination width of the apexed graph. A state's value
+is the max of its predecessor's value and its local width, so values never
+fall along a path to the final state, and every state on an optimal path is
+worth at most the final value. Every lower candidate of a triple is at
+least its `cross`, so a triple whose `cross` exceeds the bound is skipped
+before any candidate is read, and a triple whose floored best exceeds it is
+not stored. What is stored stays exact: a value within the bound comes
+from predecessors within it (both children, for a join), stored by
+induction, and a predecessor missing from the table is worth more than the
+bound, and so is its candidate. A stored triple keeps all its upper slots,
+also those above the bound.
+
 One sweep body, _tw_sweep, serves both treewidth solvers; they differ only
 in where a triple's join candidates come from. treewidth_table enumerates
 the bipartitions of `below` into component unions over the live table;
@@ -21,6 +34,8 @@ rank, as the sweep reaches them.
 """
 
 from __future__ import annotations
+
+import heapq
 
 from .decomposition import Decomposition, contract, validate
 from .errors import InternalError
@@ -63,8 +78,63 @@ def _join_splits(ctx, table, below, bag, comps=None):
     return out
 
 
+def width_bound(ctx):
+    """Width of a greedy minimum-degree elimination order of the apexed
+    graph: an upper bound on its treewidth, the final value of the sweep.
+
+    Each step eliminates the cheapest of the independent-side types (their
+    vertices see only their cover mask, which becomes a clique) and the
+    cover vertices that at most one independent vertex still sees (that
+    vertex takes over their cover neighbors); ties go to types, then to the
+    earliest type or the lowest position. A cover vertex seen by two independent
+    vertices waits, so no two independent vertices become adjacent. Costs
+    O(#types * (k + log #types) + k^3), whatever the number of vertices.
+    """
+    adj = list(ctx.cov_adj)
+    masks = [m for m, _ in ctx.types]
+    seen = [0] * ctx.k  # live independent vertices seeing each position
+    for m, mult in ctx.types:
+        for i in iter_bits(m):
+            seen[i] += mult
+    heap = [(m.bit_count(), t, m) for t, m in enumerate(masks)]
+    heapq.heapify(heap)
+    left = ctx.full
+    width = 0
+    while heap or left:
+        while heap and masks[heap[0][1]] != heap[0][2]:
+            heapq.heappop(heap)  # a type gone or changed since pushed
+        u, du = -1, ctx.k + 1
+        for i in iter_bits(left):
+            if seen[i] <= 1:
+                d = (adj[i] & left).bit_count() + seen[i]
+                if d < du:
+                    u, du = i, d
+        if heap and heap[0][0] <= du:
+            d, t, m = heapq.heappop(heap)
+            masks[t] = None
+            for i in iter_bits(m):
+                adj[i] |= m ^ (1 << i)
+                seen[i] -= ctx.types[t][1]
+        else:
+            d = du
+            left ^= 1 << u
+            near = adj[u] & left
+            for i in iter_bits(near):
+                adj[i] |= near ^ (1 << i)
+            if seen[u]:
+                t = next(t for t, m in enumerate(masks)
+                         if m is not None and m >> u & 1)
+                for i in iter_bits(near & ~masks[t]):
+                    seen[i] += 1
+                masks[t] = (masks[t] | near) ^ (1 << u)
+                heapq.heappush(heap, (masks[t].bit_count(), t, masks[t]))
+        width = max(width, d)
+    return width
+
+
 def _tw_sweep(ctx, apex_pos, join_candidates, stats, join_values):
-    """The treewidth DP sweep over bags containing the apex.
+    """The treewidth DP sweep over bags containing the apex, filling only
+    the states within width_bound(ctx).
 
     `join_candidates(table, below, bag, cross)` lists the values of the
     join lowers of a triple, each already max(child value, cross +
@@ -77,6 +147,7 @@ def _tw_sweep(ctx, apex_pos, join_candidates, stats, join_values):
     inside = ctx.inside
     type_masks = ctx.type_masks
     join_shift = 8 * (k + 1)
+    limit = width_bound(ctx)
     table = {}
     get = table.get
     triples = ctx.valid_triples(require_bit=apex_pos)
@@ -89,6 +160,8 @@ def _tw_sweep(ctx, apex_pos, join_candidates, stats, join_values):
         floor = base + 1 if bag in type_masks else base
         if below == 0:
             # degenerate base states: no lower op, forget uppers only
+            if floor > limit:
+                continue
             packed, uppers = _packed_forgets(ctx, bag, ahead, floor, base)
             if uppers:
                 table[bag] = packed
@@ -96,6 +169,8 @@ def _tw_sweep(ctx, apex_pos, join_candidates, stats, join_values):
                 slots += uppers
             continue
         cross = base + touching(inside, full, below, ahead)
+        if cross > limit:
+            continue
         best, lowers = _best_lower(ctx, get, below, bag, cross)
         joins = join_candidates(table, below, bag, cross)
         if not lowers and not joins:
@@ -105,6 +180,8 @@ def _tw_sweep(ctx, apex_pos, join_candidates, stats, join_values):
         # every candidate is at least cross, so the introduce and join
         # uppers (xr = 0) take best itself
         best = max(floor, best)
+        if best > limit:
+            continue
         packed, uppers = _packed_forgets(ctx, bag, ahead, best, cross)
         if ahead:
             val = min(best, 254) + 1
@@ -121,6 +198,7 @@ def _tw_sweep(ctx, apex_pos, join_candidates, stats, join_values):
             for slot, xr, _ in listed + _forgets(ctx, bag, ahead):
                 join_values[(below, bag, slot)] = max(mj, cross + xr)
     if stats is not None:
+        stats["width_bound"] = limit
         stats["valid_triples"] = len(triples)
         stats["states"] = states
         stats["peak_table"] = slots

@@ -4,11 +4,11 @@ enumeration.
 Same states, values and sweep as treewidth.py, but the per-state minimum
 over join bipartitions is not found by enumerating bipartitions of `below`.
 The sweep runs once, its triples ordered so that |below| never falls. The
-first time it reaches a triple with |below| = s at bag X, it computes X's
-join minima for every target of cover rank s from the live table: a join of
-a target of rank s reads only children of rank below s at X, and the sweep
-has finished all of those, while no child of rank s or higher at X has been
-reached yet.
+first time it reaches a triple with |below| = s at bag X within the width
+bound, it computes X's join minima for every target of cover rank s from
+the live table: a join of a target of rank s reads only children of rank
+below s at X, and the sweep has finished all of those, while no child of
+rank s or higher at X has been reached yet.
 
 The universe of a bag's joins is its c components: the connected components
 of the cover graph minus X. Every feasible child W and every target L is a

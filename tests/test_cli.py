@@ -101,6 +101,24 @@ def test_stats_block_of_the_3k_solver(tmp_path, capsys):
     assert again == out
 
 
+def test_stats_block_prints_the_width_bound_of_both_treewidth_solvers(
+        tmp_path, capsys):
+    # C5 plus the apex: the greedy elimination width is 3, the width + 1
+    path = write(tmp_path, "c5.gr", C5)
+    for algo in ("3k", "4k"):
+        rc, out, err = run(capsys, ["tw", "--algo", algo, "--stats",
+                                    "--input", path])
+        assert rc == 0 and err == ""
+        lines = out.splitlines()
+        assert lines[0] == "width: 2"
+        assert [line.split(": ")[0] for line in lines[1:6]] == [
+            "cover size", "valid triples", "states", "peak table entries",
+            "width bound"]
+        assert lines[5] == "width bound: 3"
+    rc, out, err = run(capsys, ["pw", "--stats", "--input", path])
+    assert "width bound" not in out
+
+
 def test_stats_block_of_the_complement_cover_solver(tmp_path, capsys):
     path = write(tmp_path, "c5.gr", C5)
     rc, out, err = run(capsys, ["pw", "--algo", "cvc", "--stats",

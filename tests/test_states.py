@@ -12,6 +12,7 @@ from vcwidth.states import (_NO_LOWER, MAX_COVER, CoverContext, _best_lower,
                             _forgets, _lowers, _packed_forgets,
                             apex_context, components_outside,
                             enumerate_valid_triples, iter_bits, touching)
+from vcwidth import treewidth
 from vcwidth.treewidth import _join_splits, treewidth_table, treewidth_vc_4k
 from vcwidth.treewidth_fast import treewidth_vc_3k
 from vcwidth.cover import minimum_vertex_cover
@@ -392,11 +393,13 @@ def test_folded_helpers_match_their_lists():
     assert lowers_seen > 1000 and wide_slots > 100
 
 
-def test_sweep_counters_of_the_ladder_k11_instance():
+def test_sweep_counters_of_the_ladder_k11_instance(monkeypatch):
     # the counters of ladder k = 11 (benchmark workload sparse-ladder):
     # the sweeps' order and helpers may change, the work they count not.
     # pw-vc sweeps the apex triples with |below| <= |ahead|; the full apex
-    # sweep, kept as a spec, still counts what pw-vc counted before
+    # sweep, kept as a spec, still counts what pw-vc counted before. The
+    # treewidth sweeps fill only the states within the width bound, 10
+    # here; with no bound they still count the full sweep's work
     g = random_graph_with_cover(random.Random(20260814), 11, 28, 0.35)
     counted = ("valid_triples", "states", "peak_table")
     gp, apex = g.add_universal_vertex()
@@ -405,14 +408,23 @@ def test_sweep_counters_of_the_ladder_k11_instance():
     pw_apex_sweep_table(ctx, stats, apex_pos=ctx.position[apex])
     assert tuple(stats[name] for name in counted) == (7623, 148770, 27363)
     expect = {pathwidth_vc: (4037, 42527, 8021),
-              treewidth_vc_4k: (7623, 164360, 28844),
+              treewidth_vc_4k: (7623, 67056, 14859),
+              treewidth_vc_3k: (7623, 67006, 14859)}
+    for solve, want in expect.items():
+        stats = {}
+        assert solve(g, set(range(11)), stats)[0] == 9
+        assert tuple(stats[name] for name in counted) == want, solve
+    assert stats["width_bound"] == 10
+    joins = ("join_cells", "convolve_calls", "convolve_cells")
+    assert tuple(stats[name] for name in joins) == (49424, 871, 6200)
+    monkeypatch.setattr(treewidth, "width_bound", lambda ctx: 1 << 30)
+    expect = {treewidth_vc_4k: (7623, 164360, 28844),
               treewidth_vc_3k: (7623, 157720, 28844)}
     for solve, want in expect.items():
         stats = {}
-        solve(g, set(range(11)), stats)
+        assert solve(g, set(range(11)), stats)[0] == 9
         assert tuple(stats[name] for name in counted) == want, solve
-    assert (stats["join_cells"], stats["convolve_calls"],
-            stats["convolve_cells"]) == (49424, 4059, 31936)
+    assert tuple(stats[name] for name in joins) == (49424, 4059, 31936)
 
 
 def disjoint_edges(count):

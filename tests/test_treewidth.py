@@ -5,16 +5,21 @@ import random
 
 import pytest
 
+from vcwidth import treewidth
 from vcwidth.cover import minimum_vertex_cover
 from vcwidth.decomposition import find_violations
+from vcwidth.errors import InternalError
 from vcwidth.graph import Graph
 from vcwidth.oracle import treewidth_exact
 from vcwidth.pathwidth import pathwidth_vc
-from vcwidth.states import CoverContext
-from vcwidth.treewidth import _join_splits, treewidth_table, treewidth_vc_4k
+from vcwidth.states import CoverContext, apex_context
+from vcwidth.treewidth import (_join_splits, treewidth_table,
+                               treewidth_vc_4k, width_bound)
+from vcwidth.treewidth_fast import treewidth_vc_3k
 
-from genutil import (complete_graph, cycle_graph, grid_graph, path_graph,
-                     random_graph, random_tree, scan_types,
+from genutil import (complete_graph, cycle_graph, enumerate_small_graphs,
+                     grid_graph, path_graph, random_graph,
+                     random_graph_with_cover, random_tree, scan_types,
                      tw_by_elimination_orders)
 from spec import tw_lower_ops
 
@@ -209,3 +214,55 @@ def test_join_values_dominate_bag_size():
         treewidth_vc_4k(g, join_values=jv)
         for (below, bag, slot), val in jv.items():
             assert val >= bag.bit_count() - 1
+
+
+def bound_of(g, cover=None):
+    ctx, _ = apex_context(g, cover, None)
+    return width_bound(ctx)
+
+
+def test_width_bound_is_at_least_the_final_value():
+    # the final value is the treewidth of g plus the apex: tw(g) + 1
+    for n in range(1, 7):
+        for g in enumerate_small_graphs(n):
+            assert bound_of(g) >= treewidth_exact(g) + 1, g.edges
+    rng = random.Random(141)
+    for trial in range(200):
+        if trial % 2:
+            g = random_graph(rng, rng.randrange(2, 11),
+                             rng.choice([0.2, 0.4, 0.6, 0.8]))
+            cover = None
+        else:
+            k = rng.randrange(1, 7)
+            g = random_graph_with_cover(rng, k, k + rng.randrange(0, 9), 0.4)
+            cover = set(range(k))
+        assert bound_of(g, cover) >= treewidth_exact(g) + 1, g.edges
+
+
+def test_width_bound_is_tight_on_trees_cycles_cliques_and_the_grid():
+    rng = random.Random(142)
+    for _ in range(40):
+        assert bound_of(random_tree(rng, rng.randrange(2, 16))) == 2
+    assert bound_of(path_graph(9)) == 2
+    for n in range(3, 12):
+        assert bound_of(cycle_graph(n)) == 3
+    for n in range(1, 9):
+        assert bound_of(complete_graph(n)) == n
+    assert bound_of(grid_graph(3, 3)) == 4
+
+
+def test_a_bound_below_the_optimum_fails_loudly(monkeypatch):
+    # one below the final value drops the final state: the solvers raise
+    # rather than answer; at the final value itself they are still exact
+    rng = random.Random(143)
+    for _ in range(30):
+        g = random_graph(rng, rng.randrange(1, 9), rng.choice([0.3, 0.6]))
+        want = treewidth_exact(g)
+        for solve in (treewidth_vc_4k, treewidth_vc_3k):
+            monkeypatch.setattr(treewidth, "width_bound", lambda ctx: want)
+            with pytest.raises(InternalError):
+                solve(g)
+            monkeypatch.setattr(treewidth, "width_bound",
+                                lambda ctx: want + 1)
+            w, dec = solve(g)
+            assert w == want and not find_violations(g, dec)

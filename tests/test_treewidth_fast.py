@@ -7,9 +7,9 @@ from vcwidth.cover import minimum_vertex_cover
 from vcwidth.decomposition import find_violations
 from vcwidth.graph import Graph
 from vcwidth.oracle import treewidth_exact
-from vcwidth.states import CoverContext
-from vcwidth.treewidth import treewidth_table, treewidth_vc_4k
-from vcwidth import treewidth_fast
+from vcwidth.states import CoverContext, final_value
+from vcwidth.treewidth import treewidth_table, treewidth_vc_4k, width_bound
+from vcwidth import treewidth, treewidth_fast
 from vcwidth.treewidth_fast import _layer_sweep, _split_minima, treewidth_vc_3k
 
 from genutil import (complete_graph, cycle_graph, enumerate_small_graphs,
@@ -110,6 +110,30 @@ def test_sweep_table_equals_treewidth_table():
         assert _layer_sweep(ctx, ap) == treewidth_table(ctx, ap), g.edges
 
 
+def test_bounded_tables_hold_every_state_within_the_bound(monkeypatch):
+    # each solver's table under the width bound against its own table with
+    # no bound: every key kept holds the same packed value, and every key
+    # with a slot within the bound is kept
+    rng = random.Random(60)
+    cases = list(instance_mix(rng, 120))
+    bounded = [(width_bound(ctx), treewidth_table(ctx, ap),
+                _layer_sweep(ctx, ap)) for ctx, ap in cases]
+    monkeypatch.setattr(treewidth, "width_bound", lambda ctx: 1 << 30)
+    dropped = 0
+    for (ctx, ap), (limit, *tables) in zip(cases, bounded):
+        assert limit >= final_value(ctx, tables[0], ap)
+        for table, sweep in zip(tables, (treewidth_table, _layer_sweep)):
+            full = sweep(ctx, ap)
+            for key, packed in table.items():
+                assert full[key] == packed, sweep
+            for key, packed in full.items():
+                if min(val for _, val in iter_slots(packed)) <= limit:
+                    assert key in table, sweep
+                else:
+                    dropped += key not in table
+    assert dropped > 100
+
+
 def fed_sweep(ctx, ap, jmin):
     """A treewidth sweep whose join candidates are read from `jmin`."""
     k = ctx.k
@@ -204,6 +228,9 @@ def test_join_cell_accounting():
 
 
 def test_join_minima_match_split_enumeration(monkeypatch):
+    # the minima are computed only for the (bag, rank) pairs that a triple
+    # within the width bound reaches; those must hold every target the
+    # bound keeps
     seen = []
     real = treewidth_fast._join_minima
 
@@ -229,8 +256,10 @@ def test_join_minima_match_split_enumeration(monkeypatch):
                            if key & ctx.full == bag
                            and (key >> k).bit_count() == rank}, \
                 f"trial {trial}: bag {bag:b}, rank {rank}"
+        limit = width_bound(ctx)
         assert {(key & ctx.full, (key >> k).bit_count())
-                for key in want} <= done, f"trial {trial}"
+                for key, v in want.items() if v <= limit} <= done, \
+            f"trial {trial}"
 
 
 def split_minima_by_enumeration(c, z, a, base, targets):
