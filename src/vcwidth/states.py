@@ -19,15 +19,16 @@ next (upper op). Operations:
                  (lower carries the part L1; upper is parameterless)
 
 Degenerate treewidth states have below == 0, no lower op, and a forget upper
-op; they are the base cases of the treewidth recurrence. The pathwidth base
-is the introduce-lower state with below == 0 and the apex alone in the bag.
+op; they are the base cases of the treewidth recurrence, computed where they
+are read. The pathwidth base is the introduce-lower state with below == 0
+and the apex alone in the bag.
 
 Triples are enumerated with |below| never falling, each `below`'s bags in
 ascending order, and no sort; that order linearly extends the predecessor
 relation, so one sweep over triples in this order sees every predecessor
-before its successors. The sweeps never build states or op tags: they pack
-each triple's values into one int, and the tests check them against the
-literal model in tests/spec.py.
+before its successors. The sweeps never build states or op tags: they keep
+one int per triple (pathwidth packs its upper slots, treewidth stores one
+value), and the tests check them against the literal model in tests/spec.py.
 """
 
 from __future__ import annotations
@@ -241,12 +242,13 @@ def touching(inside, outer, a, b):
             + inside[outer & ~(a | b)])
 
 
-# Packed tables: one int per triple, keyed (below << k) | bag. Byte slot 0
-# holds the best value over introduce uppers (it does not depend on which
-# vertex), slot u+1 the best value for forget(u), and slot k+1 (treewidth
-# only) the join upper. A zero byte means unreachable; otherwise the byte
-# stores min(value, 254) + 1. Every optimum is at most k <= 26, so a
-# saturated state never wins and no back-walk visits one.
+# Packed tables (pathwidth): one int per triple, keyed (below << k) | bag.
+# Byte slot 0 holds the best value over introduce uppers (it does not depend
+# on which vertex) and slot u+1 the best value for forget(u). A zero byte
+# means unreachable; otherwise the byte stores min(value, 254) + 1. Every
+# optimum is at most k <= 26, so a saturated state never wins and no
+# back-walk visits one. The treewidth table stores one value per triple
+# instead (see treewidth.py).
 
 def _read(table, k, below, bag, slot):
     pv = (table.get((below << k) | bag, 0) >> (8 * slot)) & 255
@@ -353,21 +355,3 @@ def _packed_forgets(ctx, bag, ahead, floor, base):
                 val = floor
             packed |= (val if val < 254 else 254) + 1 << (8 * v)
     return packed, count
-
-
-def _forgets(ctx, bag, ahead):
-    """Forget upper candidates as (slot, xr, v), ascending v."""
-    cov_adj = ctx.cov_adj
-    inside = ctx.inside
-    bag_ahead = bag | ahead
-    extra = inside[bag_ahead] - inside[bag]
-    out = []
-    m = bag
-    while m:
-        bit = m & -m
-        m ^= bit
-        v = bit.bit_length() - 1
-        if not cov_adj[v] & ahead:  # xr = touching(inside, bag | ahead, ahead, bit)
-            out.append((v + 1, extra - inside[bag_ahead ^ bit]
-                        + inside[bag ^ bit], v))
-    return out

@@ -5,26 +5,33 @@ bag, ahead, upper op) states swept in precedence order — extended with join
 operations: a lower join glues two partial solutions over a bipartition of
 `below` with no edges between the parts (so parts are unions of connected
 components of the cover graph minus the bag), an upper join is valid whenever
-`ahead` is nonempty. Base cases are the degenerate states: `below` empty and
-a forget upper op whose vertex has no cover neighbors ahead.
+`ahead` is nonempty.
 
 States with the apex outside the bag are skipped: with the apex ahead no
 forget is ever valid (everything neighbors the apex), so no value is finite,
-and with the apex below a state cannot reach the final one. The packed table
-layout is the one in states.py, with byte slot k+1 for the join upper op.
+and with the apex below a state cannot reach the final one.
 
-The sweep fills only the states within an upper bound on the final value,
+The table holds one value per triple (L, X, R): table[(L << k) | X] = V, its
+best lower candidate floored at X's own need (|X| - 1, plus 1 if some
+vertex's neighborhood is exactly X), and every upper slot is a function of
+V. Every lower candidate is at least cross = |X| - 1 + crossing(L, R), so
+the introduce and join slots are V. The forget(u) slot of P = (L - u, X + u,
+R) is max(V_P, cross_P + xr_P(u)) = max(V_P, cross_S + 1), S = (L, X, R) its
+successor: xr_P(u) counts the vertices that see u and R and nothing in
+L - u, exactly those crossing L and R but not L - u. A degenerate state
+(nothing below, no lower op, a forget upper) is a base case worth its floor,
+computed where it is read, never stored or swept.
+
+The sweep keeps only the states within an upper bound on the final value,
 width_bound's greedy elimination width of the apexed graph. A state's value
 is the max of its predecessor's value and its local width, so values never
 fall along a path to the final state, and every state on an optimal path is
-worth at most the final value. Every lower candidate of a triple is at
-least its `cross`, so a triple whose `cross` exceeds the bound is skipped
-before any candidate is read, and a triple whose floored best exceeds it is
-not stored. What is stored stays exact: a value within the bound comes
-from predecessors within it (both children, for a join), stored by
-induction, and a predecessor missing from the table is worth more than the
-bound, and so is its candidate. A stored triple keeps all its upper slots,
-also those above the bound.
+worth at most the final value. A triple whose `cross` exceeds the bound is
+skipped before any candidate is read, and one whose V exceeds it is not
+stored. What is stored stays exact: a value within the bound comes from
+predecessors within it (both children, for a join), stored by induction,
+and a predecessor missing from the table is worth more than the bound, and
+so is its candidate.
 
 One sweep body, _tw_sweep, serves both treewidth solvers; they differ only
 in where a triple's join candidates come from. treewidth_table enumerates
@@ -39,9 +46,16 @@ import heapq
 
 from .decomposition import Decomposition, contract, validate
 from .errors import InternalError
-from .states import (_best_lower, _forgets, _lowers, _packed_forgets, _read,
-                     apex_context, components_outside, final_value,
-                     iter_bits, state_bags, touching)
+from .states import (_NO_LOWER, apex_context, components_outside, iter_bits,
+                     state_bags, touching)
+
+
+def _value(ctx, table, below, bag):
+    """V of a triple: its table entry (None if the sweep did not keep it),
+    or, with nothing below, the degenerate state's floor."""
+    if below:
+        return table.get((below << ctx.k) | bag)
+    return bag.bit_count() - 1 + (bag in ctx.type_masks)
 
 
 def _join_splits(ctx, table, below, bag, comps=None):
@@ -58,7 +72,6 @@ def _join_splits(ctx, table, below, bag, comps=None):
     k = ctx.k
     inside = ctx.inside
     below_bag = below | bag
-    join_slot = 8 * (k + 1)
     out = []
     first, rest = comps[0], comps[1:]
     for pick in range((1 << len(rest)) - 1):
@@ -66,14 +79,11 @@ def _join_splits(ctx, table, below, bag, comps=None):
         for i in iter_bits(pick):
             part1 |= rest[i]
         part2 = below ^ part1
-        pv1 = (table.get((part1 << k) | bag, 0) >> join_slot) & 255
-        if not pv1:
-            continue
-        pv2 = (table.get((part2 << k) | bag, 0) >> join_slot) & 255
-        if not pv2:
-            continue
-        out.append((part1, part2, max(pv1, pv2) - 1,
-                    touching(inside, below_bag, part1, part2)))
+        v1 = table.get((part1 << k) | bag)
+        v2 = table.get((part2 << k) | bag)
+        if v1 is not None and v2 is not None:
+            out.append((part1, part2, max(v1, v2),
+                        touching(inside, below_bag, part1, part2)))
     out.sort()
     return out
 
@@ -133,75 +143,84 @@ def width_bound(ctx):
 
 
 def _tw_sweep(ctx, apex_pos, join_candidates, stats, join_values):
-    """The treewidth DP sweep over bags containing the apex, filling only
-    the states within width_bound(ctx).
+    """The treewidth DP sweep over bags containing the apex, storing V of
+    every non-degenerate triple within width_bound(ctx).
 
     `join_candidates(table, below, bag, cross)` lists the values of the
     join lowers of a triple, each already max(child value, cross +
     straddlers), where cross is |bag| - 1 plus the crossing count. If
-    `join_values` is a dict, the minimum over join lowers is recorded per
-    (below, bag, upper slot).
+    `join_values` is a dict, it maps each stored (below, bag) with a join
+    lower to the floored minimum over its join lowers.
     """
     k = ctx.k
     full = ctx.full
     inside = ctx.inside
+    cov_adj = ctx.cov_adj
     type_masks = ctx.type_masks
-    join_shift = 8 * (k + 1)
     limit = width_bound(ctx)
     table = {}
     get = table.get
     triples = ctx.valid_triples(require_bit=apex_pos)
     states = 0
-    slots = 0
     for below, bag in triples:
-        ahead = full & ~(below | bag)
+        if not below:
+            continue  # degenerate: computed where read
+        below_bag = below | bag
         base = bag.bit_count() - 1
-        # a vertex whose neighborhood is exactly the bag needs a full bag
-        floor = base + 1 if bag in type_masks else base
-        if below == 0:
-            # degenerate base states: no lower op, forget uppers only
-            if floor > limit:
-                continue
-            packed, uppers = _packed_forgets(ctx, bag, ahead, floor, base)
-            if uppers:
-                table[bag] = packed
-                states += uppers
-                slots += uppers
-            continue
-        cross = base + touching(inside, full, below, ahead)
+        cross = base + touching(inside, full, below, full ^ below_bag)
         if cross > limit:
             continue
-        best, lowers = _best_lower(ctx, get, below, bag, cross)
+        # forget(u) lowers: max(V of (below - u, bag + u), cross + 1)
+        if below & (below - 1):
+            best, lowers = _NO_LOWER, 0
+            m = below
+            while m:
+                bit = m & -m
+                m ^= bit
+                val = get(((below ^ bit) << k) | bag | bit)
+                if val is not None:
+                    lowers += 1
+                    if val < best:
+                        best = val
+        else:  # the predecessor is degenerate
+            best, lowers = base + 1 + (below_bag in type_masks), 1
+        if best <= cross:
+            best = cross + 1
+        # introduce(u) lowers: max(V of (below, bag - u), cross + xl)
+        key = below << k
+        extra = cross + inside[below_bag] - inside[bag]
+        m = bag
+        while m:
+            bit = m & -m
+            m ^= bit
+            if cov_adj[bit.bit_length() - 1] & below:
+                continue
+            val = get(key | (bag ^ bit))
+            if val is not None:
+                lowers += 1
+                xl = extra - inside[below_bag ^ bit] + inside[bag ^ bit]
+                if val < xl:
+                    val = xl
+                if val < best:
+                    best = val
         joins = join_candidates(table, below, bag, cross)
-        if not lowers and not joins:
-            continue
         if joins:
             best = min(best, *joins)
-        # every candidate is at least cross, so the introduce and join
-        # uppers (xr = 0) take best itself
-        best = max(floor, best)
+        # a vertex whose neighborhood is exactly the bag needs a full bag
+        floor = base + 1 if bag in type_masks else base
+        if best < floor:
+            best = floor
         if best > limit:
             continue
-        packed, uppers = _packed_forgets(ctx, bag, ahead, best, cross)
-        if ahead:
-            val = min(best, 254) + 1
-            packed |= val | val << join_shift
-            uppers += 2
-        if not uppers:
-            continue
-        states += (lowers + len(joins)) * uppers
-        table[(below << k) | bag] = packed
-        slots += uppers
+        table[key | bag] = best
+        states += lowers + len(joins)
         if join_values is not None and joins:
-            mj = max(floor, min(joins))
-            listed = [(0, 0, -1), (k + 1, 0, -1)] if ahead else []
-            for slot, xr, _ in listed + _forgets(ctx, bag, ahead):
-                join_values[(below, bag, slot)] = max(mj, cross + xr)
+            join_values[(below, bag)] = max(floor, min(joins))
     if stats is not None:
         stats["width_bound"] = limit
         stats["valid_triples"] = len(triples)
         stats["states"] = states
-        stats["peak_table"] = slots
+        stats["peak_table"] = len(table)
     return table
 
 
@@ -209,8 +228,8 @@ def treewidth_table(ctx, apex_pos, stats=None, join_values=None):
     """Run the treewidth DP sweep, enumerating join bipartitions over the
     live table.
 
-    Returns the packed table. If `join_values` is a dict, the minimum over
-    join-lower candidates is recorded per (below, bag, upper slot) — the
+    Returns the table of V values. If `join_values` is a dict, the floored
+    minimum over join-lower candidates is recorded per (below, bag) — the
     subset-convolution solver computes exactly these numbers and tests
     compare them.
     """
@@ -232,49 +251,65 @@ def _expand_tree(ctx, table, below, bag, slot, val, nodes):
     Appends (lower, below, bag, slot, child state indices) entries to
     `nodes`, where `lower` is state_bags' pair: (below, 1 << u) for
     introduce(u), (part1, part2) for a join, None for a forget or a
-    degenerate state. Candidate lowers are probed in encoded-key order
-    (introduce, forget, then joins by ascending first part), taking the
-    first that reproduces `val`.
+    degenerate state. `val` is the state's value under upper slot `slot`
+    (0 introduce, u+1 forget(u), k+1 join). Candidate lowers are probed in
+    order (introduce, forget, then joins by ascending first part), taking
+    the first that reproduces `val`.
     """
     k = ctx.k
-    full = ctx.full
-    ahead = full & ~(below | bag)
+    inside = ctx.inside
+    ahead = ctx.full & ~(below | bag)
     base = bag.bit_count() - 1
     tight = 1 if bag in ctx.type_masks else 0
     forgotten = slot - 1 if 1 <= slot <= k else -1
     xr = 0
     if forgotten >= 0:
-        xr = touching(ctx.inside, bag | ahead, ahead, 1 << forgotten)
+        xr = touching(inside, bag | ahead, ahead, 1 << forgotten)
     me = len(nodes)
-    nodes.append(None)
+    nodes.append((None, below, bag, slot, []))
     if below == 0:
         if forgotten < 0 or base + max(xr, tight) != val \
                 or ctx.cov_adj[forgotten] & ahead:
             raise InternalError("degenerate treewidth state mismatch")
-        nodes[me] = (None, below, bag, slot, [])
         return me
-    cross = base + touching(ctx.inside, full, below, ahead)
-    for code, xl, pred in _lowers(ctx, table, below, bag):
-        if max(pred, cross + max(xl, xr), base + tight) == val:
-            if code < 32:
-                lower = (below, 1 << code)
-                child = _expand_tree(ctx, table, below, bag ^ (1 << code), 0,
-                                     pred, nodes)
-            else:
-                lower = None
-                u = code - 32
-                child = _expand_tree(ctx, table, below ^ (1 << u),
-                                     bag | (1 << u), u + 1, pred, nodes)
-            nodes[me] = (lower, below, bag, slot, [child])
+    cross = base + touching(inside, ctx.full, below, ahead)
+    floor = max(cross + xr, base + tight)
+    for u in iter_bits(bag):
+        bit = 1 << u
+        pred = None if ctx.cov_adj[u] & below else \
+            table.get((below << k) | (bag ^ bit))
+        if pred is not None and max(pred, floor, cross + touching(
+                inside, below | bag, below, bit)) == val:
+            child = _expand_tree(ctx, table, below, bag ^ bit, 0, pred, nodes)
+            nodes[me] = ((below, bit), below, bag, slot, [child])
+            return me
+    for u in iter_bits(below):
+        bit = 1 << u
+        pred = _value(ctx, table, below ^ bit, bag | bit)
+        if pred is not None and max(pred, cross + 1, floor) == val:
+            child = _expand_tree(ctx, table, below ^ bit, bag | bit, u + 1,
+                                 max(pred, cross + 1), nodes)
+            nodes[me] = (None, below, bag, slot, [child])
             return me
     for part1, part2, pred, xl in _join_splits(ctx, table, below, bag):
-        if max(pred, cross + max(xl, xr), base + tight) == val:
+        if max(pred, cross + xl, floor) == val:
             children = [_expand_tree(ctx, table, part, bag, k + 1,
-                                     _read(table, k, part, bag, k + 1), nodes)
+                                     table[(part << k) | bag], nodes)
                         for part in (part1, part2)]
             nodes[me] = ((part1, part2), below, bag, slot, children)
             return me
     raise InternalError("treewidth back-walk lost the optimum")
+
+
+def _final_value(ctx, table, apex_pos):
+    """V of the final state (all but the apex below, the apex alone in the
+    bag), the width plus one. With an empty cover it is degenerate and, as
+    if stored, counts only within the width bound."""
+    apex = 1 << apex_pos
+    val = _value(ctx, table, ctx.full ^ apex, apex)
+    if val is None or apex == ctx.full and val > width_bound(ctx):
+        raise InternalError("the DP finished without a final state")
+    return val
 
 
 def reconstruct_tree(g, ctx, table, apex, width):
@@ -288,7 +323,7 @@ def reconstruct_tree(g, ctx, table, apex, width):
     apex_pos = ctx.position[apex]
     states = []
     _expand_tree(ctx, table, ctx.full ^ (1 << apex_pos), 1 << apex_pos,
-                 apex_pos + 1, final_value(ctx, table, apex_pos), states)
+                 apex_pos + 1, width + 1, states)
     bags = []
     edges = []
     placed = set()
@@ -330,5 +365,5 @@ def treewidth_vc_4k(g, cover=None, stats=None, join_values=None):
     ctx, apex = apex_context(g, cover, stats)
     apex_pos = ctx.position[apex]
     table = treewidth_table(ctx, apex_pos, stats, join_values)
-    width = final_value(ctx, table, apex_pos) - 1
+    width = _final_value(ctx, table, apex_pos) - 1
     return width, reconstruct_tree(g, ctx, table, apex, width)

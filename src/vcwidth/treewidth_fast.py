@@ -29,17 +29,18 @@ non-zero digit of h[L] names the best partner z for v1. A group is skipped
 once no pending target can gain from it.
 
 The bag data (components, z, the union of each component pick, the split
-penalty base, the targets by rank) is built once per solve. The table is
-treewidth_table's entry for entry, so the answers, the recorded per-state
-join minima and the witness reconstruction are treewidth.py's.
+penalty base, the targets by rank) is built once per solve. A child's value
+is its table entry, the triple's V, which is also its join upper slot. The
+table is treewidth_table's entry for entry, so the answers, the recorded
+per-triple join minima and the witness reconstruction are treewidth.py's.
 """
 
 from __future__ import annotations
 
 from .convolution import STATS, SetFunction, convolve, zeta
 from .decomposition import Decomposition
-from .states import apex_context, components_outside, final_value
-from .treewidth import _tw_sweep, reconstruct_tree
+from .states import apex_context, components_outside
+from .treewidth import _final_value, _tw_sweep, reconstruct_tree
 
 
 def _split_minima(c, z, a, base, targets):
@@ -168,15 +169,12 @@ def _bag_joins(ctx, apex_pos):
 
 def _join_minima(ctx, bj, targets, table):
     """Best join-bipartition value of each target of one bag, read from the
-    live table: {(below << k) | bag: value} over the targets that split
-    into two reached children. Entries already include the split penalty
-    (crossing + straddlers) but not the bag-only tightness or upper terms.
+    live table, whose entries are the children's values as they stand:
+    {(below << k) | bag: value} over the targets that split into two
+    reached children. Entries already include the split penalty (crossing +
+    straddlers) but not the bag-only tightness.
     """
-    join_shift = 8 * (ctx.k + 1)
-    a = []
-    for key in bj.keys:
-        v = (table.get(key, 0) >> join_shift) & 255
-        a.append(v - 1 if v else None)
+    a = [table.get(key) for key in bj.keys]
     best = _split_minima(bj.c, bj.z, a, bj.base, targets)
     return {bj.keys[p]: v for p, v in best.items()}
 
@@ -207,7 +205,7 @@ def treewidth_vc_3k(g, cover=None, stats=None, join_values=None):
     """Exact treewidth of g via joins by subset convolution, plus witness.
 
     Interface matches treewidth_vc_4k, and so do the computed values —
-    including the per-(below, bag, upper) join minima optionally collected
+    including the per-(below, bag) join minima optionally collected
     into `join_values` — only the join machinery differs.
     """
     if g.n == 0:
@@ -221,5 +219,5 @@ def treewidth_vc_3k(g, cover=None, stats=None, join_values=None):
     if stats is not None:  # this solve's real convolution work
         stats["convolve_calls"] = STATS["convolve_calls"] - calls0
         stats["convolve_cells"] = STATS["convolve_cells"] - cells0
-    width = final_value(ctx, table, apex_pos) - 1
+    width = _final_value(ctx, table, apex_pos) - 1
     return width, reconstruct_tree(g, ctx, table, apex, width)

@@ -12,8 +12,7 @@ from collections import namedtuple
 
 from vcwidth.decomposition import Decomposition
 from vcwidth.pathwidth import _pw_lowers, _tight
-from vcwidth.states import (_best_lower, _forgets, _packed_forgets,
-                            iter_bits, touching)
+from vcwidth.states import _best_lower, _packed_forgets, iter_bits, touching
 
 
 OpTag = namedtuple("OpTag", ["kind", "arg"])
@@ -441,6 +440,116 @@ def _pack(values):
     for slot, val in values:
         packed |= (min(val, 254) + 1) << (8 * slot)
     return packed
+
+
+def _forgets(ctx, bag, ahead):
+    """Forget upper candidates as (slot, xr, v), ascending v."""
+    cov_adj = ctx.cov_adj
+    inside = ctx.inside
+    bag_ahead = bag | ahead
+    extra = inside[bag_ahead] - inside[bag]
+    out = []
+    m = bag
+    while m:
+        bit = m & -m
+        m ^= bit
+        v = bit.bit_length() - 1
+        if not cov_adj[v] & ahead:  # xr = touching(inside, bag | ahead, ahead, bit)
+            out.append((v + 1, extra - inside[bag_ahead ^ bit]
+                        + inside[bag ^ bit], v))
+    return out
+
+
+def tw_packed_slots(ctx, table, apex_pos, limit):
+    """A treewidth table of one value V per triple, expanded into packed
+    upper slots (see states.py): slot 0 the introduce upper, slot u+1
+    forget(u), slot k+1 the join upper.
+
+    The introduce and join slots are V. The forget(u) slot is max(V, the
+    cross of the successor (below + u, bag - u) plus 1), where cross is
+    |bag| - 1 plus the crossing count. A degenerate triple (nothing below)
+    has forget slots only; its V is computed, not read: |bag| - 1, plus 1
+    if some vertex's neighborhood is exactly the bag, and it is kept when
+    that is at most `limit`, as the sweep keeps a stored triple.
+    """
+    k = ctx.k
+    full = ctx.full
+    out = {}
+    for below, bag in ctx.valid_triples(require_bit=apex_pos):
+        ahead = full & ~(below | bag)
+        key = (below << k) | bag
+        if below:
+            val = table.get(key)
+            if val is None:
+                continue
+            slots = [(0, val), (k + 1, val)] if ahead else []
+        else:
+            val = bag.bit_count() - 1 + (bag in ctx.type_masks)
+            if val > limit:
+                continue
+            slots = []
+        for slot, _, v in _forgets(ctx, bag, ahead):
+            cross = (bag.bit_count() - 2
+                     + touching(ctx.inside, full, below | 1 << v, ahead))
+            slots.append((slot, max(val, cross + 1)))
+        if slots:
+            out[key] = _pack(slots)
+    return out
+
+
+def tw_table_by_states(ctx, apex_pos):
+    """The treewidth DP over literal states, as packed upper slots like
+    tw_packed_slots' with no bound.
+
+    Every state (lower op, below, bag, ahead, upper op) of an apex triple
+    is built from tw_lower_ops and tw_upper_ops, its local width from
+    boundary_sets_tw, and its value is the max of that and its
+    predecessors' values: the introduce or forget slot of the predecessor
+    triple, or the larger join slot of the two join children. A triple
+    with nothing below also has the degenerate state, with no lower op and
+    a forget upper, worth its local width. A slot is the min over the
+    lower ops reaching it.
+    """
+    k = ctx.k
+    g, order = ctx.graph, ctx.order
+    slots = {}  # (below, bag, slot) -> value
+    out = {}
+    for below, bag in ctx.valid_triples(require_bit=apex_pos):
+        ahead = ctx.full & ~(below | bag)
+        lowers = tw_lower_ops(ctx.cov_adj, below, bag, ahead)
+        if not below:
+            lowers.append(None)
+        values = {}
+        for up in tw_upper_ops(ctx.cov_adj, below, bag, ahead):
+            slot = (0 if up.kind == "introduce" else k + 1
+                    if up.kind == "join" else up.arg + 1)
+            for low in lowers:
+                if low is None:
+                    if up.kind != "forget":
+                        continue
+                    pred = 0
+                elif low.kind == "introduce":
+                    pred = slots.get((below, bag ^ 1 << low.arg, 0))
+                elif low.kind == "forget":
+                    u = low.arg
+                    pred = slots.get((below ^ 1 << u, bag | 1 << u, u + 1))
+                else:
+                    kids = [slots.get((part, bag, k + 1))
+                            for part in (low.arg, below ^ low.arg)]
+                    pred = None if None in kids else max(kids)
+                if pred is None:
+                    continue
+                crossing, xl, xr, _, tight = boundary_sets_tw(
+                    g, order, State(low, below, bag, ahead, up))
+                val = max(pred, local_width_tw(bag.bit_count(), len(crossing),
+                                               len(xl), len(xr), tight))
+                if val < values.get(slot, val + 1):
+                    values[slot] = val
+        for slot, val in values.items():
+            slots[(below, bag, slot)] = val
+        if values:
+            out[(below << k) | bag] = _pack(values.items())
+    return out
 
 
 def pw_apex_sweep_table(ctx, stats=None, *, apex_pos):

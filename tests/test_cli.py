@@ -12,6 +12,8 @@ import pytest
 
 from vcwidth import cli
 from vcwidth.errors import InternalError
+from vcwidth.graph import Graph
+from vcwidth.oracle import treewidth_exact
 
 from genutil import random_graph
 
@@ -145,6 +147,32 @@ def test_witness_round_trips_through_check(tmp_path, capsys):
         td_path = write(tmp_path, f"{name}.td", td_text)
         rc, out, err = run(capsys, ["check", path, td_path])
         assert rc == 0 and out == f"width: {want}\n"
+
+
+@pytest.mark.parametrize("name, n, edges", [
+    *((f"edgeless{n}", n, []) for n in range(1, 5)),
+    ("edge", 2, [(0, 1)]),
+    *((f"star{m}", m + 1, [(0, x) for x in range(1, m + 1)])
+      for m in (2, 3, 6))])
+def test_empty_and_tiny_covers_of_both_treewidth_solvers(
+        tmp_path, capsys, name, n, edges):
+    # an empty cover leaves the apex the whole cover: the final state has
+    # nothing below, so it is degenerate and computed, not read
+    want = treewidth_exact(Graph(n, edges))
+    path = write(tmp_path, f"{name}.gr", gr_text(n, edges))
+    for algo in ("3k", "4k"):
+        rc, out, err = run(capsys, ["tw", "--algo", algo, "--stats",
+                                    "--emit-witness", "--input", path])
+        assert rc == 0 and err == "", (algo, err)
+        head, _, td_text = out.partition("s td")
+        lines = head.splitlines()
+        assert lines[0] == f"width: {want}", algo
+        stats = dict(line.split(": ") for line in lines[1:])
+        assert int(stats["cover size"]) == (1 if edges else 0)
+        assert int(stats["peak table entries"]) >= 0, algo
+        td_path = write(tmp_path, f"{name}-{algo}.td", "s td" + td_text)
+        rc, out, err = run(capsys, ["check", path, td_path])
+        assert rc == 0 and out == f"width: {want}\n", algo
 
 
 def test_witness_output_is_deterministic(tmp_path, capsys):

@@ -12,13 +12,13 @@ from vcwidth.pathwidth import (_glue, _optimal_chain, partial_width_table,
                                pathwidth_vc)
 from vcwidth.states import (CoverContext, _lowers, final_value, iter_bits,
                             touching)
-from vcwidth.treewidth import treewidth_table, treewidth_vc_4k
+from vcwidth.treewidth import treewidth_table, treewidth_vc_4k, width_bound
 
 from genutil import (complete_graph, cycle_graph, grid_graph, path_graph,
                      pw_by_full_sweep, random_graph, random_graph_with_cover,
                      random_tree)
 from spec import (State, boundary_sets_pw, forget, introduce, local_width_pw,
-                  pw_apex_sweep_table)
+                  pw_apex_sweep_table, tw_packed_slots)
 
 
 def solved(g, **kw):
@@ -306,7 +306,8 @@ def test_wide_values_saturate_inside_their_slot():
     ap = ctx.position[apex]
     tables = [(partial_width_table(ctx, apex_pos=ap), None),
               (pw_apex_sweep_table(ctx, apex_pos=ap), None),
-              (treewidth_table(ctx, ap), ctx.k + 1)]
+              (tw_packed_slots(ctx, treewidth_table(ctx, ap), ap,
+                               width_bound(ctx)), ctx.k + 1)]
     for table, join_slot in tables:
         for below, bag, slot, val in decode(table, ctx.k):
             assert slot in valid_upper_slots(ctx, below, bag, join_slot)

@@ -9,11 +9,12 @@ from vcwidth.errors import ResourceLimitError
 from vcwidth.graph import Graph
 from vcwidth.pathwidth import _tight, pathwidth_vc
 from vcwidth.states import (_NO_LOWER, MAX_COVER, CoverContext, _best_lower,
-                            _forgets, _lowers, _packed_forgets,
-                            apex_context, components_outside,
-                            enumerate_valid_triples, iter_bits, touching)
+                            _lowers, _packed_forgets, apex_context,
+                            components_outside, enumerate_valid_triples,
+                            iter_bits, touching)
 from vcwidth import treewidth
-from vcwidth.treewidth import _join_splits, treewidth_table, treewidth_vc_4k
+from vcwidth.treewidth import (_join_splits, treewidth_table, treewidth_vc_4k,
+                               width_bound)
 from vcwidth.treewidth_fast import treewidth_vc_3k
 from vcwidth.cover import minimum_vertex_cover
 
@@ -21,8 +22,9 @@ from genutil import (path_graph, pw_tight_by_scan, random_graph,
                      random_graph_with_cover, scan_types)
 from spec import (State, boundary_sets_pw, boundary_sets_tw, forget,
                   introduce, is_valid_triple, join_with_part, local_width_pw,
-                  local_width_tw, _pack, precedes, pw_apex_sweep_table,
-                  pw_ops, tw_lower_ops, tw_upper_ops)
+                  local_width_tw, _forgets, _pack, precedes,
+                  pw_apex_sweep_table, pw_ops, tw_lower_ops, tw_packed_slots,
+                  tw_upper_ops)
 
 
 def cover_adjacency(rng, k, p):
@@ -352,15 +354,17 @@ def test_boundary_counts_match_type_scan():
 def _helper_cases():
     """(context, live table) pairs: the contexts above and K_{2,300}, whose
     forget costs pass one byte, each with a random part of its finished
-    treewidth and pathwidth tables, as a sweep sees its table part done."""
+    treewidth table expanded into packed slots and of its pathwidth table,
+    as a sweep sees its table part done."""
     rng = random.Random(71)
     wide = Graph(302, [(a, x) for a in (0, 1) for x in range(2, 302)])
     gp, apex = wide.add_universal_vertex()
     contexts = list(_count_spec_contexts())
     contexts.append((CoverContext(gp, {0, 1, apex}), 2))
     for ctx, ap in contexts:
-        for full_table in (treewidth_table(ctx, ap),
-                           pw_apex_sweep_table(ctx, apex_pos=ap)):
+        tw_slots = tw_packed_slots(ctx, treewidth_table(ctx, ap), ap,
+                                   width_bound(ctx))
+        for full_table in (tw_slots, pw_apex_sweep_table(ctx, apex_pos=ap)):
             yield ctx, {key: val for key, val in full_table.items()
                         if rng.random() < 0.7}
 
@@ -398,8 +402,10 @@ def test_sweep_counters_of_the_ladder_k11_instance(monkeypatch):
     # the sweeps' order and helpers may change, the work they count not.
     # pw-vc sweeps the apex triples with |below| <= |ahead|; the full apex
     # sweep, kept as a spec, still counts what pw-vc counted before. The
-    # treewidth sweeps fill only the states within the width bound, 10
-    # here; with no bound they still count the full sweep's work
+    # treewidth sweeps store one value per triple, never a degenerate one,
+    # and count the lower candidates of the triples they store; they fill
+    # only the triples within the width bound, 10 here, and with no bound
+    # they count the full sweep's work
     g = random_graph_with_cover(random.Random(20260814), 11, 28, 0.35)
     counted = ("valid_triples", "states", "peak_table")
     gp, apex = g.add_universal_vertex()
@@ -408,8 +414,8 @@ def test_sweep_counters_of_the_ladder_k11_instance(monkeypatch):
     pw_apex_sweep_table(ctx, stats, apex_pos=ctx.position[apex])
     assert tuple(stats[name] for name in counted) == (7623, 148770, 27363)
     expect = {pathwidth_vc: (4037, 42527, 8021),
-              treewidth_vc_4k: (7623, 67056, 14859),
-              treewidth_vc_3k: (7623, 67006, 14859)}
+              treewidth_vc_4k: (7623, 12471, 2485),
+              treewidth_vc_3k: (7623, 12463, 2485)}
     for solve, want in expect.items():
         stats = {}
         assert solve(g, set(range(11)), stats)[0] == 9
@@ -418,8 +424,8 @@ def test_sweep_counters_of_the_ladder_k11_instance(monkeypatch):
     joins = ("join_cells", "convolve_calls", "convolve_cells")
     assert tuple(stats[name] for name in joins) == (49424, 871, 6200)
     monkeypatch.setattr(treewidth, "width_bound", lambda ctx: 1 << 30)
-    expect = {treewidth_vc_4k: (7623, 164360, 28844),
-              treewidth_vc_3k: (7623, 157720, 28844)}
+    expect = {treewidth_vc_4k: (7623, 31357, 5575),
+              treewidth_vc_3k: (7623, 30371, 5575)}
     for solve, want in expect.items():
         stats = {}
         assert solve(g, set(range(11)), stats)[0] == 9

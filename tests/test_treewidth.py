@@ -21,7 +21,7 @@ from genutil import (complete_graph, cycle_graph, enumerate_small_graphs,
                      grid_graph, path_graph, random_graph,
                      random_graph_with_cover, random_tree, scan_types,
                      tw_by_elimination_orders)
-from spec import tw_lower_ops
+from spec import tw_lower_ops, tw_packed_slots
 
 
 def solved(g, **kw):
@@ -103,6 +103,11 @@ def context_of(g):
     return ctx, ctx.position[apex]
 
 
+def slots_of(ctx, ap):
+    """treewidth_table expanded into its packed upper slots."""
+    return tw_packed_slots(ctx, treewidth_table(ctx, ap), ap, width_bound(ctx))
+
+
 def decode(table, k):
     mask = (1 << k) - 1
     for key, packed in table.items():
@@ -121,7 +126,7 @@ def test_table_slots_well_formed():
     for _ in range(15):
         g = random_graph(rng, rng.randrange(1, 8), rng.random())
         ctx, ap = context_of(g)
-        table = treewidth_table(ctx, ap)
+        table = slots_of(ctx, ap)
         for below, bag, slot, val in decode(table, ctx.k):
             assert bag >> ap & 1
             assert val >= bag.bit_count() - 1
@@ -135,7 +140,7 @@ def test_base_states_equal_degenerate_value():
     for _ in range(15):
         g = random_graph(rng, rng.randrange(1, 8), rng.random())
         ctx, ap = context_of(g)
-        table = treewidth_table(ctx, ap)
+        table = slots_of(ctx, ap)
         tight_masks = ctx.type_masks
         for below, bag, slot, val in decode(table, ctx.k):
             if below != 0 or slot == 0 or slot == ctx.k + 1:
@@ -155,6 +160,7 @@ def test_join_bipartitions_canonical_unique_symmetric():
         g = random_graph(rng, rng.randrange(3, 9), 0.3)
         ctx, ap = context_of(g)
         table = treewidth_table(ctx, ap)
+        slots = slots_of(ctx, ap)
         js = 8 * (ctx.k + 1)
         for below, bag in ctx.valid_triples(require_bit=ap):
             if below.bit_count() < 2:
@@ -171,8 +177,8 @@ def test_join_bipartitions_canonical_unique_symmetric():
                 pair = frozenset((p1, p2))
                 assert pair not in seen, "unordered pair listed twice"
                 seen.add(pair)
-                pv1 = (table[(p1 << ctx.k) | bag] >> js) & 255
-                pv2 = (table[(p2 << ctx.k) | bag] >> js) & 255
+                pv1 = (slots[(p1 << ctx.k) | bag] >> js) & 255
+                pv2 = (slots[(p2 << ctx.k) | bag] >> js) & 255
                 assert pred == max(pv1, pv2) - 1
                 straddle = sum(cnt for m, cnt in below_only
                                if m & p1 and m & p2)
@@ -188,10 +194,11 @@ def test_join_parts_match_literal_enumeration():
         g = random_graph(rng, rng.randrange(3, 9), 0.3)
         ctx, ap = context_of(g)
         table = treewidth_table(ctx, ap)
+        slots = slots_of(ctx, ap)
         js = 8 * (ctx.k + 1)
 
         def child_ok(part, bag):
-            return bool((table.get((part << ctx.k) | bag, 0) >> js) & 255)
+            return bool((slots.get((part << ctx.k) | bag, 0) >> js) & 255)
 
         for below, bag in ctx.valid_triples(require_bit=ap):
             if below.bit_count() < 2:
@@ -212,7 +219,7 @@ def test_join_values_dominate_bag_size():
         g = random_graph(rng, rng.randrange(3, 8), 0.4)
         jv = {}
         treewidth_vc_4k(g, join_values=jv)
-        for (below, bag, slot), val in jv.items():
+        for (below, bag), val in jv.items():
             assert val >= bag.bit_count() - 1
 
 

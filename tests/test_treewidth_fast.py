@@ -15,6 +15,7 @@ from vcwidth.treewidth_fast import _layer_sweep, _split_minima, treewidth_vc_3k
 from genutil import (complete_graph, cycle_graph, enumerate_small_graphs,
                      grid_graph, join_minima_by_splits, path_graph,
                      random_graph, random_graph_with_cover, random_tree)
+from spec import tw_packed_slots, tw_table_by_states
 
 
 def solved(g, **kw):
@@ -112,18 +113,22 @@ def test_sweep_table_equals_treewidth_table():
 
 def test_bounded_tables_hold_every_state_within_the_bound(monkeypatch):
     # each solver's table under the width bound against its own table with
-    # no bound: every key kept holds the same packed value, and every key
-    # with a slot within the bound is kept
+    # no bound, both expanded into packed slots: every key kept holds the
+    # same packed value, and every key with a slot within the bound is kept
     rng = random.Random(60)
     cases = list(instance_mix(rng, 120))
-    bounded = [(width_bound(ctx), treewidth_table(ctx, ap),
-                _layer_sweep(ctx, ap)) for ctx, ap in cases]
+    bounded = []
+    for ctx, ap in cases:
+        limit = width_bound(ctx)
+        bounded.append((limit, *(tw_packed_slots(ctx, sweep(ctx, ap), ap,
+                                                 limit)
+                                 for sweep in (treewidth_table, _layer_sweep))))
     monkeypatch.setattr(treewidth, "width_bound", lambda ctx: 1 << 30)
     dropped = 0
     for (ctx, ap), (limit, *tables) in zip(cases, bounded):
         assert limit >= final_value(ctx, tables[0], ap)
         for table, sweep in zip(tables, (treewidth_table, _layer_sweep)):
-            full = sweep(ctx, ap)
+            full = tw_packed_slots(ctx, sweep(ctx, ap), ap, 1 << 30)
             for key, packed in table.items():
                 assert full[key] == packed, sweep
             for key, packed in full.items():
@@ -159,18 +164,20 @@ def test_layers_monotone_and_stable():
     for _ in range(25):
         g = random_graph(rng, rng.randrange(2, 9), rng.choice([0.2, 0.4]))
         ctx, ap = apex_ctx(g, minimum_vertex_cover(g))
+        limit = width_bound(ctx)
         no_joins = fed_sweep(ctx, ap, {})
         table = _layer_sweep(ctx, ap)
+        slots = tw_packed_slots(ctx, table, ap, limit)
         # the joins only add states and lower values
-        for key, packed in no_joins.items():
-            later = table.get(key, 0)
+        for key, packed in tw_packed_slots(ctx, no_joins, ap, limit).items():
+            later = slots.get(key, 0)
             for slot, val in iter_slots(packed):
                 lv = (later >> (8 * slot)) & 255
                 assert lv, "a reachable state vanished once joins were added"
                 assert lv - 1 <= val, "the joins made a state worse"
         # the one sweep is already the fixed point: a further sweep fed the
         # join minima of its finished table changes nothing
-        assert fed_sweep(ctx, ap, join_minima_by_splits(ctx, ap, table)) \
+        assert fed_sweep(ctx, ap, join_minima_by_splits(ctx, ap, slots)) \
             == table, g.edges
         stats = {}
         treewidth_vc_3k(g, stats=stats)
@@ -182,7 +189,7 @@ def test_stable_table_matches_final_answer():
     for _ in range(20):
         g = random_graph(rng, rng.randrange(2, 8), rng.random())
         ctx, ap = apex_ctx(g, minimum_vertex_cover(g))
-        table = _layer_sweep(ctx, ap)
+        table = tw_packed_slots(ctx, _layer_sweep(ctx, ap), ap, width_bound(ctx))
         final_key = ((ctx.full ^ (1 << ap)) << ctx.k) | (1 << ap)
         packed = table[final_key]
         val = ((packed >> (8 * (ap + 1))) & 255) - 1
@@ -213,7 +220,7 @@ def test_join_values_dominate_bag_size():
         g = random_graph(rng, rng.randrange(3, 8), 0.4)
         jv = {}
         treewidth_vc_3k(g, join_values=jv)
-        for (below, bag, slot), v in jv.items():
+        for (below, bag), v in jv.items():
             assert v >= bag.bit_count() - 1
 
 
@@ -244,7 +251,8 @@ def test_join_minima_match_split_enumeration(monkeypatch):
     rng = random.Random(58)
     for trial, (ctx, ap) in enumerate(instance_mix(rng, 45)):
         k = ctx.k
-        want = join_minima_by_splits(ctx, ap, treewidth_table(ctx, ap))
+        want = join_minima_by_splits(ctx, ap, tw_packed_slots(
+            ctx, treewidth_table(ctx, ap), ap, width_bound(ctx)))
         seen.clear()
         _layer_sweep(ctx, ap)
         done = set()
@@ -315,3 +323,24 @@ def test_split_minima_one_convolution_per_group(monkeypatch):
         # and one call carries every partner rank of its threshold
         ranks = max(max(g).bit_length() // (c + 1) + 1 for _, g in calls)
         assert ranks > lane_ranks
+
+
+def test_expanded_slots_equal_the_literal_state_model(monkeypatch):
+    # one value per triple expands into every upper slot of the literal
+    # state DP, degenerate states included: within the width bound the
+    # kept keys agree, and with no bound the keys and slots are the same
+    rng = random.Random(61)
+    degenerate = 0
+    for trial, (ctx, ap) in enumerate(instance_mix(rng, 45)):
+        literal = tw_table_by_states(ctx, ap)
+        limit = width_bound(ctx)
+        for sweep in (treewidth_table, _layer_sweep):
+            bounded = tw_packed_slots(ctx, sweep(ctx, ap), ap, limit)
+            assert bounded == {key: literal[key] for key in bounded}, trial
+        with monkeypatch.context() as m:
+            m.setattr(treewidth, "width_bound", lambda ctx: 1 << 30)
+            for sweep in (treewidth_table, _layer_sweep):
+                assert tw_packed_slots(ctx, sweep(ctx, ap), ap, 1 << 30) \
+                    == literal, trial
+        degenerate += sum(not key >> ctx.k for key in literal)
+    assert degenerate > 200
