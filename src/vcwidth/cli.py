@@ -54,7 +54,9 @@ def _read_input(path):
 
 # Solver-specific counters, printed after the common four when collected.
 _EXTRA_STATS = [
-    ("width_bound", "width bound"),  # tw-vc-4k and tw-vc-3k
+    ("width_bound", "width bound"),  # pw-vc, tw-vc-4k and tw-vc-3k
+    ("sweeps", "sweeps"),
+    ("certificate", "certificate"),  # tw-vc-4k and tw-vc-3k
     ("table_entries", "table entries"),  # pw-cvc
     ("threshold_levels", "threshold levels"),
     ("reach_sweeps", "reach sweeps"),

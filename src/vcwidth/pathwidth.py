@@ -36,6 +36,17 @@ with s1 the state after s0 (_glue), and the witness chain is the left
 back-walk followed by the right one reversed and mirrored (_optimal_chain).
 The sweep touches about half the apex triples, with fewer lowers each.
 
+Threshold and retry. The sweep stores only the triples with some upper
+slot within a limit; as in treewidth.py, values along a path never fall,
+so every state of an optimal path is within pw + 1, and what is stored is
+exact. The glue then finds pw + 1 if it is within the limit and reports
+nothing otherwise. pathwidth_vc starts at treewidth.width_bound, the greedy
+elimination width of the apexed graph, and sweeps again one higher while
+the glue finds nothing. That bound is one on treewidth, and pw >= tw, so
+the first sweep may fail; pw + 1 <= k bounds the retries. A failed sweep
+costs nearly a full one, so pw does not decide one below the bound the way
+treewidth does. Without joins, a rank that stores nothing ends the sweep.
+
 Table layout: one packed int per valid triple, as described in states.py;
 byte slot 0 is the introduce upper, slot u+1 the forget(u) upper.
 """
@@ -45,8 +56,9 @@ from __future__ import annotations
 from .decomposition import Decomposition, contract, validate
 from .errors import InternalError
 from .states import (_best_lower, _lowers, _packed_forgets, _read,
-                     apex_context, final_value, iter_bits, state_bags,
+                     apex_context, iter_bits, no_rank_left, state_bags,
                      touching)
+from .treewidth import width_bound
 
 
 def _pw_lowers(ctx, table, below, bag, apex):
@@ -153,52 +165,70 @@ def _tight_uppers(ctx, get, below, bag, ahead, base, apex):
     return packed, count
 
 
-def partial_width_table(ctx, stats=None, *, apex_pos):
+def partial_width_table(ctx, stats=None, *, apex_pos, limit=None):
     """Run the pathwidth DP sweep over the apex triples with |below| <=
     |ahead|, the half that _glue reads; returns the packed state-value
-    table."""
+    table.
+
+    With a `limit`, a triple is stored only if some upper slot is within
+    it; the slots of a stored triple are exact, those above the limit
+    included. Ranks are enumerated as the sweep reaches them, and it stops
+    after the first rank that stores nothing (states.no_rank_left).
+    """
     k = ctx.k
     full = ctx.full
     inside = ctx.inside
     apex = 1 << apex_pos
+    if limit is None:
+        limit = 1 << 30
     table = {}
     get = table.get
-    triples = ctx.valid_triples(require_bit=apex_pos, half=True)
-    states = 0
-    slots = 0
-    for below, bag in triples:
-        ahead = full & ~(below | bag)
-        base = bag.bit_count() + touching(inside, full, below, ahead) - 1
-        if below == 0 and bag == apex:
-            m1, lowers = base, 1  # the base state: pred 0, xl 0
-        else:
-            m1, lowers = _best_lower(ctx, get, below, bag, base)
-            if not lowers:
+    triples = states = slots = 0
+    stored = []
+    for rank in range(k):
+        if no_rank_left(stored, False):
+            break
+        ranked = ctx.valid_triples(require_bit=apex_pos, half=True, rank=rank)
+        triples += len(ranked)
+        kept = len(table)
+        for below, bag in ranked:
+            ahead = full & ~(below | bag)
+            base = bag.bit_count() + touching(inside, full, below, ahead) - 1
+            if base > limit:
+                continue  # every slot is at least base
+            if below == 0 and bag == apex:
+                m1, lowers = base, 1  # the base state: pred 0, xl 0
+            else:
+                m1, lowers = _best_lower(ctx, get, below, bag, base)
+                if m1 > limit:  # no lower (_NO_LOWER), or every slot above
+                    continue
+            if m1 > base or not inside[bag]:
+                # the tightness term, 0 or 1, cannot raise a lower that
+                # reaches m1 > base, and it is 0 when no vertex is confined
+                # to the bag
+                packed, uppers = _packed_forgets(ctx, bag, ahead, m1, base)
+                if ahead:  # the introduce upper: max(m1, base) = m1
+                    packed |= min(m1, 254) + 1
+                    uppers += 1
+            else:
+                packed, uppers = _tight_uppers(ctx, get, below, bag, ahead,
+                                               base, apex)
+            if not uppers:
                 continue
-        if m1 > base or not inside[bag]:
-            # the tightness term, 0 or 1, cannot raise a lower that reaches
-            # m1 > base, and it is 0 when no vertex is confined to the bag
-            packed, uppers = _packed_forgets(ctx, bag, ahead, m1, base)
-            if ahead:  # the introduce upper: max(m1, base) = m1
-                packed |= min(m1, 254) + 1
-                uppers += 1
-        else:
-            packed, uppers = _tight_uppers(ctx, get, below, bag, ahead, base,
-                                           apex)
-        if not uppers:
-            continue
-        states += lowers * uppers
-        table[(below << k) | bag] = packed
-        slots += uppers
+            states += lowers * uppers
+            table[(below << k) | bag] = packed
+            slots += uppers
+        stored.append(len(table) - kept)
     if stats is not None:
-        stats["valid_triples"] = len(triples)
+        stats["valid_triples"] = triples
         stats["states"] = states
         stats["peak_table"] = slots
     return table
 
 
-def _glue(ctx, table, apex_pos):
-    """(pw + 1, meet): the best apex path, glued at its balanced state.
+def _glue(ctx, table, apex_pos, limit=253):
+    """(pw + 1, meet): the best apex path within `limit`, glued at its
+    balanced state; None if no path is within the limit.
 
     Every apex path passes exactly one state s0 with |below| = |ahead|,
     and the state s1 after it mirrors into the half table, so pw + 1 is the
@@ -207,16 +237,18 @@ def _glue(ctx, table, apex_pos):
     forget(u), u not the apex, with slot 0 of (ahead, bag - u, below + u).
     `meet` is ((below, bag, slot) of s0, the same of mirror(s1)). When the
     cover is the apex alone, the base state is the final state and the
-    second part is None.
+    second part is None. The default limit keeps every unsaturated value.
     """
     k = ctx.k
     full = ctx.full
     apex = 1 << apex_pos
     if k == 1:
-        return final_value(ctx, table, apex_pos), ((0, apex, apex_pos + 1),
-                                                   None)
+        val = _read(table, k, 0, apex, apex_pos + 1)
+        if val is None or val > limit:
+            return None
+        return val, ((0, apex, apex_pos + 1), None)
     get = table.get
-    best = 255  # stored bytes: min(value, 254) + 1
+    best = min(limit, 253) + 2  # stored bytes: min(value, 254) + 1
     meet = None
     for key, packed in table.items():
         below = key >> k
@@ -240,9 +272,7 @@ def _glue(ctx, table, apex_pos):
                 if b and max(a, b) < best:
                     best = max(a, b)
                     meet = ((below, bag, u + 1), (ahead, bag ^ 1 << u, 0))
-    if meet is None:
-        raise InternalError("the DP finished without a balanced state")
-    return best - 1, meet
+    return None if meet is None else (best - 1, meet)
 
 
 def _state_chain(ctx, table, apex_pos, below, bag, slot, val):
@@ -356,12 +386,32 @@ def pathwidth_vc(g, cover=None, stats=None):
 
     `cover` may inject a precomputed vertex cover (it is verified); by
     default a minimum one is computed. Runtime and memory are exponential in
-    the cover size, mild in n.
+    the cover size, mild in n. The half table is swept at limit =
+    width_bound(ctx) and, while the glue finds no path within the limit,
+    swept again at limit + 1; the counters are those of every sweep
+    together, the peak table the largest one's.
     """
     if g.n == 0:
         return -1, Decomposition([], [], kind="path")
     ctx, apex = apex_context(g, cover, stats)
     apex_pos = ctx.position[apex]
-    table = partial_width_table(ctx, stats, apex_pos=apex_pos)
-    value, meet = _glue(ctx, table, apex_pos)
+    limit = bound = width_bound(ctx)
+    sweeps = []
+    while True:
+        sweeps.append({})
+        table = partial_width_table(ctx, sweeps[-1], apex_pos=apex_pos,
+                                    limit=limit)
+        glued = _glue(ctx, table, apex_pos, limit)
+        if glued is not None:
+            break
+        if limit >= ctx.k:  # pw + 1 <= k, so this sweep held the optimum
+            raise InternalError("the DP finished without a balanced state")
+        limit += 1
+    if stats is not None:
+        for name in ("valid_triples", "states"):
+            stats[name] = sum(sweep[name] for sweep in sweeps)
+        stats["peak_table"] = max(sweep["peak_table"] for sweep in sweeps)
+        stats["width_bound"] = bound
+        stats["sweeps"] = len(sweeps)
+    value, meet = glued
     return value - 1, reconstruct_path(g, ctx, table, apex, meet, value - 1)

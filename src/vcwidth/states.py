@@ -23,21 +23,25 @@ op; they are the base cases of the treewidth recurrence, computed where they
 are read. The pathwidth base is the introduce-lower state with below == 0
 and the apex alone in the bag.
 
-Triples are enumerated with |below| never falling, each `below`'s bags in
-ascending order, and no sort; that order linearly extends the predecessor
-relation, so one sweep over triples in this order sees every predecessor
-before its successors. The sweeps never build states or op tags: they keep
-one int per triple (pathwidth packs its upper slots, treewidth stores one
-value), and the tests check them against the literal model in tests/spec.py.
+Triples are enumerated by rank, the size of `below`: the sweeps ask for
+one rank at a time, in ascending order, and stop asking once no higher rank
+can hold a state (no_rank_left), so the ranks they never reach are never
+built. Within a rank each `below`'s bags come in ascending order, with no
+sort; that order linearly extends the predecessor relation, so one sweep
+over triples in this order sees every predecessor before its successors.
+The sweeps never build states or op tags: they keep one int per triple
+(pathwidth packs its upper slots, treewidth stores one value), and the
+tests check them against the literal model in tests/spec.py.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import combinations
 
 from .convolution import SetFunction, zeta
 from .cover import is_vertex_cover, minimum_vertex_cover
-from .errors import InputError, InternalError, ResourceLimitError
+from .errors import InputError, ResourceLimitError
 
 # Largest cover the solvers take; the apex makes it 26 cover positions.
 MAX_COVER = 25
@@ -69,15 +73,25 @@ def components_outside(cov_adj, verts):
     return comps
 
 
-def enumerate_valid_triples(cov_adj, require_bit=None, half=False):
-    """All valid triples as (below, bag) mask pairs, |below| never falling.
+def _or_table(adj):
+    """or[S]: the union of adj[i] over the bits i of S."""
+    out = [0] * (1 << len(adj))
+    for s in range(1, len(out)):
+        low = s & -s
+        out[s] = out[s ^ low] | adj[low.bit_length() - 1]
+    return out
+
+
+def enumerate_valid_triples(cov_adj, require_bit=None, half=False, rank=None):
+    """The valid triples with |below| = `rank` as (below, bag) mask pairs,
+    or, with no rank, those of every rank in ascending rank order.
 
     ahead is implied. A triple is valid iff every cover neighbor of `below`
     outside it is in the bag, so the bags of one `below` L are need | Y with
-    need = N(L) - L and Y any subset of the rest. The belows come rank by
-    rank (each L of rank r + 1 extends one of rank r by a bit above its top
-    bit) and each L's bags in ascending order of Y. That linearly extends
-    the predecessor relation: forget and join predecessors have a smaller
+    need = N(L) - L and Y any subset of the rest. The belows of one rank
+    come in lexicographic order of their positions, each L's bags in
+    ascending order of Y. Swept rank by rank, that linearly extends the
+    predecessor relation: forget and join predecessors have a smaller
     `below`, an introduce predecessor a smaller bag under the same one.
     If `require_bit` is given, only bags containing that position are
     produced (used with the apex position: the solvers never need the other
@@ -86,36 +100,52 @@ def enumerate_valid_triples(cov_adj, require_bit=None, half=False):
     With `half`, only the triples with |below| <= |ahead| are produced: the
     bags need | Y with |need | Y| <= k - 2|L|. An introduce predecessor has
     a larger ahead and a forget predecessor a smaller below, so the set is
-    closed under predecessors. Every L' extending L has L | need within
-    L' | need', so |L'| + |need'| >= |L| + |need| and L' has no room left
-    once L has none: such an L is not extended.
+    closed under predecessors.
     """
     k = len(cov_adj)
+    if rank is None:
+        out = []
+        for r in range(k + 1):
+            out += enumerate_valid_triples(cov_adj, require_bit, half, r)
+        return out
     full = (1 << k) - 1
     req = 0 if require_bit is None else 1 << require_bit
+    if half and 2 * rank + req.bit_count() > k:
+        return []
+    h = k // 2
+    low, high = _or_table(cov_adj[:h]), _or_table(cov_adj[h:])
+    low_mask = (1 << h) - 1
+    bits = [1 << i for i in range(k) if i != require_bit]
     out = []
-    level = [(0, 0)]  # (below, its cover neighbors) of one rank
-    rank = 0
-    while level:
-        higher = []
-        for below, near in level:
-            need = (near & ~below) | req
-            m = full & ~(below | need)
-            room = k - 2 * rank - need.bit_count() if half else k
-            if room < 0:
-                continue
-            ys = [0]
-            while m:
-                bit = m & -m
-                m ^= bit
-                ys += [y | bit for y in ys if y.bit_count() < room]
-            out += [(below, need | y) for y in ys]
-            for i in range(below.bit_length(), k):
-                if i != require_bit:
-                    higher.append((below | 1 << i, near | cov_adj[i]))
-        level = higher
-        rank += 1
+    for below in map(sum, combinations(bits, rank)):
+        need = ((low[below & low_mask] | high[below >> h]) & ~below) | req
+        m = full & ~(below | need)
+        room = k - 2 * rank - need.bit_count() if half else k
+        if room < 0:
+            continue
+        ys = [0]
+        while m:
+            bit = m & -m
+            m ^= bit
+            ys += [y | bit for y in ys if y.bit_count() < room]
+        out += [(below, need | y) for y in ys]
     return out
+
+
+def no_rank_left(stored, joins):
+    """Whether no triple of rank r = len(stored) or above can be stored,
+    given stored[i], the number of triples a sweep stored at rank i.
+
+    A state of rank r has a forget predecessor of rank r - 1, an introduce
+    predecessor of rank r, or (with `joins`) two children of ranks a + b =
+    r, a, b >= 1, one of them of rank ceil(r/2) or more. An introduce chain
+    starts at one of the others, so once ranks ceil(r/2) .. r - 1 (r - 1
+    alone without joins, and for r = 1) store nothing, neither does rank r,
+    and by the same argument no rank above it.
+    """
+    r = len(stored)
+    lowest = min((r + 1) // 2, r - 1) if joins else r - 1
+    return r > 0 and not any(stored[lowest:])
 
 
 class CoverContext:
@@ -161,8 +191,8 @@ class CoverContext:
             cnt[m] = c
         return zeta(SetFunction(self.k, cnt)).values
 
-    def valid_triples(self, require_bit=None, half=False):
-        return enumerate_valid_triples(self.cov_adj, require_bit, half)
+    def valid_triples(self, require_bit=None, half=False, rank=None):
+        return enumerate_valid_triples(self.cov_adj, require_bit, half, rank)
 
     def expand(self, mask):
         """Cover mask -> set of actual vertex ids."""
@@ -194,16 +224,6 @@ def apex_context(g, cover, stats):
         stats["cover_size"] = len(cover)
     gp, apex = g.add_universal_vertex()
     return CoverContext(gp, set(cover) | {apex}), apex
-
-
-def final_value(ctx, table, apex_pos):
-    """Value of the final state: everything but the apex below, the apex
-    alone in the bag and forgotten next. The width is one less."""
-    val = _read(table, ctx.k, ctx.full ^ (1 << apex_pos), 1 << apex_pos,
-                apex_pos + 1)
-    if val is None:
-        raise InternalError("the DP finished without a final state")
-    return val
 
 
 def state_bags(ctx, below, bag, lower, forgotten):

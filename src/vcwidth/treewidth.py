@@ -22,16 +22,32 @@ L - u, exactly those crossing L and R but not L - u. A degenerate state
 (nothing below, no lower op, a forget upper) is a base case worth its floor,
 computed where it is read, never stored or swept.
 
-The sweep keeps only the states within an upper bound on the final value,
-width_bound's greedy elimination width of the apexed graph. A state's value
-is the max of its predecessor's value and its local width, so values never
-fall along a path to the final state, and every state on an optimal path is
-worth at most the final value. A triple whose `cross` exceeds the bound is
+The sweep keeps only the states within a limit. A state's value is the
+max of its predecessor's value and its local width, so values never fall
+along a path to the final state, and every state on an optimal path is
+worth at most the final value. A triple whose `cross` exceeds the limit is
 skipped before any candidate is read, and one whose V exceeds it is not
-stored. What is stored stays exact: a value within the bound comes from
+stored. What is stored stays exact: a value within the limit comes from
 predecessors within it (both children, for a join), stored by induction,
-and a predecessor missing from the table is worth more than the bound, and
+and a predecessor missing from the table is worth more than the limit, and
 so is its candidate.
+
+The solvers decide one below a greedy bound. elimination_order eliminates
+the apexed graph greedily by minimum degree; its width b bounds the final
+value, tw + 1. The sweep runs at limit b - 1. If it stores the final state,
+its value is exact and the table's back-walk gives the witness. If not, tw
++ 1 > b - 1, so tw = b - 1, and the certificate is the elimination order's
+own tree decomposition, the apex stripped: every bag before the apex goes
+holds the apex, and every later bag lies in the apex's bag, so stripped,
+no bag holds more than b vertices. Both witnesses are validated.
+
+The sweep goes rank by rank (the rank of a triple is |below|), enumerating
+each rank as it reaches it, and stops at the first rank that can no longer
+hold a stored triple: a state of rank r has a forget predecessor of rank
+r - 1, an introduce predecessor of rank r, or join children of ranks
+a + b = r, so once ranks ceil(r/2) .. r - 1 store nothing, no rank from r
+on does (states.no_rank_left). When the greedy bound is tight, the sweep
+at b - 1 often ends after a few ranks.
 
 One sweep body, _tw_sweep, serves both treewidth solvers; they differ only
 in where a triple's join candidates come from. treewidth_table enumerates
@@ -47,7 +63,7 @@ import heapq
 from .decomposition import Decomposition, contract, validate
 from .errors import InternalError
 from .states import (_NO_LOWER, apex_context, components_outside, iter_bits,
-                     state_bags, touching)
+                     no_rank_left, state_bags, touching)
 
 
 def _value(ctx, table, below, bag):
@@ -88,16 +104,20 @@ def _join_splits(ctx, table, below, bag, comps=None):
     return out
 
 
-def width_bound(ctx):
-    """Width of a greedy minimum-degree elimination order of the apexed
-    graph: an upper bound on its treewidth, the final value of the sweep.
+def elimination_order(ctx):
+    """(width, steps) of a greedy minimum-degree elimination order of the
+    apexed graph. The width is an upper bound on its treewidth, the final
+    value of the sweep; the steps list the order itself.
 
     Each step eliminates the cheapest of the independent-side types (their
     vertices see only their cover mask, which becomes a clique) and the
     cover vertices that at most one independent vertex still sees (that
     vertex takes over their cover neighbors); ties go to types, then to the
     earliest type or the lowest position. A cover vertex seen by two independent
-    vertices waits, so no two independent vertices become adjacent. Costs
+    vertices waits, so no two independent vertices become adjacent. A step
+    is (t, -1, m) for every vertex of type t, m their cover neighbors left,
+    or (t, u, near) for cover position u, near its cover neighbors left and
+    t the type of its one independent neighbor left (-1 if none). Costs
     O(#types * (k + log #types) + k^3), whatever the number of vertices.
     """
     adj = list(ctx.cov_adj)
@@ -110,6 +130,7 @@ def width_bound(ctx):
     heapq.heapify(heap)
     left = ctx.full
     width = 0
+    steps = []
     while heap or left:
         while heap and masks[heap[0][1]] != heap[0][2]:
             heapq.heappop(heap)  # a type gone or changed since pushed
@@ -121,6 +142,7 @@ def width_bound(ctx):
                     u, du = i, d
         if heap and heap[0][0] <= du:
             d, t, m = heapq.heappop(heap)
+            steps.append((t, -1, m))
             masks[t] = None
             for i in iter_bits(m):
                 adj[i] |= m ^ (1 << i)
@@ -131,6 +153,7 @@ def width_bound(ctx):
             near = adj[u] & left
             for i in iter_bits(near):
                 adj[i] |= near ^ (1 << i)
+            t = -1
             if seen[u]:
                 t = next(t for t, m in enumerate(masks)
                          if m is not None and m >> u & 1)
@@ -138,97 +161,113 @@ def width_bound(ctx):
                     seen[i] += 1
                 masks[t] = (masks[t] | near) ^ (1 << u)
                 heapq.heappush(heap, (masks[t].bit_count(), t, masks[t]))
+            steps.append((t, u, near))
         width = max(width, d)
-    return width
+    return width, steps
 
 
-def _tw_sweep(ctx, apex_pos, join_candidates, stats, join_values):
+def width_bound(ctx):
+    """The width of elimination_order(ctx): an upper bound on the final
+    value of the sweep, the treewidth of g plus one."""
+    return elimination_order(ctx)[0]
+
+
+def _tw_sweep(ctx, apex_pos, join_candidates, stats, join_values,
+              limit=None):
     """The treewidth DP sweep over bags containing the apex, storing V of
-    every non-degenerate triple within width_bound(ctx).
+    every non-degenerate triple within `limit` (default width_bound(ctx)).
 
-    `join_candidates(table, below, bag, cross)` lists the values of the
-    join lowers of a triple, each already max(child value, cross +
-    straddlers), where cross is |bag| - 1 plus the crossing count. If
-    `join_values` is a dict, it maps each stored (below, bag) with a join
-    lower to the floored minimum over its join lowers.
+    Ranks are swept in ascending order, each enumerated as it is reached,
+    and the sweep stops at the first rank that can no longer hold a stored
+    triple (states.no_rank_left). `join_candidates(table, below, bag,
+    cross)` lists the values of the join lowers of a triple, each already
+    max(child value, cross + straddlers), where cross is |bag| - 1 plus the
+    crossing count. If `join_values` is a dict, it maps each stored (below,
+    bag) with a join lower to the floored minimum over its join lowers.
     """
     k = ctx.k
     full = ctx.full
     inside = ctx.inside
     cov_adj = ctx.cov_adj
     type_masks = ctx.type_masks
-    limit = width_bound(ctx)
+    if limit is None:
+        limit = width_bound(ctx)
     table = {}
     get = table.get
-    triples = ctx.valid_triples(require_bit=apex_pos)
-    states = 0
-    for below, bag in triples:
-        if not below:
-            continue  # degenerate: computed where read
-        below_bag = below | bag
-        base = bag.bit_count() - 1
-        cross = base + touching(inside, full, below, full ^ below_bag)
-        if cross > limit:
-            continue
-        # forget(u) lowers: max(V of (below - u, bag + u), cross + 1)
-        if below & (below - 1):
-            best, lowers = _NO_LOWER, 0
-            m = below
+    triples = states = 0
+    stored = [1]  # rank 0: the degenerate states, computed where read
+    for rank in range(1, k):
+        if no_rank_left(stored, True):
+            break
+        ranked = ctx.valid_triples(require_bit=apex_pos, rank=rank)
+        triples += len(ranked)
+        kept = len(table)
+        for below, bag in ranked:
+            below_bag = below | bag
+            base = bag.bit_count() - 1
+            cross = base + touching(inside, full, below, full ^ below_bag)
+            if cross > limit:
+                continue
+            # forget(u) lowers: max(V of (below - u, bag + u), cross + 1)
+            if rank > 1:
+                best, lowers = _NO_LOWER, 0
+                m = below
+                while m:
+                    bit = m & -m
+                    m ^= bit
+                    val = get(((below ^ bit) << k) | bag | bit)
+                    if val is not None:
+                        lowers += 1
+                        if val < best:
+                            best = val
+            else:  # the predecessor is degenerate
+                best, lowers = base + 1 + (below_bag in type_masks), 1
+            if best <= cross:
+                best = cross + 1
+            # introduce(u) lowers: max(V of (below, bag - u), cross + xl)
+            key = below << k
+            extra = cross + inside[below_bag] - inside[bag]
+            m = bag
             while m:
                 bit = m & -m
                 m ^= bit
-                val = get(((below ^ bit) << k) | bag | bit)
+                if cov_adj[bit.bit_length() - 1] & below:
+                    continue
+                val = get(key | (bag ^ bit))
                 if val is not None:
                     lowers += 1
+                    xl = extra - inside[below_bag ^ bit] + inside[bag ^ bit]
+                    if val < xl:
+                        val = xl
                     if val < best:
                         best = val
-        else:  # the predecessor is degenerate
-            best, lowers = base + 1 + (below_bag in type_masks), 1
-        if best <= cross:
-            best = cross + 1
-        # introduce(u) lowers: max(V of (below, bag - u), cross + xl)
-        key = below << k
-        extra = cross + inside[below_bag] - inside[bag]
-        m = bag
-        while m:
-            bit = m & -m
-            m ^= bit
-            if cov_adj[bit.bit_length() - 1] & below:
+            joins = join_candidates(table, below, bag, cross)
+            if joins:
+                best = min(best, *joins)
+            # a vertex whose neighborhood is exactly the bag needs a full bag
+            floor = base + 1 if bag in type_masks else base
+            if best < floor:
+                best = floor
+            if best > limit:
                 continue
-            val = get(key | (bag ^ bit))
-            if val is not None:
-                lowers += 1
-                xl = extra - inside[below_bag ^ bit] + inside[bag ^ bit]
-                if val < xl:
-                    val = xl
-                if val < best:
-                    best = val
-        joins = join_candidates(table, below, bag, cross)
-        if joins:
-            best = min(best, *joins)
-        # a vertex whose neighborhood is exactly the bag needs a full bag
-        floor = base + 1 if bag in type_masks else base
-        if best < floor:
-            best = floor
-        if best > limit:
-            continue
-        table[key | bag] = best
-        states += lowers + len(joins)
-        if join_values is not None and joins:
-            join_values[(below, bag)] = max(floor, min(joins))
+            table[key | bag] = best
+            states += lowers + len(joins)
+            if join_values is not None and joins:
+                join_values[(below, bag)] = max(floor, min(joins))
+        stored.append(len(table) - kept)
     if stats is not None:
-        stats["width_bound"] = limit
-        stats["valid_triples"] = len(triples)
+        stats["valid_triples"] = triples
         stats["states"] = states
         stats["peak_table"] = len(table)
     return table
 
 
-def treewidth_table(ctx, apex_pos, stats=None, join_values=None):
+def treewidth_table(ctx, apex_pos, stats=None, join_values=None, limit=None):
     """Run the treewidth DP sweep, enumerating join bipartitions over the
     live table.
 
-    Returns the table of V values. If `join_values` is a dict, the floored
+    Returns the table of V values within `limit` (default the width
+    bound). If `join_values` is a dict, the floored
     minimum over join-lower candidates is recorded per (below, bag) — the
     subset-convolution solver computes exactly these numbers and tests
     compare them.
@@ -242,7 +281,8 @@ def treewidth_table(ctx, apex_pos, stats=None, join_values=None):
         return [max(pred, cross + xl) for _, _, pred, xl
                 in _join_splits(ctx, table, below, bag, comps)]
 
-    return _tw_sweep(ctx, apex_pos, join_candidates, stats, join_values)
+    return _tw_sweep(ctx, apex_pos, join_candidates, stats, join_values,
+                     limit)
 
 
 def _expand_tree(ctx, table, below, bag, slot, val, nodes):
@@ -303,24 +343,41 @@ def _expand_tree(ctx, table, below, bag, slot, val, nodes):
 
 def _final_value(ctx, table, apex_pos):
     """V of the final state (all but the apex below, the apex alone in the
-    bag), the width plus one. With an empty cover it is degenerate and, as
-    if stored, counts only within the width bound."""
+    bag), the width plus one; None if the sweep did not keep it. With an
+    empty cover it is degenerate and computed."""
     apex = 1 << apex_pos
-    val = _value(ctx, table, ctx.full ^ apex, apex)
-    if val is None or apex == ctx.full and val > width_bound(ctx):
-        raise InternalError("the DP finished without a final state")
-    return val
+    return _value(ctx, table, ctx.full ^ apex, apex)
 
 
-def reconstruct_tree(g, ctx, table, apex, width):
-    """Expand the optimal state tree into a tree decomposition of g.
+def decide_width(ctx, apex_pos, sweep, stats):
+    """(width, table): the treewidth of g, decided by one sweep(limit) at
+    limit = width_bound(ctx) - 1, and the table that sweep returned.
+
+    If the final state is within the limit, its value is the width plus
+    one and the table is the certificate. If not, the width is the limit:
+    the sweep shows it is at least that, and the greedy elimination order
+    gives a decomposition of that width (reconstruct_tree).
+    """
+    bound = width_bound(ctx)
+    table = sweep(bound - 1)
+    value = _final_value(ctx, table, apex_pos)
+    width = bound - 1 if value is None or value > bound else value - 1
+    if stats is not None:
+        stats["width_bound"] = bound
+        stats["sweeps"] = 1
+        stats["certificate"] = ("table" if value == width + 1
+                                else "elimination order")
+    return width, table
+
+
+def _state_tree(ctx, table, apex_pos, width):
+    """(bags, edges) of the optimal state tree, back-walked from the final
+    state of value width + 1.
 
     Each state becomes a three-bag chain (first/core/last); children hang
     below the first bag and confined vertices get pendant bags off the
-    core. The apex is stripped and the tree contracted; the result is
-    validated before returning.
+    core.
     """
-    apex_pos = ctx.position[apex]
     states = []
     _expand_tree(ctx, table, ctx.full ^ (1 << apex_pos), 1 << apex_pos,
                  apex_pos + 1, width + 1, states)
@@ -344,6 +401,44 @@ def reconstruct_tree(g, ctx, table, apex, width):
         return i + 2
 
     emit(0)
+    return bags, edges
+
+
+def _elimination_tree(ctx):
+    """(bags, edges) of the greedy elimination order's tree decomposition
+    of the apexed graph: a vertex's bag holds it and its neighbors left
+    when it goes, and hangs below the bag of the first of those to go.
+
+    Its width is elimination_order's. Every bag before the apex goes holds
+    the apex, and every later one lies in the apex's bag, so with the apex
+    stripped the width is one less.
+    """
+    order = []  # (vertex, its neighbors left)
+    for t, u, near in elimination_order(ctx)[1]:
+        nbrs = ctx.expand(near)
+        if u < 0:
+            order += [(x, nbrs) for x in ctx.type_vertices[ctx.types[t][0]]]
+        else:
+            if t >= 0:
+                nbrs.add(ctx.type_vertices[ctx.types[t][0]][0])
+            order.append((ctx.order[u], nbrs))
+    when = {v: i for i, (v, _) in enumerate(order)}
+    edges = [(i, min(when[w] for w in nbrs))
+             for i, (_, nbrs) in enumerate(order) if nbrs]
+    return [nbrs | {v} for v, nbrs in order], edges
+
+
+def reconstruct_tree(g, ctx, table, apex, width):
+    """A tree decomposition of g of width `width`, from the certificate
+    decide_width used: the optimal state tree if the final state's value is
+    width + 1, else the greedy elimination order. The apex is stripped and
+    the tree contracted; the result is validated before returning.
+    """
+    apex_pos = ctx.position[apex]
+    if _final_value(ctx, table, apex_pos) == width + 1:
+        bags, edges = _state_tree(ctx, table, apex_pos, width)
+    else:
+        bags, edges = _elimination_tree(ctx)
     dec = contract([b - {apex} for b in bags], edges, "tree")
     measured = validate(g, dec)
     if measured != width:
@@ -364,6 +459,7 @@ def treewidth_vc_4k(g, cover=None, stats=None, join_values=None):
         return -1, Decomposition([], [], kind="tree")
     ctx, apex = apex_context(g, cover, stats)
     apex_pos = ctx.position[apex]
-    table = treewidth_table(ctx, apex_pos, stats, join_values)
-    width = _final_value(ctx, table, apex_pos) - 1
+    width, table = decide_width(
+        ctx, apex_pos, lambda limit: treewidth_table(
+            ctx, apex_pos, stats, join_values, limit), stats)
     return width, reconstruct_tree(g, ctx, table, apex, width)

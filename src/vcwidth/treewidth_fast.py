@@ -40,7 +40,7 @@ from __future__ import annotations
 from .convolution import STATS, SetFunction, convolve, zeta
 from .decomposition import Decomposition
 from .states import apex_context, components_outside
-from .treewidth import _final_value, _tw_sweep, reconstruct_tree
+from .treewidth import _tw_sweep, decide_width, reconstruct_tree
 
 
 def _split_minima(c, z, a, base, targets):
@@ -179,9 +179,10 @@ def _join_minima(ctx, bj, targets, table):
     return {bj.keys[p]: v for p, v in best.items()}
 
 
-def _layer_sweep(ctx, apex_pos, stats=None, join_values=None):
-    """The one table sweep, computing each bag's join minima rank by rank
-    as the sweep reaches them."""
+def _layer_sweep(ctx, apex_pos, stats=None, join_values=None, limit=None):
+    """The one table sweep within `limit` (default the width bound),
+    computing each bag's join minima rank by rank as the sweep reaches
+    them."""
     k = ctx.k
     bags = _bag_joins(ctx, apex_pos)
     if stats is not None:
@@ -198,7 +199,8 @@ def _layer_sweep(ctx, apex_pos, stats=None, join_values=None):
         split = jmin.pop((below << k) | bag, None)
         return [] if split is None else [split]
 
-    return _tw_sweep(ctx, apex_pos, join_candidates, stats, join_values)
+    return _tw_sweep(ctx, apex_pos, join_candidates, stats, join_values,
+                     limit)
 
 
 def treewidth_vc_3k(g, cover=None, stats=None, join_values=None):
@@ -215,9 +217,10 @@ def treewidth_vc_3k(g, cover=None, stats=None, join_values=None):
         calls0 = STATS["convolve_calls"]
         cells0 = STATS["convolve_cells"]
     apex_pos = ctx.position[apex]
-    table = _layer_sweep(ctx, apex_pos, stats, join_values)
+    width, table = decide_width(
+        ctx, apex_pos, lambda limit: _layer_sweep(
+            ctx, apex_pos, stats, join_values, limit), stats)
     if stats is not None:  # this solve's real convolution work
         stats["convolve_calls"] = STATS["convolve_calls"] - calls0
         stats["convolve_cells"] = STATS["convolve_cells"] - cells0
-    width = _final_value(ctx, table, apex_pos) - 1
     return width, reconstruct_tree(g, ctx, table, apex, width)

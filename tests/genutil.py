@@ -46,6 +46,23 @@ def enumerate_small_graphs(n):
         yield Graph(n, edges)
 
 
+def small_graphs_up_to_isomorphism(n):
+    """Yield one graph on n vertices per isomorphism class: the first
+    labelled graph of each class in enumerate_small_graphs' order, its
+    whole orbit under vertex permutations marked as seen."""
+    pairs = list(combinations(range(n), 2))
+    index = {p: i for i, p in enumerate(pairs)}
+    relabel = [[index[tuple(sorted((perm[u], perm[v])))] for u, v in pairs]
+               for perm in permutations(range(n))]
+    seen = set()
+    for pick in range(1 << len(pairs)):
+        if pick in seen:
+            continue
+        bits = [i for i in range(len(pairs)) if pick >> i & 1]
+        seen.update(sum(1 << moved[i] for i in bits) for moved in relabel)
+        yield Graph(n, [pairs[i] for i in bits])
+
+
 def random_graph(rng, n, p):
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)
              if rng.random() < p]

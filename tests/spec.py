@@ -12,7 +12,8 @@ from collections import namedtuple
 
 from vcwidth.decomposition import Decomposition
 from vcwidth.pathwidth import _pw_lowers, _tight
-from vcwidth.states import _best_lower, _packed_forgets, iter_bits, touching
+from vcwidth.states import (_best_lower, _packed_forgets, _read, iter_bits,
+                            touching)
 
 
 OpTag = namedtuple("OpTag", ["kind", "arg"])
@@ -550,6 +551,16 @@ def tw_table_by_states(ctx, apex_pos):
         if values:
             out[(below << k) | bag] = _pack(values.items())
     return out
+
+
+def final_value(ctx, table, apex_pos):
+    """Value of the final state of a packed table: everything but the apex
+    below, the apex alone in the bag and forgotten next. The width is one
+    less."""
+    val = _read(table, ctx.k, ctx.full ^ (1 << apex_pos), 1 << apex_pos,
+                apex_pos + 1)
+    assert val is not None, "the DP finished without a final state"
+    return val
 
 
 def pw_apex_sweep_table(ctx, stats=None, *, apex_pos):

@@ -27,6 +27,13 @@ def gr_text(n, edges):
 P3 = gr_text(3, [(0, 1), (1, 2)])
 C5 = gr_text(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
 K8 = gr_text(8, [(u, v) for u in range(8) for v in range(u + 1, 8)])
+# treewidth 2, greedy elimination bound 4 (width 3 of g): the table
+# certifies the width
+G8 = gr_text(8, [(0, 4), (0, 7), (1, 4), (1, 5), (1, 7), (4, 6), (6, 7)])
+# pathwidth 3, width bound 3: the glue finds nothing within 3 and pw-vc
+# sweeps again at 4
+PW6 = gr_text(6, [(0, 1), (0, 2), (0, 4), (0, 5), (1, 2), (1, 3), (1, 5),
+                  (2, 3), (2, 4)])
 
 
 def write(tmp_path, name, text):
@@ -86,11 +93,12 @@ def test_stats_block(tmp_path, capsys):
     assert lines[2].startswith("states: ") or lines[2].startswith("valid triples: ")
     triples = int(lines[2].split(": ")[1])
     assert 0 < triples <= 3 ** 4
-    assert len(lines) == 5
+    assert lines[5:] == ["width bound: 3", "sweeps: 1"]
 
 
 def test_stats_block_of_the_3k_solver(tmp_path, capsys):
-    path = write(tmp_path, "c5.gr", C5)
+    # G8's decision sweep reaches joins (C5's stops before any)
+    path = write(tmp_path, "g8.gr", G8)
     rc, out, err = run(capsys, ["tw", "--stats", "--input", path])
     assert rc == 0
     lines = dict(line.split(": ") for line in out.splitlines())
@@ -105,20 +113,32 @@ def test_stats_block_of_the_3k_solver(tmp_path, capsys):
 
 def test_stats_block_prints_the_width_bound_of_both_treewidth_solvers(
         tmp_path, capsys):
-    # C5 plus the apex: the greedy elimination width is 3, the width + 1
-    path = write(tmp_path, "c5.gr", C5)
-    for algo in ("3k", "4k"):
-        rc, out, err = run(capsys, ["tw", "--algo", algo, "--stats",
-                                    "--input", path])
+    # C5 plus the apex: the greedy elimination width is 3, the width + 1,
+    # so the one sweep at 2 finds no final state and the elimination order
+    # certifies the width; G8's bound is 4 and its table certifies 2
+    for name, text, width, bound, certificate in [
+            ("c5", C5, 2, 3, "elimination order"),
+            ("g8", G8, 2, 4, "table")]:
+        path = write(tmp_path, f"{name}.gr", text)
+        for algo in ("3k", "4k"):
+            rc, out, err = run(capsys, ["tw", "--algo", algo, "--stats",
+                                        "--input", path])
+            assert rc == 0 and err == ""
+            lines = out.splitlines()
+            assert lines[0] == f"width: {width}"
+            assert [line.split(": ")[0] for line in lines[1:8]] == [
+                "cover size", "valid triples", "states", "peak table entries",
+                "width bound", "sweeps", "certificate"]
+            assert lines[5:8] == [f"width bound: {bound}", "sweeps: 1",
+                                  f"certificate: {certificate}"]
+    # pw-vc sweeps at the bound, and PW6 needs a second sweep one above it
+    for name, text, width, sweeps in [("c5", C5, 2, 1), ("pw6", PW6, 3, 2)]:
+        path = write(tmp_path, f"{name}.gr", text)
+        rc, out, err = run(capsys, ["pw", "--stats", "--input", path])
         assert rc == 0 and err == ""
         lines = out.splitlines()
-        assert lines[0] == "width: 2"
-        assert [line.split(": ")[0] for line in lines[1:6]] == [
-            "cover size", "valid triples", "states", "peak table entries",
-            "width bound"]
-        assert lines[5] == "width bound: 3"
-    rc, out, err = run(capsys, ["pw", "--stats", "--input", path])
-    assert "width bound" not in out
+        assert lines[0] == f"width: {width}"
+        assert lines[5:] == ["width bound: 3", f"sweeps: {sweeps}"]
 
 
 def test_stats_block_of_the_complement_cover_solver(tmp_path, capsys):

@@ -4,21 +4,21 @@ import random
 
 import pytest
 
+from vcwidth import pathwidth
 from vcwidth.cover import minimum_vertex_cover
 from vcwidth.decomposition import find_violations
 from vcwidth.graph import Graph
 from vcwidth.oracle import pathwidth_exact
 from vcwidth.pathwidth import (_glue, _optimal_chain, partial_width_table,
                                pathwidth_vc)
-from vcwidth.states import (CoverContext, _lowers, final_value, iter_bits,
-                            touching)
+from vcwidth.states import CoverContext, _lowers, iter_bits, touching
 from vcwidth.treewidth import treewidth_table, treewidth_vc_4k, width_bound
 
 from genutil import (complete_graph, cycle_graph, grid_graph, path_graph,
                      pw_by_full_sweep, random_graph, random_graph_with_cover,
-                     random_tree)
-from spec import (State, boundary_sets_pw, forget, introduce, local_width_pw,
-                  pw_apex_sweep_table, tw_packed_slots)
+                     random_tree, small_graphs_up_to_isomorphism)
+from spec import (State, boundary_sets_pw, final_value, forget, introduce,
+                  local_width_pw, pw_apex_sweep_table, tw_packed_slots)
 
 
 def solved(g, **kw):
@@ -313,3 +313,36 @@ def test_wide_values_saturate_inside_their_slot():
             assert slot in valid_upper_slots(ctx, below, bag, join_slot)
     assert solved(g) == 2
     assert treewidth_vc_4k(g)[0] == 2
+
+
+def test_retries_reach_the_oracle(monkeypatch):
+    # the half table is swept at the width bound and, while the glue finds
+    # no path within the limit, at one more: every answer is the oracle's,
+    # a few need a retry (the bound is one on treewidth, and pw = tw on
+    # most small graphs), and from a bound of 1 the solver sweeps at 1, 2,
+    # ..., pw + 1, the last sweep the first to hold the optimum
+    rng = random.Random(39)
+    cases = [(g, None) for n in range(1, 7)
+             for g in small_graphs_up_to_isomorphism(n)]
+    for trial in range(200):
+        if trial % 2:
+            cases.append((random_graph(rng, rng.randrange(2, 11),
+                                       rng.choice([0.2, 0.4, 0.6, 0.8])),
+                          None))
+        else:
+            k = rng.randrange(1, 7)
+            cases.append((random_graph_with_cover(
+                rng, k, k + rng.randrange(0, 10), rng.choice([0.3, 0.5])),
+                set(range(k))))
+    cases = [(g, cover, pathwidth_exact(g)) for g, cover in cases]
+    retried = 0
+    for g, cover, want in cases:
+        stats = {}
+        assert solved(g, cover=cover, stats=stats) == want, g.edges
+        retried += stats["sweeps"] > 1
+    assert retried
+    monkeypatch.setattr(pathwidth, "width_bound", lambda ctx: 1)
+    for g, cover, want in cases:
+        stats = {}
+        assert solved(g, cover=cover, stats=stats) == want, g.edges
+        assert (stats["width_bound"], stats["sweeps"]) == (1, want + 1)

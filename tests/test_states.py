@@ -400,12 +400,15 @@ def test_folded_helpers_match_their_lists():
 def test_sweep_counters_of_the_ladder_k11_instance(monkeypatch):
     # the counters of ladder k = 11 (benchmark workload sparse-ladder):
     # the sweeps' order and helpers may change, the work they count not.
-    # pw-vc sweeps the apex triples with |below| <= |ahead|; the full apex
-    # sweep, kept as a spec, still counts what pw-vc counted before. The
-    # treewidth sweeps store one value per triple, never a degenerate one,
-    # and count the lower candidates of the triples they store; they fill
-    # only the triples within the width bound, 10 here, and with no bound
-    # they count the full sweep's work
+    # pw-vc sweeps the apex triples with |below| <= |ahead| within the
+    # width bound, 10 here, and glues at once; the full apex sweep, kept
+    # as a spec, still counts what pw-vc counted before it had a bound.
+    # The treewidth sweeps store one value per triple, never a degenerate
+    # one, enumerate no degenerate triple, and count the lower candidates
+    # of the triples they store. They decide at 9, one below the bound:
+    # rank 2 stores nothing, so they stop before rank 3 and the greedy
+    # elimination order certifies the width. With no bound they count the
+    # full sweep's work and the table certifies it
     g = random_graph_with_cover(random.Random(20260814), 11, 28, 0.35)
     counted = ("valid_triples", "states", "peak_table")
     gp, apex = g.add_universal_vertex()
@@ -413,23 +416,26 @@ def test_sweep_counters_of_the_ladder_k11_instance(monkeypatch):
     stats = {}
     pw_apex_sweep_table(ctx, stats, apex_pos=ctx.position[apex])
     assert tuple(stats[name] for name in counted) == (7623, 148770, 27363)
-    expect = {pathwidth_vc: (4037, 42527, 8021),
-              treewidth_vc_4k: (7623, 12471, 2485),
-              treewidth_vc_3k: (7623, 12463, 2485)}
+    expect = {pathwidth_vc: (4037, 24403, 4188),
+              treewidth_vc_4k: (2176, 858, 228),
+              treewidth_vc_3k: (2176, 858, 228)}
     for solve, want in expect.items():
         stats = {}
         assert solve(g, set(range(11)), stats)[0] == 9
         assert tuple(stats[name] for name in counted) == want, solve
-    assert stats["width_bound"] == 10
+        assert (stats["width_bound"], stats["sweeps"]) == (10, 1)
+        if solve is not pathwidth_vc:
+            assert stats["certificate"] == "elimination order"
     joins = ("join_cells", "convolve_calls", "convolve_cells")
-    assert tuple(stats[name] for name in joins) == (49424, 871, 6200)
+    assert tuple(stats[name] for name in joins) == (49424, 8, 64)
     monkeypatch.setattr(treewidth, "width_bound", lambda ctx: 1 << 30)
-    expect = {treewidth_vc_4k: (7623, 31357, 5575),
-              treewidth_vc_3k: (7623, 30371, 5575)}
+    expect = {treewidth_vc_4k: (5575, 31357, 5575),
+              treewidth_vc_3k: (5575, 30371, 5575)}
     for solve, want in expect.items():
         stats = {}
         assert solve(g, set(range(11)), stats)[0] == 9
         assert tuple(stats[name] for name in counted) == want, solve
+        assert stats["certificate"] == "table"
     assert tuple(stats[name] for name in joins) == (49424, 4059, 31936)
 
 

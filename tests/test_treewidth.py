@@ -20,7 +20,7 @@ from vcwidth.treewidth_fast import treewidth_vc_3k
 from genutil import (complete_graph, cycle_graph, enumerate_small_graphs,
                      grid_graph, path_graph, random_graph,
                      random_graph_with_cover, random_tree, scan_types,
-                     tw_by_elimination_orders)
+                     small_graphs_up_to_isomorphism, tw_by_elimination_orders)
 from spec import tw_lower_ops, tw_packed_slots
 
 
@@ -259,17 +259,70 @@ def test_width_bound_is_tight_on_trees_cycles_cliques_and_the_grid():
 
 
 def test_a_bound_below_the_optimum_fails_loudly(monkeypatch):
-    # one below the final value drops the final state: the solvers raise
-    # rather than answer; at the final value itself they are still exact
+    # a claimed bound b says tw <= b - 1, and the solvers sweep at b - 1.
+    # Claimed at the optimum (one below its final value), the sweep fails
+    # and the greedy elimination order cannot make its width good: the
+    # solvers raise rather than answer. The true bound is still exact, and
+    # so is one above the final value, which the table certifies
     rng = random.Random(143)
     for _ in range(30):
         g = random_graph(rng, rng.randrange(1, 9), rng.choice([0.3, 0.6]))
         want = treewidth_exact(g)
         for solve in (treewidth_vc_4k, treewidth_vc_3k):
-            monkeypatch.setattr(treewidth, "width_bound", lambda ctx: want)
-            with pytest.raises(InternalError):
-                solve(g)
-            monkeypatch.setattr(treewidth, "width_bound",
-                                lambda ctx: want + 1)
+            with monkeypatch.context() as m:
+                m.setattr(treewidth, "width_bound", lambda ctx: want)
+                with pytest.raises(InternalError):
+                    solve(g)
             w, dec = solve(g)
             assert w == want and not find_violations(g, dec)
+            with monkeypatch.context() as m:
+                m.setattr(treewidth, "width_bound", lambda ctx: want + 2)
+                stats = {}
+                w, dec = solve(g, stats=stats)
+            assert w == want and not find_violations(g, dec)
+            assert stats["certificate"] == "table"
+
+
+def certificate_cases():
+    """(graph, cover) pairs: one graph per isomorphism class on 1..6
+    vertices, then 200 random and planted-cover graphs."""
+    cases = [(g, None) for n in range(1, 7)
+             for g in small_graphs_up_to_isomorphism(n)]
+    rng = random.Random(144)
+    for trial in range(200):
+        if trial % 2:
+            cases.append((random_graph(rng, rng.randrange(2, 12),
+                                       rng.choice([0.2, 0.4, 0.6, 0.8])),
+                          None))
+        else:
+            k = rng.randrange(1, 8)
+            cases.append((random_graph_with_cover(
+                rng, k, k + rng.randrange(0, 10), rng.choice([0.3, 0.5])),
+                set(range(k))))
+    return cases
+
+
+def test_both_certificates_match_the_oracle(monkeypatch):
+    # decided one below the greedy bound, the width comes from the table
+    # when the final state is within it and from the elimination order
+    # when not; both witnesses must be valid and of the oracle's width.
+    # One above the bound, the table always certifies it
+    cases = [(g, cover, treewidth_exact(g)) for g, cover in
+             certificate_cases()]
+    taken = {"table": 0, "elimination order": 0}
+    for g, cover, want in cases:
+        for solve in (treewidth_vc_4k, treewidth_vc_3k):
+            stats = {}
+            w, dec = solve(g, cover, stats)
+            assert w == want == dec.width, (solve, g.edges)
+            assert not find_violations(g, dec)
+            taken[stats["certificate"]] += 1
+    assert taken["table"] >= 30 and taken["elimination order"] >= 700
+    real = treewidth.width_bound
+    monkeypatch.setattr(treewidth, "width_bound", lambda ctx: real(ctx) + 1)
+    for g, cover, want in cases:
+        for solve in (treewidth_vc_4k, treewidth_vc_3k):
+            stats = {}
+            w, dec = solve(g, cover, stats)
+            assert w == want and not find_violations(g, dec)
+            assert stats["certificate"] == "table"

@@ -7,15 +7,16 @@ from vcwidth.cover import minimum_vertex_cover
 from vcwidth.decomposition import find_violations
 from vcwidth.graph import Graph
 from vcwidth.oracle import treewidth_exact
-from vcwidth.states import CoverContext, final_value
+from vcwidth.states import CoverContext
 from vcwidth.treewidth import treewidth_table, treewidth_vc_4k, width_bound
-from vcwidth import treewidth, treewidth_fast
+from vcwidth import pathwidth, treewidth, treewidth_fast
+from vcwidth.pathwidth import partial_width_table
 from vcwidth.treewidth_fast import _layer_sweep, _split_minima, treewidth_vc_3k
 
 from genutil import (complete_graph, cycle_graph, enumerate_small_graphs,
                      grid_graph, join_minima_by_splits, path_graph,
                      random_graph, random_graph_with_cover, random_tree)
-from spec import tw_packed_slots, tw_table_by_states
+from spec import final_value, tw_packed_slots, tw_table_by_states
 
 
 def solved(g, **kw):
@@ -344,3 +345,33 @@ def test_expanded_slots_equal_the_literal_state_model(monkeypatch):
                     == literal, trial
         degenerate += sum(not key >> ctx.k for key in literal)
     assert degenerate > 200
+
+
+def test_the_rank_stop_drops_no_stored_triple(monkeypatch):
+    # each sweep stops at the first rank that can no longer hold a stored
+    # triple; at the same limit, its table is the one of the same sweep run
+    # through every rank. Limits as the solvers use them (one below the
+    # width bound for treewidth, the bound for pw) and one lower
+    rng = random.Random(62)
+    sweeps = [
+        (lambda ctx, ap, st, lim: treewidth_table(ctx, ap, st, None, lim), -1),
+        (lambda ctx, ap, st, lim: _layer_sweep(ctx, ap, st, None, lim), -1),
+        (lambda ctx, ap, st, lim: partial_width_table(ctx, st, apex_pos=ap,
+                                                      limit=lim), 0)]
+    runs = []
+    for ctx, ap in instance_mix(rng, 120):
+        bound = width_bound(ctx)
+        for sweep, shift in sweeps:
+            for limit in (bound + shift - 1, bound + shift):
+                stats = {}
+                runs.append((ctx, ap, sweep, limit,
+                             sweep(ctx, ap, stats, limit),
+                             stats["valid_triples"]))
+    for module in (treewidth, pathwidth):
+        monkeypatch.setattr(module, "no_rank_left", lambda *args: False)
+    stopped = 0
+    for ctx, ap, sweep, limit, table, triples in runs:
+        stats = {}
+        assert sweep(ctx, ap, stats, limit) == table
+        stopped += triples < stats["valid_triples"]
+    assert stopped > 200
