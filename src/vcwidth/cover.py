@@ -5,7 +5,8 @@ anyway), so the classic scheme suffices: resolve degree-1 vertices greedily
 (taking the neighbor is always at least as good), branch on a maximum-degree
 vertex v into "v in the cover" vs "N(v) in the cover", and prune with a
 greedy-matching lower bound. Ties everywhere go to the lowest vertex id, so
-the result is deterministic.
+the result is deterministic. The search edits one copy of the adjacency and
+undoes each node's removals (the `log`) on its way back.
 """
 
 from __future__ import annotations
@@ -16,21 +17,32 @@ def is_vertex_cover(g, vertices):
     return all(u in vs or v in vs for u, v in g.edges)
 
 
-def _remove(adj, v):
+def _remove(adj, v, log):
     for u in adj[v]:
         adj[u].discard(v)
+    log.append((v, adj[v]))
     adj[v] = set()
+
+
+def _restore(adj, log):
+    """Undo the removals noted in `log`, last first."""
+    while log:
+        v, nbrs = log.pop()
+        adj[v] = nbrs
+        for u in nbrs:
+            adj[u].add(v)
 
 
 def _greedy_cover(adj):
     n = len(adj)
-    cover = []
+    log = []
     while True:
         v = max(range(n), key=lambda x: (len(adj[x]), -x))
         if not adj[v]:
+            cover = [u for u, _ in log]
+            _restore(adj, log)
             return cover
-        cover.append(v)
-        _remove(adj, v)
+        _remove(adj, v, log)
 
 
 def _matching_bound(adj):
@@ -60,38 +72,36 @@ def minimum_vertex_cover(g, limit=None):
     n = g.n
     if n == 0 or not g.edges:
         return set()
-    adj0 = [set(g.adj[v]) for v in range(n)]
-    if limit is not None and _matching_bound(adj0) > limit:
+    adj = [set(s) for s in g.adj]
+    if limit is not None and _matching_bound(adj) > limit:
         return None
-    best = _greedy_cover([set(s) for s in adj0])
+    best = _greedy_cover(adj)
     if limit is not None and len(best) > limit:
         best = None
     bound = limit + 1 if best is None else len(best)  # size to beat
 
     def search(adj, picked, take):
         nonlocal best, bound
-        adj = [set(s) for s in adj]
+        log = []
         picked = picked + sorted(take)
         for u in take:
-            _remove(adj, u)
+            _remove(adj, u, log)
         while True:  # forced moves: a degree-1 vertex gives up its neighbor
             v1 = min((v for v in range(n) if len(adj[v]) == 1), default=None)
             if v1 is None:
                 break
             u = min(adj[v1])
             picked.append(u)
-            _remove(adj, u)
-        if len(picked) >= bound:
-            return
-        live = [v for v in range(n) if adj[v]]
-        if not live:
-            best, bound = picked, len(picked)
-            return
-        if len(picked) + _matching_bound(adj) >= bound:
-            return
-        v = max(live, key=lambda x: (len(adj[x]), -x))
-        search(adj, picked, (v,))
-        search(adj, picked, sorted(adj[v]))
+            _remove(adj, u, log)
+        if len(picked) < bound:
+            live = [v for v in range(n) if adj[v]]
+            if not live:
+                best, bound = picked, len(picked)
+            elif len(picked) + _matching_bound(adj) < bound:
+                v = max(live, key=lambda x: (len(adj[x]), -x))
+                search(adj, picked, (v,))
+                search(adj, picked, sorted(adj[v]))
+        _restore(adj, log)
 
-    search(adj0, [], ())
+    search(adj, [], ())
     return None if best is None else set(best)

@@ -53,7 +53,7 @@ class Decomposition:
 def contract(bags, edges, kind):
     """Decomposition of `bags` and tree `edges`, with every bag that a
     neighbour contains merged into it; this drops empty, repeated and
-    subset bags.
+    subset bags. The list `bags` is frozen in place.
 
     Merging bag i into a neighbour j that contains it reattaches i's other
     neighbours to j. The bag graph stays a tree, and a path stays a path.
@@ -63,7 +63,8 @@ def contract(bags, edges, kind):
     two bags share lie in every bag between them, so a bag that gains a
     neighbour containing it already had one.
     """
-    bags = [frozenset(b) for b in bags]
+    for i, bag in enumerate(bags):
+        bags[i] = frozenset(bag)
     nbr = [set() for _ in bags]
     for i, j in edges:
         nbr[i].add(j)
@@ -142,16 +143,18 @@ def find_violations(g, dec):
             out.append(f"vertex {v} appears in no bag")
 
     # axiom 2: every edge is inside some bag; scan the bags of the endpoint
-    # that occurs in fewer of them for the other one
+    # that occurs in fewer of them for the other one, and sort the misses
     bags = dec.bags
-    for u, v in sorted(g.edges):
+    missed = []
+    for u, v in g.edges:
         a, b = (u, v) if len(occurs[u]) <= len(occurs[v]) else (v, u)
         if not any(b in bags[i] for i in occurs[a]):
-            out.append(f"edge ({u},{v}) is contained in no bag")
+            missed.append((u, v))
+    out += [f"edge ({u},{v}) is contained in no bag"
+            for u, v in sorted(missed)]
 
     # axiom 3: the bags holding a vertex form a connected subtree
     if is_tree and nbags > 0:
-        nbr = dec.neighbors()
         for v in range(g.n):
             nodes = occurs[v]
             if len(nodes) <= 1:

@@ -60,7 +60,7 @@ def parse_gr(data):
             raise ParseError(lineno, f"edge endpoint out of range 1..{n}")
         if u == v:
             raise ParseError(lineno, f"self-loop at vertex {u}")
-        e = (min(u, v), max(u, v))
+        e = u * n + v if u < v else v * n + u
         if e in seen:
             raise ParseError(lineno, f"duplicate edge {u} {v}")
         seen.add(e)
@@ -73,6 +73,7 @@ def parse_gr(data):
     n, m = header
     if len(edges) != m:
         raise ParseError(last, f"declared {m} edges but found {len(edges)}")
+    del lines, seen  # freed before the Graph builds its own sets
     return Graph(n, edges)
 
 

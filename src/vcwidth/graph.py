@@ -10,10 +10,6 @@ from __future__ import annotations
 from itertools import combinations
 
 
-def normalize_edge(u, v):
-    return (u, v) if u < v else (v, u)
-
-
 class Graph:
     """An undirected simple graph (no loops, no parallel edges)."""
 
@@ -29,7 +25,7 @@ class Graph:
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            e = normalize_edge(u, v)
+            e = (u, v) if u < v else (v, u)
             if e in seen:
                 raise ValueError(f"duplicate edge ({u},{v})")
             seen.add(e)
@@ -37,7 +33,10 @@ class Graph:
             adj[v].add(u)
         self.n = n
         self.edges = frozenset(seen)
-        self.adj = tuple(frozenset(s) for s in adj)
+        del seen
+        for v, s in enumerate(adj):  # frozen in place: one copy at a time
+            adj[v] = frozenset(s)
+        self.adj = tuple(adj)
 
     @property
     def m(self):
@@ -48,12 +47,6 @@ class Graph:
         edges = [(u, v) for u, v in combinations(range(self.n), 2)
                  if v not in self.adj[u]]
         return Graph(self.n, edges)
-
-    def add_universal_vertex(self):
-        """Return (graph with one extra vertex adjacent to all others, its id)."""
-        apex = self.n
-        edges = list(self.edges) + [(v, apex) for v in range(self.n)]
-        return Graph(self.n + 1, edges), apex
 
     def __eq__(self, other):
         return (isinstance(other, Graph)

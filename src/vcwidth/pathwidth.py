@@ -352,28 +352,36 @@ def reconstruct_path(g, ctx, table, apex, meet, width):
     """Expand the optimal state chain into a path decomposition of g.
 
     Every state contributes a run of bags: first bag with the lower-op
-    boundary vertices, one pendant bag per not-yet-placed confined vertex,
-    last bag with the upper-op boundary vertices. The apex is stripped and
-    the path contracted; the result is validated against g before being
-    returned.
+    boundary vertices, one pendant bag per confined vertex placed here,
+    last bag with the upper-op boundary vertices. A vertex confined in
+    several states is placed in the one with the smallest core, the first
+    on ties; the DP charged its pendant bag in each, so no width grows.
+    The apex is stripped and the path contracted; the result is validated
+    against g before being returned.
     """
+    chain = _optimal_chain(ctx, table, ctx.position[apex], meet)
+    home = {}  # confined vertex -> (core size, index) of its state
+    for i, (code, below, bag, slot) in enumerate(chain):
+        ahead = ctx.full & ~(below | bag)
+        size = bag.bit_count() + touching(ctx.inside, ctx.full, below, ahead)
+        key = (size, i)
+        # as in _tight, `bag` stands for "no condition"
+        for x in ctx.touching_vertices(bag, 1 << code if code < 32 else bag,
+                                       1 << (slot - 1) if slot else bag):
+            home[x] = min(home.get(x, key), key)
+    pendants = [[] for _ in chain]
+    for x in sorted(home):
+        pendants[home[x][1]].append(x)
     bags = []
-    placed = set()
-    for code, below, bag, slot in _optimal_chain(ctx, table,
-                                                 ctx.position[apex], meet):
+    for (code, below, bag, slot), placed in zip(chain, pendants):
         lower = (below, 1 << code) if code < 32 else None
         core, first, last = state_bags(ctx, below, bag, lower, slot - 1)
-        # as in _tight, `bag` stands for "no condition"
-        confined = ctx.touching_vertices(
-            bag, 1 << code if code < 32 else bag,
-            1 << (slot - 1) if slot else bag)
         bags.append(first)
-        for x in sorted(set(confined) - placed):
-            bags.append(core | {x})
-            placed.add(x)
+        bags += [core | {x} for x in placed]
         bags.append(last)
-    bags = [b - {apex} for b in bags]
-    dec = contract(bags, [(i, i + 1) for i in range(len(bags) - 1)], "path")
+    for b in bags:  # no two bags share a set
+        b.discard(apex)
+    dec = contract(bags, zip(range(len(bags)), range(1, len(bags))), "path")
     measured = validate(g, dec)
     if measured != width:
         raise InternalError(

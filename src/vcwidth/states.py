@@ -154,6 +154,8 @@ class CoverContext:
     Shared by the solvers: cover-internal adjacency masks, independent-side
     vertices grouped by their cover-neighborhood mask (with multiplicity:
     the DP only needs counts, the witness builders need the vertex lists).
+    A cover id g.n stands for an apex outside g adjacent to all of it: the
+    last position, whose bit is in every other vertex's mask.
     """
 
     def __init__(self, g, cover):
@@ -162,16 +164,19 @@ class CoverContext:
         self.k = len(self.order)
         self.position = {v: i for i, v in enumerate(self.order)}
         self.full = (1 << self.k) - 1
-        self.cov_adj = [0] * self.k
-        cover_set = set(self.order)
+        apex = 1 << (self.k - 1) if g.n in self.position else 0
+        self.cov_adj = [apex] * self.k
         for i, v in enumerate(self.order):
+            if v == g.n:
+                self.cov_adj[i] = self.full ^ apex
+                continue
             for u in g.adj[v]:
-                if u in cover_set:
+                if u in self.position:
                     self.cov_adj[i] |= 1 << self.position[u]
-        self.rest = [x for x in range(g.n) if x not in cover_set]
+        self.rest = [x for x in range(g.n) if x not in self.position]
         by_mask = {}
         for x in self.rest:
-            m = 0
+            m = apex
             for u in g.adj[x]:
                 m |= 1 << self.position[u]
             by_mask.setdefault(m, []).append(x)
@@ -206,7 +211,7 @@ class CoverContext:
 
 
 def apex_context(g, cover, stats):
-    """(CoverContext, apex) of g plus an apex vertex, for the cover solvers.
+    """(CoverContext, apex) of g plus an implicit apex g.n, for the solvers.
 
     `cover` is checked if given, else a minimum one is searched within
     MAX_COVER. The apex joins the cover; `stats["cover_size"]` counts the
@@ -222,8 +227,7 @@ def apex_context(g, cover, stats):
             f"cover{size} exceeds the supported maximum of {MAX_COVER}")
     if stats is not None:
         stats["cover_size"] = len(cover)
-    gp, apex = g.add_universal_vertex()
-    return CoverContext(gp, set(cover) | {apex}), apex
+    return CoverContext(g, set(cover) | {g.n}), g.n
 
 
 def state_bags(ctx, below, bag, lower, forgotten):

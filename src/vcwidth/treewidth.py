@@ -395,7 +395,7 @@ def _state_tree(ctx, table, apex_pos, width):
             if x not in placed:
                 placed.add(x)
                 edges.append((i, len(bags)))
-                bags.append(set(ctx.graph.adj[x]) | {x})
+                bags.append({x, *ctx.graph.adj[x]})
         for c in children:
             edges.append((emit(c), i + 1))
         return i + 2
@@ -439,7 +439,9 @@ def reconstruct_tree(g, ctx, table, apex, width):
         bags, edges = _state_tree(ctx, table, apex_pos, width)
     else:
         bags, edges = _elimination_tree(ctx)
-    dec = contract([b - {apex} for b in bags], edges, "tree")
+    for b in bags:  # no two bags share a set
+        b.discard(apex)
+    dec = contract(bags, edges, "tree")
     measured = validate(g, dec)
     if measured != width:
         raise InternalError(

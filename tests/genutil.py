@@ -38,6 +38,12 @@ def grid_graph(rows, cols):
     return Graph(rows * cols, edges)
 
 
+def add_universal_vertex(g):
+    """(g plus one vertex adjacent to all of g, that vertex's id g.n): the
+    explicit apex that the solvers' contexts only imply."""
+    return Graph(g.n + 1, list(g.edges) + [(v, g.n) for v in range(g.n)]), g.n
+
+
 def enumerate_small_graphs(n):
     """Yield every labelled simple graph on n vertices (2^(n choose 2) many)."""
     pairs = list(combinations(range(n), 2))

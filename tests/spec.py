@@ -10,6 +10,7 @@ fast paths against these literal definitions.
 import sys
 from collections import namedtuple
 
+from genutil import add_universal_vertex
 from vcwidth.decomposition import Decomposition
 from vcwidth.pathwidth import _pw_lowers, _tight
 from vcwidth.states import (_best_lower, _packed_forgets, _read, iter_bits,
@@ -498,6 +499,13 @@ def tw_packed_slots(ctx, table, apex_pos, limit):
     return out
 
 
+def explicit_graph(ctx):
+    """The graph a context's cover order names: ctx.graph, plus the apex
+    as a real vertex when the context only implies it (cover id g.n)."""
+    g = ctx.graph
+    return add_universal_vertex(g)[0] if g.n in ctx.position else g
+
+
 def tw_table_by_states(ctx, apex_pos):
     """The treewidth DP over literal states, as packed upper slots like
     tw_packed_slots' with no bound.
@@ -512,7 +520,7 @@ def tw_table_by_states(ctx, apex_pos):
     lower ops reaching it.
     """
     k = ctx.k
-    g, order = ctx.graph, ctx.order
+    g, order = explicit_graph(ctx), ctx.order
     slots = {}  # (below, bag, slot) -> value
     out = {}
     for below, bag in ctx.valid_triples(require_bit=apex_pos):

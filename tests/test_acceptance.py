@@ -22,8 +22,8 @@ from vcwidth.pathwidth import pathwidth_vc
 from vcwidth.treewidth import treewidth_vc_4k
 from vcwidth.treewidth_fast import treewidth_vc_3k
 
-from genutil import (enumerate_small_graphs, identity, naive_convolve,
-                     random_graph, random_graph_with_cover)
+from genutil import (add_universal_vertex, enumerate_small_graphs, identity,
+                     naive_convolve, random_graph, random_graph_with_cover)
 
 TRIPLE_CAP = lambda k: 3 ** (k + 1)  # noqa: E731
 
@@ -141,7 +141,7 @@ def test_criterion_6_universal_vertex_shift():
     for _ in range(200):
         n = rng.randrange(1, 9)
         g = random_graph(rng, n, rng.random())
-        gp, _ = g.add_universal_vertex()
+        gp, _ = add_universal_vertex(g)
         assert treewidth_exact(gp) == treewidth_exact(g) + 1
         assert pathwidth_exact(gp) == pathwidth_exact(g) + 1
 

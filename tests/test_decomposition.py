@@ -91,6 +91,17 @@ def test_uncovered_edge_is_named():
         validate(p3, bad)
 
 
+def test_uncovered_edges_are_named_in_sorted_order():
+    # one bag per vertex covers no edge: every edge is named, in ascending
+    # order, whatever order the graph's edge set iterates in
+    g = random_graph(random.Random(9), 40, 0.2)
+    dec = Decomposition([{v} for v in range(g.n)],
+                        [(v, v + 1) for v in range(g.n - 1)], kind="path")
+    assert find_violations(g, dec) == [
+        f"edge ({u},{v}) is contained in no bag" for u, v in sorted(g.edges)]
+    assert list(g.edges) != sorted(g.edges)
+
+
 def test_validator_matches_naive_checker():
     rng = random.Random(606)
     agree_valid = agree_invalid = 0

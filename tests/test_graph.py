@@ -6,8 +6,8 @@ import pytest
 
 from vcwidth.graph import Graph
 
-from genutil import (complete_graph, cycle_graph, grid_graph, path_graph,
-                     random_graph)
+from genutil import (add_universal_vertex, complete_graph, cycle_graph,
+                     grid_graph, path_graph, random_graph)
 
 
 def test_constructor_rejects_bad_input():
@@ -45,14 +45,14 @@ def test_complement_involution():
 
 
 def test_add_universal_vertex():
-    gp, univ = path_graph(3).add_universal_vertex()
+    gp, univ = add_universal_vertex(path_graph(3))
     assert gp.n == 4 and univ == 3 and len(gp.adj[univ]) == 3
-    star, centre = Graph(2).add_universal_vertex()
+    star, centre = add_universal_vertex(Graph(2))
     assert star == Graph(3, [(0, 2), (1, 2)]) and centre == 2
     rng = random.Random(7)
     for _ in range(25):
         g = random_graph(rng, rng.randrange(8), rng.random())
-        gp, u = g.add_universal_vertex()
+        gp, u = add_universal_vertex(g)
         assert len(gp.adj[u]) == g.n and gp.m == g.m + g.n
         assert all(len(gp.adj[v]) == len(g.adj[v]) + 1 for v in range(g.n))
 

@@ -2,14 +2,20 @@
 twins (same neighbourhood) or isolated, at cover size k <= 5."""
 
 import random
+import tracemalloc
 
 import pytest
 
+from vcwidth.cover import minimum_vertex_cover
 from vcwidth.decomposition import find_violations
 from vcwidth.graph import Graph
 from vcwidth.pathwidth import pathwidth_vc
+from vcwidth.states import CoverContext, apex_context
 from vcwidth.treewidth import treewidth_vc_4k
 from vcwidth.treewidth_fast import treewidth_vc_3k
+
+from genutil import add_universal_vertex, random_graph, random_graph_with_cover
+from spec import tw_table_by_states
 
 
 def typed_graph(rng, k, n, n_types, p_isolated):
@@ -57,3 +63,65 @@ def test_large_sparse_widths(k, n, n_types, p_isolated):
     assert w3 == tw <= pw
     assert widths(relabeled(rng, g)) == (tw, pw)
     assert widths(Graph(n + 50, g.edges)) == (tw, pw)
+
+
+def case_graph(k, n, n_types, p_isolated):
+    return typed_graph(random.Random(1000 * k + n), k, n, n_types, p_isolated)
+
+
+def test_implicit_apex_equals_the_explicit_one():
+    # apex_context builds no apexed graph; its context must be the one
+    # built on a graph that holds the apex as a real vertex
+    graphs = [(case_graph(*case), set(range(case[0]))) for case in CASES]
+    rng = random.Random(16)
+    for _ in range(80):
+        g = random_graph(rng, rng.randrange(9), rng.random())
+        graphs.append((g, minimum_vertex_cover(g)))
+    for g, cover in graphs:
+        implicit, apex = apex_context(g, cover, None)
+        gp, explicit_apex = add_universal_vertex(g)
+        explicit = CoverContext(gp, set(cover) | {explicit_apex})
+        assert apex == explicit_apex == g.n and implicit.graph is g
+        for name in ("order", "position", "cov_adj", "types",
+                     "type_vertices", "inside"):
+            assert getattr(implicit, name) == getattr(explicit, name), name
+        if g.n < 9:  # the literal state model reads the apex from the graph
+            ap = implicit.position[apex]
+            assert (tw_table_by_states(implicit, ap)
+                    == tw_table_by_states(explicit, ap))
+
+
+@pytest.mark.parametrize("solver", [pathwidth_vc, treewidth_vc_4k,
+                                    treewidth_vc_3k])
+def test_cover_solvers_build_no_graph(monkeypatch, solver):
+    g = case_graph(*CASES[6])
+    built = []
+    init = Graph.__init__
+
+    def counting(self, *args):
+        built.append(args[0])
+        init(self, *args)
+
+    monkeypatch.setattr(Graph, "__init__", counting)
+    width, dec = solver(g)
+    assert not find_violations(g, dec) and dec.width == width
+    assert built == []
+
+
+def test_solvers_hold_a_large_input_about_once():
+    # wide's k = 5, n = 3000 structure: beyond the graph itself, a solve
+    # (cover search, witness, validation) peaks below twice the graph
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        g = random_graph_with_cover(random.Random(20260814), 5, 3000, 0.35)
+        size = tracemalloc.get_traced_memory()[0] - before
+        for solver in (pathwidth_vc, treewidth_vc_4k):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            width, dec = solver(g)
+            extra = tracemalloc.get_traced_memory()[1] - start
+            assert width == 5 and extra < 2 * size, (solver, extra / size)
+            del dec
+    finally:
+        tracemalloc.stop()

@@ -8,9 +8,10 @@ from vcwidth.errors import ResourceLimitError
 from vcwidth.graph import Graph
 from vcwidth.oracle import pathwidth_exact, treewidth_exact
 
-from genutil import (complete_graph, cycle_graph, enumerate_small_graphs,
-                     grid_graph, path_graph, pw_by_layouts, random_graph,
-                     random_tree, tw_by_elimination_orders)
+from genutil import (add_universal_vertex, complete_graph, cycle_graph,
+                     enumerate_small_graphs, grid_graph, path_graph,
+                     pw_by_layouts, random_graph, random_tree,
+                     tw_by_elimination_orders)
 
 
 def binary_tree(height):
@@ -89,7 +90,7 @@ def test_universal_vertex_adds_one():
     rng = random.Random(24)
     for _ in range(30):
         g = random_graph(rng, rng.randrange(1, 8), rng.random())
-        gp, _ = g.add_universal_vertex()
+        gp, _ = add_universal_vertex(g)
         assert treewidth_exact(gp) == treewidth_exact(g) + 1
         assert pathwidth_exact(gp) == pathwidth_exact(g) + 1
 

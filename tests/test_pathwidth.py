@@ -14,9 +14,10 @@ from vcwidth.pathwidth import (_glue, _optimal_chain, partial_width_table,
 from vcwidth.states import CoverContext, _lowers, iter_bits, touching
 from vcwidth.treewidth import treewidth_table, treewidth_vc_4k, width_bound
 
-from genutil import (complete_graph, cycle_graph, grid_graph, path_graph,
-                     pw_by_full_sweep, random_graph, random_graph_with_cover,
-                     random_tree, small_graphs_up_to_isomorphism)
+from genutil import (add_universal_vertex, complete_graph, cycle_graph,
+                     grid_graph, path_graph, pw_by_full_sweep, random_graph,
+                     random_graph_with_cover, random_tree,
+                     small_graphs_up_to_isomorphism)
 from spec import (State, boundary_sets_pw, final_value, forget, introduce,
                   local_width_pw, pw_apex_sweep_table, tw_packed_slots)
 
@@ -110,7 +111,7 @@ def test_state_count_bound():
 
 
 def context_of(g):
-    gp, apex = g.add_universal_vertex()
+    gp, apex = add_universal_vertex(g)
     ctx = CoverContext(gp, minimum_vertex_cover(g) | {apex})
     return gp, apex, ctx
 
@@ -176,7 +177,7 @@ def test_apex_bag_sweep_matches_full_sweep():
         k = trial % 8
         g = random_graph_with_cover(rng, k, k + rng.randrange(0, 9),
                                     rng.choice([0.2, 0.5, 0.8]))
-        gp, apex = g.add_universal_vertex()
+        gp, apex = add_universal_vertex(g)
         ctx = CoverContext(gp, set(range(k)) | {apex})
         ap = ctx.position[apex]
         value = _glue(ctx, partial_width_table(ctx, apex_pos=ap), ap)[0]
@@ -198,7 +199,7 @@ def half_and_spec_tables(rng):
     graphs.append((Graph(302, [(a, x) for a in (0, 1)
                                for x in range(2, 302)]), {0, 1}))
     for g, cover in graphs:
-        gp, apex = g.add_universal_vertex()
+        gp, apex = add_universal_vertex(g)
         ctx = CoverContext(gp, set(cover) | {apex})
         ap = ctx.position[apex]
         yield (g, ctx, ap, partial_width_table(ctx, apex_pos=ap),
@@ -301,7 +302,7 @@ def test_wide_values_saturate_inside_their_slot():
     # K_{2,300}: a forget upper can cost 300, more than one byte holds; a
     # slot saturates instead of spilling into the next one
     g = Graph(302, [(a, x) for a in (0, 1) for x in range(2, 302)])
-    gp, apex = g.add_universal_vertex()
+    gp, apex = add_universal_vertex(g)
     ctx = CoverContext(gp, {0, 1, apex})
     ap = ctx.position[apex]
     tables = [(partial_width_table(ctx, apex_pos=ap), None),

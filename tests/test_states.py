@@ -18,8 +18,8 @@ from vcwidth.treewidth import (_join_splits, treewidth_table, treewidth_vc_4k,
 from vcwidth.treewidth_fast import treewidth_vc_3k
 from vcwidth.cover import minimum_vertex_cover
 
-from genutil import (path_graph, pw_tight_by_scan, random_graph,
-                     random_graph_with_cover, scan_types)
+from genutil import (add_universal_vertex, path_graph, pw_tight_by_scan,
+                     random_graph, random_graph_with_cover, scan_types)
 from spec import (State, boundary_sets_pw, boundary_sets_tw, forget,
                   introduce, is_valid_triple, join_with_part, local_width_pw,
                   local_width_tw, _forgets, _pack, precedes,
@@ -198,7 +198,7 @@ def test_pw_ops():
     assert all(op.kind in ("introduce", "forget") for op in lowers + uppers)
     # the closing state of an apexed instance can always forget the apex
     g = path_graph(3)
-    gp, apex = g.add_universal_vertex()
+    gp, apex = add_universal_vertex(g)
     ctx = CoverContext(gp, minimum_vertex_cover(g) | {apex})
     ap = ctx.position[apex]
     below = ctx.full ^ (1 << ap)
@@ -296,7 +296,7 @@ def _count_spec_contexts():
         graphs.append(random_graph_with_cover(
             rng, k, rng.randrange(100, 400), rng.choice([0.02, 0.3, 0.7])))
     for g in graphs:
-        gp, apex = g.add_universal_vertex()
+        gp, apex = add_universal_vertex(g)
         ctx = CoverContext(gp, minimum_vertex_cover(g) | {apex})
         yield ctx, ctx.position[apex]
 
@@ -358,7 +358,7 @@ def _helper_cases():
     as a sweep sees its table part done."""
     rng = random.Random(71)
     wide = Graph(302, [(a, x) for a in (0, 1) for x in range(2, 302)])
-    gp, apex = wide.add_universal_vertex()
+    gp, apex = add_universal_vertex(wide)
     contexts = list(_count_spec_contexts())
     contexts.append((CoverContext(gp, {0, 1, apex}), 2))
     for ctx, ap in contexts:
@@ -411,7 +411,7 @@ def test_sweep_counters_of_the_ladder_k11_instance(monkeypatch):
     # full sweep's work and the table certifies it
     g = random_graph_with_cover(random.Random(20260814), 11, 28, 0.35)
     counted = ("valid_triples", "states", "peak_table")
-    gp, apex = g.add_universal_vertex()
+    gp, apex = add_universal_vertex(g)
     ctx = CoverContext(gp, set(range(11)) | {apex})
     stats = {}
     pw_apex_sweep_table(ctx, stats, apex_pos=ctx.position[apex])

@@ -17,10 +17,11 @@ from vcwidth.treewidth import (_join_splits, treewidth_table,
                                treewidth_vc_4k, width_bound)
 from vcwidth.treewidth_fast import treewidth_vc_3k
 
-from genutil import (complete_graph, cycle_graph, enumerate_small_graphs,
-                     grid_graph, path_graph, random_graph,
-                     random_graph_with_cover, random_tree, scan_types,
-                     small_graphs_up_to_isomorphism, tw_by_elimination_orders)
+from genutil import (add_universal_vertex, complete_graph, cycle_graph,
+                     enumerate_small_graphs, grid_graph, path_graph,
+                     random_graph, random_graph_with_cover, random_tree,
+                     scan_types, small_graphs_up_to_isomorphism,
+                     tw_by_elimination_orders)
 from spec import tw_lower_ops, tw_packed_slots
 
 
@@ -98,7 +99,7 @@ def test_triple_count_bound():
 
 
 def context_of(g):
-    gp, apex = g.add_universal_vertex()
+    gp, apex = add_universal_vertex(g)
     ctx = CoverContext(gp, minimum_vertex_cover(g) | {apex})
     return ctx, ctx.position[apex]
 

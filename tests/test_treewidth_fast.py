@@ -13,9 +13,10 @@ from vcwidth import pathwidth, treewidth, treewidth_fast
 from vcwidth.pathwidth import partial_width_table
 from vcwidth.treewidth_fast import _layer_sweep, _split_minima, treewidth_vc_3k
 
-from genutil import (complete_graph, cycle_graph, enumerate_small_graphs,
-                     grid_graph, join_minima_by_splits, path_graph,
-                     random_graph, random_graph_with_cover, random_tree)
+from genutil import (add_universal_vertex, complete_graph, cycle_graph,
+                     enumerate_small_graphs, grid_graph, join_minima_by_splits,
+                     path_graph, random_graph, random_graph_with_cover,
+                     random_tree)
 from spec import final_value, tw_packed_slots, tw_table_by_states
 
 
@@ -76,7 +77,7 @@ def test_matches_oracle_random():
 
 
 def apex_ctx(g, cover):
-    gp, apex = g.add_universal_vertex()
+    gp, apex = add_universal_vertex(g)
     ctx = CoverContext(gp, cover | {apex})
     return ctx, ctx.position[apex]
 
