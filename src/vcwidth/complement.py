@@ -15,15 +15,14 @@ having |N(.) \\ .| <= w. So for each threshold w the family of such L is one
 Python int with a bit per subset (a bitset), grown to its fixpoint by
 shifts and masks, and boundary counts are bit-sliced: count bit j of every
 subset lives in one int, the j-th plane. No Python loop runs over the 2^k'
-subsets. The table holds one byte per subset, or two once n > 256, since
-its values are widths up to n - 1 (graphs with more than 65535 vertices are
-rejected).
+subsets. The table itself is kept only as bit planes: bit L of plane j is
+bit j of rooted[L], and the few entries the glue and the witness need are
+read from a byte copy of each plane.
 """
 
 from __future__ import annotations
 
-import sys
-from array import array
+from collections import Counter
 
 from .cover import minimum_vertex_cover
 from .decomposition import Decomposition, contract, validate
@@ -31,11 +30,11 @@ from .errors import InputError, InternalError, ResourceLimitError
 from .states import iter_bits
 
 MAX_COMPLEMENT_COVER = 26
-MAX_VERTICES = 65535  # widths must fit the table's unsigned 16-bit entries
-# subsets per piece in lane / member conversions; a multiple of 8
+# a documented limit, checked before any work: past it, a graph whose
+# complement has a cover within MAX_COMPLEMENT_COVER has over 2 * 10^9 edges
+MAX_VERTICES = 65535
+# subsets per piece in _members' conversions; a multiple of 8
 _PIECE = 1 << 16
-# "0"/"1" to 0/2^j
-_SPREAD = [bytes.maketrans(b"01", bytes([0, 1 << j])) for j in range(8)]
 
 
 def _subsets_of(t):
@@ -83,19 +82,34 @@ def _at_most(planes, w, all_subsets):
     return below | equal
 
 
-def _boundary_planes(k, cov, outside):
-    """Bit planes of |N(L) \\ L| over the subsets L of the k cover positions.
-
-    Cover position p counts when L meets cov[p] (its cover neighbours) and
-    misses p; `outside` maps a cover-neighbour mask to the number of outside
-    vertices with it, and each counts when L meets its mask.
-    """
+def _cover_data(g, order):
+    """(cov, outside, cover_boundary) for the cover positions `order`:
+    cov[p] masks position p's cover neighbours, `outside` maps a nonzero
+    cover-neighbour mask to its number of outside vertices, and
+    cover_boundary holds the bit planes of |N(L) in C|, where p counts when
+    L meets cov[p] and misses p."""
+    k = len(order)
+    pos = {v: i for i, v in enumerate(order)}
+    masks = [sum(1 << pos[u] for u in g.adj[v] if u in pos)
+             for v in range(g.n)]
+    cov = [masks[v] for v in order]
+    outside = Counter(masks[v] for v in range(g.n)
+                      if v not in pos and masks[v])
     positions = (1 << k) - 1
-    all_subsets = (1 << (1 << k)) - 1
-    planes = []
+    cover_boundary = []
     for p, nc in enumerate(cov):
         others = positions ^ (1 << p)
-        _add(planes, _subsets_of(others) ^ _subsets_of(others ^ nc))
+        _add(cover_boundary, _subsets_of(others) ^ _subsets_of(others ^ nc))
+    return cov, outside, cover_boundary
+
+
+def _boundary_planes(k, cover_boundary, outside):
+    """Bit planes of |N(L) \\ L| over the subsets L of the k cover positions:
+    the cover part, plus the outside vertices with each cover-neighbour mask
+    in `outside` wherever L meets that mask."""
+    positions = (1 << k) - 1
+    all_subsets = (1 << (1 << k)) - 1
+    planes = list(cover_boundary)
     for nc, count in outside.items():
         meets = all_subsets ^ _subsets_of(positions ^ nc)
         for j in iter_bits(count):
@@ -111,13 +125,13 @@ def _reach(family, allowed, k):
     sweeps = 0
     while True:
         sweeps += 1
-        before = family
+        count = family.bit_count()  # it only grows: no old copy is held
         for u in range(k):
             # the subsets without u, rebuilt per use: k stored masks of 2^k
             # bits would outweigh the table
             without_u = _subsets_of(positions ^ (1 << u))
             family |= ((family & without_u) << (1 << u)) & allowed
-        if family == before:
+        if family.bit_count() == count:
             return family, sweeps
 
 
@@ -144,78 +158,50 @@ def _thresholds(k, boundary, w):
     return value, levels, sweeps
 
 
-def _pieces(size):
-    """(start, width) of the pieces that bitsets over `size` subsets are
-    converted in, so that no conversion holds a whole table's text."""
-    width = min(size, _PIECE)
-    return [(start, width) for start in range(0, size, width)]
-
-
-def _piece(data, start, width):
-    """Bits start..start+width-1 of a bitset held as little-endian bytes."""
-    return int.from_bytes(data[start // 8:(start + width + 7) // 8], "little")
-
-
-def _byte_lanes(planes, size):
-    """bytearray whose byte L holds bits 0..7 of the count that `planes`
-    slice, for each of the `size` subsets."""
-    data = [p.to_bytes((size + 7) // 8, "little") for p in planes[:8]]
-    out = bytearray(size)
-    for start, width in _pieces(size):
-        lanes = 0
-        for plane, spread in zip(data, _SPREAD):
-            text = format(_piece(plane, start, width), f"0{width}b")
-            lanes |= int.from_bytes(
-                text.encode("ascii").translate(spread), "big")
-        out[start:start + width] = lanes.to_bytes(width, "little")
-    return out
-
-
-def rooted_pw_table(g, order, stats=None):
-    """(rooted, planes): rooted[L] for every L subset of the cover, as a
-    byte or 16-bit array over masks, and the bit planes of its values
-    (least significant first, as many as its largest value needs).
+def rooted_pw_table(g, order, stats=None, cover_data=None):
+    """Bit planes of rooted[L] over the subsets L of the cover, least
+    significant first, as many as its largest value needs.
 
     order fixes the bit positions; rooted[L] is the least width of a path
     decomposition of G[N[L]] with N(L) as its inner end bag. `stats`, when
     given, gains the threshold levels whose reachable family was grown and
-    the sweeps that growing took.
+    the sweeps that growing took; `cover_data` is _cover_data(g, order)
+    when the caller has built it already.
     """
     k = len(order)
-    pos = {v: i for i, v in enumerate(order)}
-    cov = [sum(1 << pos[u] for u in g.adj[v] if u in pos) for v in order]
-    outside = {}  # cover-neighbour mask -> outside vertices with it
-    for v in range(g.n):
-        if v not in pos:
-            nc = sum(1 << pos[u] for u in g.adj[v] if u in pos)
-            outside[nc] = outside.get(nc, 0) + 1
-    outside.pop(0, None)
+    _, outside, cover_boundary = cover_data or _cover_data(g, order)
     # every chain to a nonempty L starts at one vertex, whose boundary is
     # all of its neighbours
     lowest = min((len(g.adj[v]) for v in order), default=0)
     value, levels, sweeps = _thresholds(
-        k, _boundary_planes(k, cov, outside), lowest)
+        k, _boundary_planes(k, cover_boundary, outside), lowest)
     if stats is not None:
         stats["threshold_levels"] = levels
         stats["reach_sweeps"] = sweeps
-    lanes = 1 if g.n <= 256 else 2  # widths are at most n - 1
-    data = bytearray(lanes << k)  # little-endian lanes
-    for b in range(lanes):
-        data[b::lanes] = _byte_lanes(value[8 * b:], 1 << k)
-    if lanes == 1:
-        return data, value
-    rooted = array("H")
-    rooted.frombytes(data)
-    if sys.byteorder == "big":
-        rooted.byteswap()
-    return rooted, value
+    return value
+
+
+def _reader(planes, size):
+    """rooted(L): the entry of subset L, one of `size`, in the table whose
+    bit planes are `planes`, read from a byte copy of each plane."""
+    data = [p.to_bytes((size + 7) // 8, "little") for p in planes]
+
+    def rooted(mask):
+        byte, bit = mask >> 3, mask & 7
+        return sum((plane[byte] >> bit & 1) << j
+                   for j, plane in enumerate(data))
+    return rooted
 
 
 def _members(family, size):
-    """The subsets in a bitset over `size` subsets, in increasing order."""
+    """The subsets in a bitset over `size` subsets, in increasing order,
+    converted piece by piece so that no conversion holds a whole table's
+    text."""
     data = family.to_bytes((size + 7) // 8, "little")
-    for start, width in _pieces(size):
-        bits = format(_piece(data, start, width), "b")
+    width = min(size, _PIECE)
+    for start in range(0, size, width):
+        piece = data[start // 8:(start + width + 7) // 8]
+        bits = format(int.from_bytes(piece, "little"), "b")
         top = start + len(bits) - 1  # bits[0] is the highest member
         i = bits.rfind("1")
         while i >= 0:
@@ -223,7 +209,7 @@ def _members(family, size):
             i = bits.rfind("1", 0, i)
 
 
-def _glue(rooted, planes, cov, s_width):
+def _glue(rooted, planes, cover_data, s_width):
     """(width, L, N(L) in C, subsets evaluated) of the best glue.
 
     Gluing at L costs max(rooted[L], rooted[R], s_width + |N(L) in C|),
@@ -231,13 +217,13 @@ def _glue(rooted, planes, cov, s_width):
     |N(L) in C| <= w - s_width, so w walks upward and the L that first pass
     both tests at w are evaluated in increasing order, each once. The first
     w that some L attains is the least width, and the least L attaining it
-    is the one a scan over all L in increasing order would keep. `planes`
-    are the bit planes of the table's entries.
+    is the one a scan over all L in increasing order would keep. `rooted`
+    reads the table's entries and `planes` are their bit planes.
     """
+    cov, _, cover_boundary = cover_data
     k = len(cov)
     full = (1 << k) - 1
     all_subsets = (1 << (1 << k)) - 1
-    cover_boundary = _boundary_planes(k, cov, {})
     seen = evaluated = 0
     best = {}  # width -> (least L evaluated with it, N(L) in C)
     w = max(s_width, 0)
@@ -254,7 +240,7 @@ def _glue(rooted, planes, cov, s_width):
             for p in iter_bits(l_mask):
                 cn |= cov[p]
             cn &= ~l_mask
-            cand = max(rooted[l_mask], rooted[full ^ (l_mask | cn)],
+            cand = max(rooted(l_mask), rooted(full ^ (l_mask | cn)),
                        s_width + cn.bit_count())
             if cand == w:
                 hit = (l_mask, cn)
@@ -269,14 +255,10 @@ def _glue(rooted, planes, cov, s_width):
 def _peel_order(rooted, mask):
     """Optimal layout of `mask`, outermost vertex position last."""
     order = []
-    while mask:
-        pick = None
-        for u in iter_bits(mask):
-            prev = rooted[mask ^ (1 << u)]
-            if pick is None or prev < pick[1]:
-                pick = (u, prev)
-        order.append(pick[0])
-        mask ^= 1 << pick[0]
+    while mask:  # the least position on ties
+        u = min(iter_bits(mask), key=lambda u: rooted(mask ^ (1 << u)))
+        order.append(u)
+        mask ^= 1 << u
     return order
 
 
@@ -331,11 +313,9 @@ def pathwidth_cvc(g, cover=None, stats=None, max_cover=MAX_COMPLEMENT_COVER):
             f"complement cover of size {k} exceeds the supported maximum "
             f"of {max_cover}")
     order = sorted(cover)
-    pos = {v: i for i, v in enumerate(order)}
-    # cover neighbours in cover positions
-    cov = [sum(1 << pos[u] for u in g.adj[v] if u in pos) for v in order]
-    outside = [v for v in range(g.n) if v not in pos]
-    rooted, planes = rooted_pw_table(g, order, stats)
+    cover_data = _cover_data(g, order)
+    planes = rooted_pw_table(g, order, stats, cover_data)
+    rooted = _reader(planes, 1 << k)
     if stats is not None:
         stats["cover_size"] = k
         stats["table_entries"] = 1 << k
@@ -343,15 +323,15 @@ def pathwidth_cvc(g, cover=None, stats=None, max_cover=MAX_COMPLEMENT_COVER):
         stats["peak_table"] = 1 << k
 
     # glue: L, the middle bag S plus N(L) in C, and R = C minus N[L]
-    s_width = len(outside) - 1  # the middle bag's width when N(L) is empty
-    width, l_mask, cn, evaluated = _glue(rooted, planes, cov, s_width)
+    s_width = g.n - k - 1  # the middle bag's width when N(L) is empty
+    width, l_mask, cn, evaluated = _glue(rooted, planes, cover_data, s_width)
     r_mask = ((1 << k) - 1) ^ (l_mask | cn)
     if stats is not None:
         stats["glue_evaluated"] = evaluated
 
     left = _side_bags(g, order, _peel_order(rooted, l_mask))
     right = _side_bags(g, order, _peel_order(rooted, r_mask))
-    middle = set(outside) | {order[i] for i in iter_bits(cn)}
+    middle = (set(range(g.n)) - cover) | {order[i] for i in iter_bits(cn)}
     bags = list(reversed(left)) + [middle] + right
     dec = contract(bags, [(i, i + 1) for i in range(len(bags) - 1)], "path")
     measured = validate(g, dec)

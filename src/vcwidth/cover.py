@@ -6,10 +6,13 @@ anyway), so the classic scheme suffices: resolve degree-1 vertices greedily
 vertex v into "v in the cover" vs "N(v) in the cover", and prune with a
 greedy-matching lower bound. Ties everywhere go to the lowest vertex id, so
 the result is deterministic. The search edits one copy of the adjacency and
-undoes each node's removals (the `log`) on its way back.
+undoes each node's removals (the `log`) on its way back; the greedy cover
+and the forced moves take their next vertex from heaps, not from scans.
 """
 
 from __future__ import annotations
+
+from heapq import heapify, heappop, heappush
 
 
 def is_vertex_cover(g, vertices):
@@ -34,15 +37,24 @@ def _restore(adj, log):
 
 
 def _greedy_cover(adj):
-    n = len(adj)
+    """Take a vertex of maximum degree, lowest id first, while edges remain.
+    Degrees only fall, so a queued one is an upper bound: the least entry
+    still current is a true maximum, and a stale one is queued again."""
+    heap = [(-len(nbrs), v) for v, nbrs in enumerate(adj)]
+    heapify(heap)
+    edges = sum(map(len, adj)) // 2
     log = []
-    while True:
-        v = max(range(n), key=lambda x: (len(adj[x]), -x))
-        if not adj[v]:
-            cover = [u for u, _ in log]
-            _restore(adj, log)
-            return cover
-        _remove(adj, v, log)
+    while edges:
+        queued, v = heappop(heap)
+        degree = len(adj[v])
+        if -queued != degree:
+            heappush(heap, (-degree, v))
+        else:
+            edges -= degree
+            _remove(adj, v, log)
+    cover = [u for u, _ in log]
+    _restore(adj, log)
+    return cover
 
 
 def _matching_bound(adj):
@@ -86,13 +98,19 @@ def minimum_vertex_cover(g, limit=None):
         picked = picked + sorted(take)
         for u in take:
             _remove(adj, u, log)
-        while True:  # forced moves: a degree-1 vertex gives up its neighbor
-            v1 = min((v for v in range(n) if len(adj[v]) == 1), default=None)
-            if v1 is None:
-                break
+        # forced moves: a degree-1 vertex gives up its neighbor. Degrees only
+        # fall here, so the heap gains each vertex once, as it drops to 1
+        ones = [v for v in range(n) if len(adj[v]) == 1]
+        while ones:
+            v1 = heappop(ones)
+            if not adj[v1]:
+                continue  # it lost its neighbor since
             u = min(adj[v1])
             picked.append(u)
             _remove(adj, u, log)
+            for x in log[-1][1]:
+                if len(adj[x]) == 1:
+                    heappush(ones, x)
         if len(picked) < bound:
             live = [v for v in range(n) if adj[v]]
             if not live:

@@ -1,5 +1,6 @@
 """Pathwidth via a vertex cover of the complement: table recurrence,
-bitset helpers, the rooted table and the glue against the per-mask spec,
+bitset helpers, the rooted table's bit planes and the glue against the
+per-mask spec,
 oracle equality on dense graphs, witness shape, limits."""
 
 import random
@@ -43,11 +44,24 @@ def test_degenerate_sizes():
     assert solved(Graph(3)) == 0  # edgeless: complement cover is n - 1 big
 
 
+def subsets(k):
+    return range(1 << k)
+
+
+def entries(planes, k):
+    """The entries, one per subset of k positions, of a table held as bit
+    planes, decoded through their binary strings."""
+    if not planes:
+        return [0] * (1 << k)
+    bits = [format(p, f"0{1 << k}b")[::-1] for p in reversed(planes)]
+    return [int("".join(column), 2) for column in zip(*bits)]
+
+
 def test_rooted_table_trivial_masks():
-    assert rooted_pw_table(complete_graph(4), []) == (bytearray([0]), [])
+    assert rooted_pw_table(complete_graph(4), []) == []
     g = cycle_graph(4)
     order = sorted(minimum_vertex_cover(g.complement()))
-    rooted = rooted_pw_table(g, order)[0]
+    rooted = entries(rooted_pw_table(g, order), len(order))
     assert rooted[0] == 0
     for i, v in enumerate(order):
         assert rooted[1 << i] == len(g.adj[v])
@@ -60,7 +74,7 @@ def test_rooted_table_recurrence():
         order = sorted(minimum_vertex_cover(g.complement()))
         if len(order) > 10:
             continue
-        rooted = rooted_pw_table(g, order)[0]
+        rooted = entries(rooted_pw_table(g, order), len(order))
         for mask in range(1, 1 << len(order)):
             members = {order[i] for i in range(len(order)) if mask >> i & 1}
             boundary = set()
@@ -70,10 +84,6 @@ def test_rooted_table_recurrence():
             sub = min(rooted[mask ^ (1 << i)]
                       for i in range(len(order)) if mask >> i & 1)
             assert rooted[mask] == max(len(boundary), sub)
-
-
-def subsets(k):
-    return range(1 << k)
 
 
 def test_subsets_of_by_brute_force():
@@ -104,15 +114,16 @@ def test_bit_plane_count_and_at_most_by_brute_force():
                     1 << m for m in subsets(k) if counts[m] <= w)
 
 
-def test_lanes_planes_and_members_by_brute_force(monkeypatch):
+def test_reader_and_members_by_brute_force(monkeypatch):
     monkeypatch.setattr(complement, "_PIECE", 16)  # k > 4 spans pieces
     rng = random.Random(66)
     for k in range(8):
         size = 1 << k
-        values = bytearray(rng.randrange(256) for _ in range(size))
+        values = [rng.randrange(512) for _ in range(size)]
         planes = [sum((v >> j & 1) << m for m, v in enumerate(values))
-                  for j in range(8)]
-        assert complement._byte_lanes(planes, size) == values
+                  for j in range(9)]
+        read = complement._reader(planes, size)
+        assert [read(m) for m in subsets(k)] == values
         family = planes[0]
         assert list(complement._members(family, size)) == [
             m for m in subsets(k) if family >> m & 1]
@@ -132,19 +143,23 @@ def table_planes(rooted):
 
 
 def test_returned_planes_are_the_table_bit_planes():
-    # the glue reads its threshold tests from these planes, not the bytes
+    # the table is kept only as these planes, as many as its largest entry
+    # needs, and the glue and the peel orders read entries through them
     rng = random.Random(68)
     for _ in range(40):
         g = random_graph(rng, rng.randrange(1, 14), 0.25).complement()
         order = sorted(minimum_vertex_cover(g.complement()))
-        rooted, planes = rooted_pw_table(g, order)
-        assert isinstance(rooted, bytearray)
-        assert planes == table_planes(rooted)
-    for m in (8, 10):  # 16-bit entries
-        rooted, planes = rooted_pw_table(k300_minus_matching(m),
-                                         list(range(0, 2 * m, 2)))
-        assert rooted.itemsize == 2 and max(rooted) == 298
-        assert planes == table_planes(rooted)
+        want = rooted_pw_by_recurrence(g, order)
+        planes = rooted_pw_table(g, order)
+        assert planes == table_planes(want)
+        read = complement._reader(planes, 1 << len(order))
+        assert [read(m) for m in subsets(len(order))] == want
+    for m in (8, 10):  # entries up to 298: nine planes
+        g, order = k300_minus_matching(m), list(range(0, 2 * m, 2))
+        want = rooted_pw_by_recurrence(g, order)
+        planes = rooted_pw_table(g, order)
+        assert len(planes) == 9 and max(want) == 298
+        assert planes == table_planes(want)
 
 
 def spied_glue(monkeypatch, g, cover):
@@ -167,7 +182,7 @@ def spied_glue(monkeypatch, g, cover):
 def assert_matches_spec(monkeypatch, g, cover):
     order = sorted(cover)
     want = rooted_pw_by_recurrence(g, order)
-    assert list(rooted_pw_table(g, order)[0]) == want
+    assert entries(rooted_pw_table(g, order), len(order)) == want
     w, l_mask, stats = spied_glue(monkeypatch, g, cover)
     assert (w, l_mask) == glue_by_scan(g, order, want)
     assert 0 < stats["glue_evaluated"] <= 1 << len(order)
@@ -259,8 +274,8 @@ def test_widths_above_one_byte(tmp_path, capsys):
         assert solved(complete_minus_two_edges(n)) == n - 2
     g = complete_minus_two_edges(300)
     order = sorted(minimum_vertex_cover(g.complement()))
-    rooted = rooted_pw_table(g, order)[0]
-    assert rooted.itemsize == 2 and max(rooted) == 298
+    planes = rooted_pw_table(g, order)
+    assert len(planes) == 9 and max(entries(planes, len(order))) == 298
     gr = tmp_path / "k300.gr"
     gr.write_text(emit_gr(complete_minus_two_edges(300)))
     assert cli.main(["pw", "--algo", "cvc", "--emit-witness",
@@ -273,11 +288,11 @@ def test_widths_above_one_byte(tmp_path, capsys):
     assert capsys.readouterr().out == "width: 298\n"
 
 
-def test_16_bit_table_matches_the_spec(monkeypatch):
+def test_nine_plane_table_matches_the_spec(monkeypatch):
     for m in (8, 10):
         g = k300_minus_matching(m)
         cover = set(range(0, 2 * m, 2))
-        assert rooted_pw_table(g, sorted(cover))[0].itemsize == 2
+        assert len(rooted_pw_table(g, sorted(cover))) == 9
         assert_matches_spec(monkeypatch, g, cover)
         assert solved(g, cover=cover) == 298
 

@@ -91,3 +91,11 @@ def test_limit_matches_the_unbounded_search():
                 assert got is None
                 over += 1
     assert within and over and greedy_over
+
+
+def test_long_path_without_limit():
+    # the greedy cover and the forced moves must not scan all n vertices
+    # per step: that is quadratic, tens of seconds at this n
+    n = 20000
+    assert minimum_vertex_cover(path_graph(n)) == (
+        set(range(1, n - 2, 2)) | {n - 2})
