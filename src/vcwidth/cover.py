@@ -8,6 +8,15 @@ greedy-matching lower bound. Ties everywhere go to the lowest vertex id, so
 the result is deterministic. The search edits one copy of the adjacency and
 undoes each node's removals (the `log`) on its way back; the greedy cover
 and the forced moves take their next vertex from heaps, not from scans.
+
+With a `limit`, the search starts from Buss's high-degree kernel (Buss &
+Goldsmith, SIAM J. Comput. 1993): a vertex with more than `limit`
+neighbours is in every cover within the limit, since leaving it out takes
+all its neighbours. So if more than `limit` vertices are that heavy, no
+cover fits; and if the heavy vertices H cover every edge, every cover within
+the limit contains H, so H is the only minimum cover, the one the unbounded
+search returns too. A large graph with a few hubs is then settled in one
+pass over the degrees, without copying the adjacency.
 """
 
 from __future__ import annotations
@@ -76,14 +85,22 @@ def minimum_vertex_cover(g, limit=None):
     """A minimum vertex cover of g as a set of vertices (deterministic).
 
     With a `limit`, returns None when every cover is larger than it: at once
-    if the matching bound already exceeds it, else once a search that must
-    beat limit + 1 finds nothing. Branches are taken in the same order as
-    without a limit, so a cover within it is the one the unbounded search
-    returns.
+    if the high-degree kernel or the matching bound already exceeds it, else
+    once a search that must beat limit + 1 finds nothing. Branches are taken
+    in the same order as without a limit, so a cover within it is the one the
+    unbounded search returns.
     """
     n = g.n
     if n == 0 or not g.edges:
         return set()
+    if limit is not None:  # the high-degree kernel (module docstring)
+        heavy = [v for v, nbrs in enumerate(g.adj) if len(nbrs) > limit]
+        if len(heavy) > limit:
+            return None
+        hs = set(heavy)
+        inner = sum(len(g.adj[v] & hs) for v in heavy) // 2
+        if sum(len(g.adj[v]) for v in heavy) - inner == len(g.edges):
+            return hs
     adj = [set(s) for s in g.adj]
     if limit is not None and _matching_bound(adj) > limit:
         return None

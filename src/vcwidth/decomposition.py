@@ -4,6 +4,17 @@ A Decomposition is a list of bags (frozensets of vertices) plus tree edges
 between bag indices. `kind` records whether it is meant as a path
 decomposition ("path") or a general tree decomposition ("tree"); path
 decompositions must have path-shaped bag graphs.
+
+`find_violations` checks a witness in about one pass over its bags. On a
+tree bag graph, rooted at bag 0, the bags holding a vertex v split into
+subtrees, each topped by a bag whose parent lacks v, so counting those roots
+gives v's connectivity: 0 roots means v is in no bag, 1 that its bags are
+connected. Take an edge uv whose ends have one root each, u's no deeper
+than v's. Their subtrees meet iff v's root bag holds u: a bag holding both
+lies below both roots, so u's root is an ancestor of v's, and u's subtree,
+running from its root down to that bag, passes through v's root. Only
+vertices of two or more roots, or every vertex when the bag graph is no
+tree, get lists of the bags holding them.
 """
 
 from __future__ import annotations
@@ -94,12 +105,16 @@ def find_violations(g, dec):
     of each vertex's set of bags.
     """
     out = []
-    nbags = len(dec.bags)
+    n = g.n
+    bags = dec.bags
+    nbags = len(bags)
 
-    for idx, bag in enumerate(dec.bags):
-        for v in bag:
-            if not (0 <= v < g.n):
-                out.append(f"bag {idx} contains unknown vertex {v}")
+    known = frozenset(range(n))
+    unknown = not all(map(known.issuperset, bags))
+    if unknown:
+        for idx, bag in enumerate(bags):
+            out += [f"bag {idx} contains unknown vertex {v}"
+                    for v in bag if not 0 <= v < n]
 
     # structure: connected and exactly nbags-1 edges => tree
     edge_set = set()
@@ -110,55 +125,85 @@ def find_violations(g, dec):
             out.append(f"duplicate bag edge ({i},{j})")
         edge_set.add((i, j))
     is_tree = True
+    order = []  # the bags reachable from bag 0, parents first
     if nbags > 0:
         if len(dec.edges) != nbags - 1:
             out.append(f"bag graph has {len(dec.edges)} edges, "
                        f"a tree on {nbags} bags needs {nbags - 1}")
             is_tree = False
         nbr = dec.neighbors()
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            i = queue.popleft()
+        parent = [None] * nbags
+        parent[0] = -1
+        depth = [0] * nbags
+        order.append(0)
+        for i in order:
             for j in nbr[i]:
-                if j not in seen:
-                    seen.add(j)
-                    queue.append(j)
-        if len(seen) != nbags:
+                if parent[j] is None:
+                    parent[j] = i
+                    depth[j] = depth[i] + 1
+                    order.append(j)
+        if len(order) != nbags:
             out.append(f"bag graph is disconnected "
-                       f"({len(seen)} of {nbags} bags reachable from bag 0)")
+                       f"({len(order)} of {nbags} bags reachable from bag 0)")
             is_tree = False
         if dec.kind == "path" and is_tree and any(len(x) > 2 for x in nbr):
             bad = next(i for i, x in enumerate(nbr) if len(x) > 2)
             out.append(f"path decomposition has branching bag {bad}")
 
-    # axiom 1: every vertex occurs in some bag
-    occurs = [[] for _ in range(g.n)]
-    for idx, bag in enumerate(dec.bags):
-        for v in bag:
-            if 0 <= v < g.n:
+    # on a tree, the bags holding v form roots[v] subtrees, each topped by a
+    # bag whose parent lacks v; 1 means connected. Only vertices in two or
+    # more subtrees (every vertex, off a tree) get occurrence lists
+    if is_tree:
+        roots = [0] * n
+        root = [0] * n
+        for i in order:
+            p = parent[i]
+            new = bags[i] if p < 0 else bags[i] - bags[p]
+            if unknown:
+                new = new & known
+            for v in new:
+                roots[v] += 1
+                root[v] = i
+        settled = roots.count(1) == n
+        listed = [] if settled else [v for v, c in enumerate(roots) if c > 1]
+    else:
+        listed = range(n)
+    occurs = {v: [] for v in listed}
+    if listed:
+        wanted = frozenset(listed)
+        for idx, bag in enumerate(bags):
+            for v in bag & wanted:
                 occurs[v].append(idx)
-    for v in range(g.n):
-        if not occurs[v]:
-            out.append(f"vertex {v} appears in no bag")
 
-    # axiom 2: every edge is inside some bag; scan the bags of the endpoint
-    # that occurs in fewer of them for the other one, and sort the misses
-    bags = dec.bags
+    # axiom 1: every vertex occurs in some bag
+    if is_tree:
+        missing = [] if settled else [v for v, c in enumerate(roots) if not c]
+    else:
+        missing = [v for v in range(n) if not occurs[v]]
+    out += [f"vertex {v} appears in no bag" for v in missing]
+
+    # axiom 2: every edge is inside some bag. Two single subtrees meet iff
+    # the shallower root's vertex lies in the deeper root's bag; otherwise
+    # scan the bags of an endpoint with a list for the other one (an end
+    # with no list and no single subtree is in no bag)
     missed = []
     for u, v in g.edges:
-        a, b = (u, v) if len(occurs[u]) <= len(occurs[v]) else (v, u)
-        if not any(b in bags[i] for i in occurs[a]):
-            missed.append((u, v))
+        if is_tree and roots[u] == 1 == roots[v]:
+            ru, rv = root[u], root[v]
+            if (v in bags[ru]) if depth[ru] >= depth[rv] else (u in bags[rv]):
+                continue
+        else:
+            a, b = (u, v) if u in occurs else (v, u)
+            if any(b in bags[i] for i in occurs.get(a, ())):
+                continue
+        missed.append((u, v))
     out += [f"edge ({u},{v}) is contained in no bag"
             for u, v in sorted(missed)]
 
     # axiom 3: the bags holding a vertex form a connected subtree
-    if is_tree and nbags > 0:
-        for v in range(g.n):
+    if is_tree:
+        for v in listed:
             nodes = occurs[v]
-            if len(nodes) <= 1:
-                continue
             allowed = set(nodes)
             seen = {nodes[0]}
             queue = deque([nodes[0]])
@@ -168,9 +213,8 @@ def find_violations(g, dec):
                     if j in allowed and j not in seen:
                         seen.add(j)
                         queue.append(j)
-            if len(seen) != len(allowed):
-                out.append(f"bags containing vertex {v} are disconnected "
-                           f"({len(seen)} of {len(allowed)} connected)")
+            out.append(f"bags containing vertex {v} are disconnected "
+                       f"({len(seen)} of {len(allowed)} connected)")
     return out
 
 

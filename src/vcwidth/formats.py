@@ -214,17 +214,20 @@ def emit_td(dec, n):
 
     Deterministic: bag i of the decomposition becomes bag id i+1, vertices
     sorted ascending, edges sorted. Path decompositions get a 'c path' line.
+    Every id is read from one list of labels, each formatted once, so bag
+    vertices must lie in 0..n-1, as they do in a validated witness.
     """
     out = []
     if dec.kind == "path":
         out.append("c path")
     width_plus_one = max((len(b) for b in dec.bags), default=0)
     out.append(f"s td {len(dec.bags)} {width_plus_one} {n}")
-    for i, bag in enumerate(dec.bags, 1):
-        vs = " ".join(str(v + 1) for v in sorted(bag))
-        out.append(f"b {i} {vs}".rstrip())
+    label = [str(i) for i in range(1, max(n, len(dec.bags)) + 1)].__getitem__
+    for i, bag in enumerate(dec.bags):
+        vs = " ".join(map(label, sorted(bag)))
+        out.append(f"b {label(i)} {vs}".rstrip())
     for i, j in sorted(dec.edges):
-        out.append(f"{i + 1} {j + 1}")
+        out.append(f"{label(i)} {label(j)}")
     return "\n".join(out) + "\n"
 
 

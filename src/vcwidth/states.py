@@ -164,7 +164,7 @@ class CoverContext:
         self.k = len(self.order)
         self.position = {v: i for i, v in enumerate(self.order)}
         self.full = (1 << self.k) - 1
-        apex = 1 << (self.k - 1) if g.n in self.position else 0
+        self.apex = apex = 1 << (self.k - 1) if g.n in self.position else 0
         self.cov_adj = [apex] * self.k
         for i, v in enumerate(self.order):
             if v == g.n:
@@ -190,11 +190,16 @@ class CoverContext:
 
         The subset zeta transform of the type counts, built on first use; it
         turns every boundary count of the sweeps into an O(1) `touching`.
+        Every type holds the implicit apex, if there is one, so a set without
+        it holds none: only the half with the apex is transformed, over the
+        other positions, and the lower half is zeros.
         """
-        cnt = [0] * (1 << self.k)
+        low = self.apex
+        cnt = [0] * ((1 << self.k) - low)
         for m, c in self.types:
-            cnt[m] = c
-        return zeta(SetFunction(self.k, cnt)).values
+            cnt[m - low] = c
+        upper = zeta(SetFunction(self.k - (low > 0), cnt)).values
+        return [0] * low + upper if low else upper
 
     def valid_triples(self, require_bit=None, half=False, rank=None):
         return enumerate_valid_triples(self.cov_adj, require_bit, half, rank)

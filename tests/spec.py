@@ -8,7 +8,7 @@ fast paths against these literal definitions.
 """
 
 import sys
-from collections import namedtuple
+from collections import deque, namedtuple
 
 from genutil import add_universal_vertex
 from vcwidth.decomposition import Decomposition
@@ -626,3 +626,84 @@ def pw_apex_sweep_table(ctx, stats=None, *, apex_pos):
         stats["states"] = states
         stats["peak_table"] = slots
     return table
+
+
+def find_violations_by_scan(g, dec):
+    """decomposition.find_violations as it was before subtree roots: an
+    occurrence list for every vertex, each edge looked up in the bags of an
+    endpoint, and a BFS over the bags of every vertex in more than one. The
+    messages and their order are the contract the fast version keeps."""
+    out = []
+    nbags = len(dec.bags)
+
+    for idx, bag in enumerate(dec.bags):
+        for v in bag:
+            if not (0 <= v < g.n):
+                out.append(f"bag {idx} contains unknown vertex {v}")
+
+    edge_set = set()
+    for i, j in dec.edges:
+        if i == j:
+            out.append(f"bag edge ({i},{i}) is a self-loop")
+        elif (i, j) in edge_set:
+            out.append(f"duplicate bag edge ({i},{j})")
+        edge_set.add((i, j))
+    is_tree = True
+    if nbags > 0:
+        if len(dec.edges) != nbags - 1:
+            out.append(f"bag graph has {len(dec.edges)} edges, "
+                       f"a tree on {nbags} bags needs {nbags - 1}")
+            is_tree = False
+        nbr = dec.neighbors()
+        seen = {0}
+        queue = deque([0])
+        while queue:
+            i = queue.popleft()
+            for j in nbr[i]:
+                if j not in seen:
+                    seen.add(j)
+                    queue.append(j)
+        if len(seen) != nbags:
+            out.append(f"bag graph is disconnected "
+                       f"({len(seen)} of {nbags} bags reachable from bag 0)")
+            is_tree = False
+        if dec.kind == "path" and is_tree and any(len(x) > 2 for x in nbr):
+            bad = next(i for i, x in enumerate(nbr) if len(x) > 2)
+            out.append(f"path decomposition has branching bag {bad}")
+
+    occurs = [[] for _ in range(g.n)]
+    for idx, bag in enumerate(dec.bags):
+        for v in bag:
+            if 0 <= v < g.n:
+                occurs[v].append(idx)
+    for v in range(g.n):
+        if not occurs[v]:
+            out.append(f"vertex {v} appears in no bag")
+
+    bags = dec.bags
+    missed = []
+    for u, v in g.edges:
+        a, b = (u, v) if len(occurs[u]) <= len(occurs[v]) else (v, u)
+        if not any(b in bags[i] for i in occurs[a]):
+            missed.append((u, v))
+    out += [f"edge ({u},{v}) is contained in no bag"
+            for u, v in sorted(missed)]
+
+    if is_tree and nbags > 0:
+        for v in range(g.n):
+            nodes = occurs[v]
+            if len(nodes) <= 1:
+                continue
+            allowed = set(nodes)
+            seen = {nodes[0]}
+            queue = deque([nodes[0]])
+            while queue:
+                i = queue.popleft()
+                for j in nbr[i]:
+                    if j in allowed and j not in seen:
+                        seen.add(j)
+                        queue.append(j)
+            if len(seen) != len(allowed):
+                out.append(f"bags containing vertex {v} are disconnected "
+                           f"({len(seen)} of {len(allowed)} connected)")
+    return out

@@ -15,7 +15,8 @@ from vcwidth.cover import minimum_vertex_cover
 
 from genutil import (complete_graph, elimination_decomposition, path_graph,
                      random_graph)
-from spec import is_valid_triple, make_nice, trace_of_node
+from spec import (find_violations_by_scan, is_valid_triple, make_nice,
+                  trace_of_node)
 
 
 # --- an independent re-derivation of the three axioms, used as a cross-check
@@ -127,6 +128,66 @@ def test_validator_matches_naive_checker():
         else:
             agree_invalid += 1
     assert agree_valid and agree_invalid  # both outcomes exercised
+
+
+def corrupted(rng, dec, n):
+    """`dec` after one to three random corruptions: a vertex dropped from a
+    bag or added to one (maybe far from its other bags, maybe unknown), a
+    bag edge dropped, added, rewired or made a self-loop, or a bag added."""
+    bags = [set(b) for b in dec.bags]
+    edges = list(dec.edges)
+    for _ in range(rng.randrange(1, 4)):
+        roll = rng.randrange(8)
+        if roll == 0 and any(bags):
+            bag = rng.choice([b for b in bags if b])
+            bag.discard(rng.choice(sorted(bag)))
+        elif roll == 1 and bags:
+            rng.choice(bags).add(rng.randrange(-1, n + 2) if rng.random() < 0.2
+                                 else rng.randrange(max(n, 1)))
+        elif roll == 2 and edges:
+            edges.pop(rng.randrange(len(edges)))
+        elif roll == 3 and bags:
+            edges.append((rng.randrange(len(bags)), rng.randrange(len(bags))))
+        elif roll == 4 and edges:  # a duplicate
+            edges.append(rng.choice(edges)[::-1])
+        elif roll == 5 and edges:  # one end moved: a tree stays one or not
+            e = rng.randrange(len(edges))
+            edges[e] = (edges[e][0], rng.randrange(len(bags)))
+        elif roll == 6 and bags:
+            i = rng.randrange(len(bags))
+            edges.append((i, i))
+        elif roll == 7:
+            bags.append({v for v in range(n) if rng.random() < 0.3})
+            if len(bags) > 1 and rng.random() < 0.8:
+                edges.append((rng.randrange(len(bags) - 1), len(bags) - 1))
+    return Decomposition(bags, edges, kind=dec.kind)
+
+
+def test_validator_messages_match_the_scan():
+    # the subtree-root checks name the same violations, in the same order,
+    # as the occurrence-list scan they replaced, on valid and corrupted
+    # path and tree decompositions
+    rng = random.Random(20261019)
+    seen = set()
+    for case in range(3000):
+        g = random_graph(rng, rng.randrange(0, 10), rng.random())
+        if case % 2:
+            dec = elimination_decomposition(rng, g)
+        else:
+            dec = layout_decomposition(rng, g)
+        if rng.random() < 0.9:
+            dec = corrupted(rng, dec, g.n)
+        got = find_violations(g, dec)
+        assert got == find_violations_by_scan(g, dec), (g, dec)
+        seen.update(kind for kind in _MESSAGE_KINDS
+                    if any(kind in m for m in got))
+    assert seen == set(_MESSAGE_KINDS)
+
+
+_MESSAGE_KINDS = ("unknown vertex", "self-loop", "duplicate bag edge",
+                  "a tree on", "bag graph is disconnected", "branching bag",
+                  "appears in no bag", "contained in no bag",
+                  "are disconnected")
 
 
 # --- contraction

@@ -369,6 +369,22 @@ def _helper_cases():
                         if rng.random() < 0.7}
 
 
+def test_inside_counts_the_types_within_each_set():
+    # with the implicit apex only the half holding it is transformed; the
+    # table must still be the subset sums of the type counts, as it is with
+    # an explicit apex or none
+    rng = random.Random(20261019)
+    for k in range(0, 8):
+        g = random_graph_with_cover(rng, k, rng.randrange(k, 3 * k + 4),
+                                    rng.choice([0.2, 0.5]))
+        cover = set(range(k))
+        for ctx in (apex_context(g, cover, None)[0], CoverContext(g, cover),
+                    CoverContext(add_universal_vertex(g)[0], cover | {g.n})):
+            assert ctx.inside == [
+                sum(c for m, c in ctx.types if not m & ~s)
+                for s in range(1 << ctx.k)]
+
+
 def test_folded_helpers_match_their_lists():
     # _best_lower folds _lowers into one value and _packed_forgets packs
     # _forgets with _pack's clamp; both must agree on every triple
