@@ -6,7 +6,7 @@ path/tree decomposition against a graph. Graphs are read in .gr format from
 --input or stdin; decompositions are printed in .td format.
 
 Exit codes: 0 success, 2 malformed input (or failed check), 3 resource cap
-exceeded, 4 internal invariant violation.
+exceeded or memory exhausted, 4 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -205,6 +205,9 @@ def main(argv=None):
         return 2
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 3
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

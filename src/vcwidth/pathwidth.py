@@ -36,49 +36,88 @@ with s1 the state after s0 (_glue), and the witness chain is the left
 back-walk followed by the right one reversed and mirrored (_optimal_chain).
 The sweep touches about half the apex triples, with fewer lowers each.
 
-Threshold and retry. The sweep stores only the triples with some upper
-slot within a limit; as in treewidth.py, values along a path never fall,
-so every state of an optimal path is within pw + 1, and what is stored is
-exact. The glue then finds pw + 1 if it is within the limit and reports
-nothing otherwise. pathwidth_vc starts at treewidth.width_bound, the greedy
-elimination width of the apexed graph, and sweeps again one higher while
-the glue finds nothing. That bound is one on treewidth, and pw >= tw, so
-the first sweep may fail; pw + 1 <= k bounds the retries. A failed sweep
-costs nearly a full one, so pw does not decide one below the bound the way
-treewidth does. Without joins, a rank that stores nothing ends the sweep.
+Threshold and retry. The sweep stores only the triples whose best lower
+candidate is within a limit; as in treewidth.py, values along a path never
+fall, so every state of an optimal path is within pw + 1, and what is
+stored is exact. The glue then finds pw + 1 if it is within the limit and
+reports nothing otherwise. pathwidth_vc starts at treewidth.width_bound,
+the greedy elimination width of the apexed graph, and sweeps again one
+higher while the glue finds nothing. That bound is one on treewidth, and
+pw >= tw, so the first sweep may fail; pw + 1 <= k bounds the retries. A
+failed sweep costs nearly a full one, so pw does not decide one below the
+bound the way treewidth does. Without joins, a rank that stores nothing
+ends the sweep.
 
-Table layout: one packed int per valid triple, as described in states.py;
-byte slot 0 is the introduce upper, slot u+1 the forget(u) upper.
+Table layout: one int per stored triple (L, X, R), keyed (L << k) | X,
+like the treewidth table. Its low byte is V, the best lower candidate
+floored at base = |X| - 1 + crossing(L, R); a triple is stored only if V is
+within the limit, which is at most 255. Every upper slot is derived from V
+as in treewidth.py: the introduce slot is V, and the forget(u) slot is
+max(V, base of the successor (L + u, X - u, R) + 1), since the vertices
+forget(u) adds to the last bag are those that start crossing once u is
+below. A pendant-bag vertex can raise one slot by one more, and only when
+V = base and the slot's own term is 0; flag bit 8 marks that for the
+introduce slot and bit u + 9 for forget(u). _slot reads a slot this way.
 """
 
 from __future__ import annotations
 
 from .decomposition import Decomposition, contract, validate
 from .errors import InternalError
-from .states import (_best_lower, _lowers, _packed_forgets, _read,
-                     apex_context, iter_bits, no_rank_left, state_bags,
-                     touching)
+from .states import (_NO_LOWER, apex_context, iter_bits, no_rank_left,
+                     state_bags, touching)
 from .treewidth import width_bound
 
 
-def _pw_lowers(ctx, table, below, bag, apex):
-    """Lower candidates (code, xl, pred) of a pathwidth triple. The base
-    state (nothing below, the apex alone in the bag) introduces the apex
-    with no predecessor; it carries pred = 0, which never dominates."""
-    if below == 0 and bag == apex:
-        return [(apex.bit_length() - 1, 0, 0)]
-    return _lowers(ctx, table, below, bag)
+def _best_lower(ctx, get, below, bag, base):
+    """(min over the reachable non-join lowers of max(pred, base + xl),
+    their count), reading the table through its `get`; _NO_LOWER when the
+    count is 0.
 
-
-def _tight(inside, bag, code, forgotten):
-    """1 if some vertex confined to the bag needs its pendant bag in this
-    state: it must see the introduced vertex under an introduce lower and
-    the forgotten one under a forget upper, else the pendant bag fits in a
-    neighboring state. Every vertex sees the apex, which is in the bag, so
-    `bag` stands for "no condition"."""
-    a = 1 << code if code < 32 else bag
-    b = 1 << forgotten if forgotten >= 0 else bag
-    return 1 if touching(inside, bag, a, b) else 0
+    An introduce(u) lower reads V of (below, bag - u) and never its flag:
+    base + xl is that predecessor's base + 1, so the flag, set only when
+    its V is its base, cannot raise the candidate. A forget(u) lower has
+    xl = 0 and reads the forget(u) slot of (below - u, bag + u), whose
+    successor is this triple: max(V, base + 1) plus its flag.
+    """
+    k = ctx.k
+    cov_adj = ctx.cov_adj
+    inside = ctx.inside
+    below_bag = below | bag
+    extra = base + inside[below_bag] - inside[bag]
+    key = below << k
+    best = _NO_LOWER
+    count = 0
+    m = bag
+    while m:
+        bit = m & -m
+        m ^= bit
+        if cov_adj[bit.bit_length() - 1] & below:
+            continue
+        pv = get(key | (bag ^ bit))
+        if pv is not None:
+            count += 1
+            val = extra - inside[below_bag ^ bit] + inside[bag ^ bit]
+            pv &= 255
+            if pv > val:
+                val = pv
+            if val < best:
+                best = val
+    floor = base + 1
+    m = below
+    while m:
+        bit = m & -m
+        m ^= bit
+        pv = get(((below ^ bit) << k) | bag | bit)
+        if pv is not None:
+            count += 1
+            val = pv & 255
+            if val < floor:
+                val = floor
+            val += pv >> (bit.bit_length() + 8) & 1
+            if val < best:
+                best = val
+    return best, count
 
 
 def _free_intros(ctx, get, below, bag, base, apex):
@@ -86,7 +125,8 @@ def _free_intros(ctx, get, below, bag, base, apex):
     the lowers that reach base. No forget(u) lower does: the vertices that
     see u and ahead but nothing else below are both what this triple's
     crossing adds to its predecessor's and that predecessor's forget(u)
-    extra, so the predecessor's value is at least base + 1."""
+    extra, so the predecessor's value is at least base + 1. With xl = 0
+    the predecessor's base is base - 1, so its flag never matters here."""
     if below == 0 and bag == apex:
         return [apex]  # the base state: pred 0, xl 0
     cov_adj = ctx.cov_adj
@@ -101,30 +141,31 @@ def _free_intros(ctx, get, below, bag, base, apex):
         m ^= bit
         if cov_adj[bit.bit_length() - 1] & below:
             continue
-        pv = get(key | (bag ^ bit), 0) & 255
-        if (pv and pv <= base + 1
+        pv = get(key | (bag ^ bit))
+        if (pv is not None and pv & 255 <= base
                 and extra == inside[below_bag ^ bit] - inside[bag ^ bit]):
             intro.append(bit)
     return intro
 
 
-def _tight_uppers(ctx, get, below, bag, ahead, base, apex):
-    """(packed upper slots, their count) of a triple whose best lower
-    reaches exactly base while some vertex is confined to the bag.
+def _tight_flags(ctx, get, below, bag, ahead, base, apex):
+    """The flag bits of a triple whose best lower reaches exactly base
+    while some vertex is confined to the bag.
 
-    Only the free lowers (_free_intros) reach base. An upper with xr = 0
-    costs base + 1 unless _tight is 0 for one of them: it leaves every
-    bag-confined vertex a pendant bag in a neighboring state.
+    Only the free lowers (_free_intros) reach base. A slot whose own term
+    is 0 (the introduce upper, or forget(v) with xr = 0) costs base + 1
+    unless one of them leaves every bag-confined vertex a pendant bag in a
+    neighboring state: a vertex confined to the bag needs its pendant bag
+    here only if it sees the introduced vertex and, under forget(v), v.
     """
     cov_adj = ctx.cov_adj
     inside = ctx.inside
     in_bag = inside[bag]
-    packed = 0
-    count = 0
+    flags = 0
     if ahead:
-        # under the introduce upper, _tight of introduce(u) is 0 only when
-        # no confined vertex sees u: check those lowers alone
-        val = base + 1
+        # under the introduce upper, introduce(u) frees the pendant bags
+        # only when no confined vertex sees u: check those lowers alone
+        flags = 1 << 8
         below_bag = below | bag
         extra = inside[below_bag] - in_bag
         key = below << ctx.k
@@ -135,13 +176,11 @@ def _tight_uppers(ctx, get, below, bag, ahead, base, apex):
             rest = bag ^ bit
             if inside[rest] != in_bag or cov_adj[bit.bit_length() - 1] & below:
                 continue
-            pv = get(key | rest, 0) & 255
-            if (pv and pv <= base + 1
+            pv = get(key | rest)
+            if (pv is not None and pv & 255 <= base
                     and extra == inside[below_bag ^ bit] - inside[rest]):
-                val = base
+                flags = 0
                 break
-        packed = (val if val < 254 else 254) + 1
-        count = 1
     intro = None
     bag_ahead = bag | ahead
     extra = inside[bag_ahead] - in_bag
@@ -152,38 +191,34 @@ def _tight_uppers(ctx, get, below, bag, ahead, base, apex):
         v = bit.bit_length()
         if cov_adj[v - 1] & ahead:
             continue
-        count += 1
         rest = bag ^ bit
-        val = base + extra - inside[bag_ahead ^ bit] + inside[rest]
-        if val == base:  # xr = 0
+        if extra == inside[bag_ahead ^ bit] - inside[rest]:  # xr = 0
             if intro is None:
                 intro = _free_intros(ctx, get, below, bag, base, apex)
-            val += all(
-                in_bag - inside[bag ^ a] - inside[rest] + inside[rest & ~a]
-                for a in intro)
-        packed |= (val if val < 254 else 254) + 1 << (8 * v)
-    return packed, count
+            if all(in_bag - inside[bag ^ a] - inside[rest] + inside[rest & ~a]
+                   for a in intro):
+                flags |= 1 << (v + 8)
+    return flags
 
 
 def partial_width_table(ctx, stats=None, *, apex_pos, limit=None):
     """Run the pathwidth DP sweep over the apex triples with |below| <=
-    |ahead|, the half that _glue reads; returns the packed state-value
-    table.
+    |ahead|, the half that _glue reads; returns the table of V and flags.
 
-    With a `limit`, a triple is stored only if some upper slot is within
-    it; the slots of a stored triple are exact, those above the limit
-    included. Ranks are enumerated as the sweep reaches them, and it stops
-    after the first rank that stores nothing (states.no_rank_left).
+    A triple is stored only if V is within `limit` (default k, since
+    pw + 1 <= k; at most 255, the low byte); the slots of a stored triple
+    are exact, those above the limit included. Ranks are enumerated as the
+    sweep reaches them, and it stops after the first rank that stores
+    nothing (states.no_rank_left).
     """
     k = ctx.k
     full = ctx.full
     inside = ctx.inside
     apex = 1 << apex_pos
-    if limit is None:
-        limit = 1 << 30
+    limit = min(k if limit is None else limit, 255)
     table = {}
     get = table.get
-    triples = states = slots = 0
+    triples = states = 0
     stored = []
     for rank in range(k):
         if no_rank_left(stored, False):
@@ -197,36 +232,46 @@ def partial_width_table(ctx, stats=None, *, apex_pos, limit=None):
             if base > limit:
                 continue  # every slot is at least base
             if below == 0 and bag == apex:
-                m1, lowers = base, 1  # the base state: pred 0, xl 0
+                val, lowers = base, 1  # the base state: pred 0, xl 0
             else:
-                m1, lowers = _best_lower(ctx, get, below, bag, base)
-                if m1 > limit:  # no lower (_NO_LOWER), or every slot above
+                val, lowers = _best_lower(ctx, get, below, bag, base)
+                if val > limit:  # no lower (_NO_LOWER), or every slot above
                     continue
-            if m1 > base or not inside[bag]:
+            if val == base and inside[bag]:
                 # the tightness term, 0 or 1, cannot raise a lower that
-                # reaches m1 > base, and it is 0 when no vertex is confined
+                # reaches V > base, and it is 0 when no vertex is confined
                 # to the bag
-                packed, uppers = _packed_forgets(ctx, bag, ahead, m1, base)
-                if ahead:  # the introduce upper: max(m1, base) = m1
-                    packed |= min(m1, 254) + 1
-                    uppers += 1
-            else:
-                packed, uppers = _tight_uppers(ctx, get, below, bag, ahead,
-                                               base, apex)
-            if not uppers:
-                continue
-            states += lowers * uppers
-            table[(below << k) | bag] = packed
-            slots += uppers
+                val |= _tight_flags(ctx, get, below, bag, ahead, base, apex)
+            table[(below << k) | bag] = val
+            states += lowers
         stored.append(len(table) - kept)
     if stats is not None:
         stats["valid_triples"] = triples
         stats["states"] = states
-        stats["peak_table"] = slots
+        stats["peak_table"] = len(table)
     return table
 
 
-def _glue(ctx, table, apex_pos, limit=253):
+def _slot(ctx, table, below, bag, slot):
+    """Upper `slot` of a stored triple, derived from its entry (None if the
+    sweep did not keep it): slot 0, the introduce upper, is V, and slot
+    u+1, forget(u), is max(V, base of (below + u, bag - u) + 1); each plus
+    its flag."""
+    entry = table.get((below << ctx.k) | bag)
+    if entry is None:
+        return None
+    val = entry & 255
+    if slot:
+        bit = 1 << (slot - 1)
+        ahead = ctx.full & ~(below | bag)
+        after = bag.bit_count() - 1 + touching(ctx.inside, ctx.full,
+                                               below | bit, ahead)
+        if val < after:
+            val = after
+    return val + (entry >> (slot + 8) & 1)
+
+
+def _glue(ctx, table, apex_pos, limit=1 << 30):
     """(pw + 1, meet): the best apex path within `limit`, glued at its
     balanced state; None if no path is within the limit.
 
@@ -237,42 +282,40 @@ def _glue(ctx, table, apex_pos, limit=253):
     forget(u), u not the apex, with slot 0 of (ahead, bag - u, below + u).
     `meet` is ((below, bag, slot) of s0, the same of mirror(s1)). When the
     cover is the apex alone, the base state is the final state and the
-    second part is None. The default limit keeps every unsaturated value.
+    second part is None.
     """
     k = ctx.k
     full = ctx.full
     apex = 1 << apex_pos
     if k == 1:
-        val = _read(table, k, 0, apex, apex_pos + 1)
+        val = _slot(ctx, table, 0, apex, apex_pos + 1)
         if val is None or val > limit:
             return None
         return val, ((0, apex, apex_pos + 1), None)
-    get = table.get
-    best = min(limit, 253) + 2  # stored bytes: min(value, 254) + 1
+    best = limit + 1
     meet = None
-    for key, packed in table.items():
+    for key, entry in table.items():
         below = key >> k
         bag = key & full
-        if 2 * below.bit_count() + bag.bit_count() != k:
-            continue
+        if 2 * below.bit_count() + bag.bit_count() != k or entry & 255 >= best:
+            continue  # not balanced, or every slot is at least V
         ahead = full ^ below ^ bag
-        a = packed & 255
-        if a and a < best:
+        a = _slot(ctx, table, below, bag, 0)
+        if a < best:
             for v in iter_bits(ahead):
-                b = (get(((ahead ^ 1 << v) << k) | bag | 1 << v, 0)
-                     >> (8 * v + 8)) & 255
-                if b and max(a, b) < best:
+                b = _slot(ctx, table, ahead ^ 1 << v, bag | 1 << v, v + 1)
+                if b is not None and max(a, b) < best:
                     best = max(a, b)
                     meet = ((below, bag, 0), (ahead ^ 1 << v, bag | 1 << v,
                                               v + 1))
         for u in iter_bits(bag ^ apex):
-            a = (packed >> (8 * u + 8)) & 255
-            if a and a < best:
-                b = get((ahead << k) | (bag ^ 1 << u), 0) & 255
-                if b and max(a, b) < best:
+            b = _slot(ctx, table, ahead, bag ^ 1 << u, 0)
+            if b is not None and b < best:
+                a = _slot(ctx, table, below, bag, u + 1)
+                if max(a, b) < best:
                     best = max(a, b)
                     meet = ((below, bag, u + 1), (ahead, bag ^ 1 << u, 0))
-    return None if meet is None else (best - 1, meet)
+    return None if meet is None else (best, meet)
 
 
 def _state_chain(ctx, table, apex_pos, below, bag, slot, val):
@@ -280,23 +323,39 @@ def _state_chain(ctx, table, apex_pos, below, bag, slot, val):
     value `val` to the base state.
 
     Returns the state chain bottom-up as tuples
-    (lower code, below, bag, upper slot). Ties go to the lowest lower code,
-    i.e. the lowest encoded state key.
+    (lower code, below, bag, upper slot): introduce(u) has code u,
+    forget(u) code 32+u. Ties go to the lowest lower code, i.e. the lowest
+    encoded state key. A lower's candidate is max(pred, base + max(xl, xr,
+    tight)), where tight is 1 if some vertex confined to the bag sees the
+    introduced vertex (under an introduce lower) and the forgotten one
+    (under a forget upper); every vertex sees the apex, which is in the
+    bag, so `bag` stands for "no condition".
     """
     full = ctx.full
     inside = ctx.inside
+    cov_adj = ctx.cov_adj
     apex = 1 << apex_pos
     chain = []
     while True:
         ahead = full & ~(below | bag)
         base = bag.bit_count() + touching(inside, full, below, ahead) - 1
-        forgotten = slot - 1
-        xr = 0
-        if forgotten >= 0:
-            xr = touching(inside, bag | ahead, ahead, 1 << forgotten)
+        seen = 1 << (slot - 1) if slot else bag
+        xr = touching(inside, bag | ahead, ahead, seen) if slot else 0
+        if below == 0 and bag == apex:
+            lowers = [(apex_pos, 0, 0)]  # the base state: no predecessor
+        else:
+            lowers = [(u, touching(inside, below | bag, below, 1 << u),
+                       _slot(ctx, table, below, bag ^ 1 << u, 0))
+                      for u in iter_bits(bag) if not cov_adj[u] & below]
+            lowers += [(32 + u, 0, _slot(ctx, table, below ^ 1 << u,
+                                         bag | 1 << u, u + 1))
+                       for u in iter_bits(below)]
         picked = None
-        for code, xl, pred in _pw_lowers(ctx, table, below, bag, apex):
-            t = _tight(inside, bag, code, forgotten)
+        for code, xl, pred in lowers:
+            if pred is None:
+                continue
+            t = 1 if touching(inside, bag, 1 << code if code < 32 else bag,
+                              seen) else 0
             if max(pred, base + max(xl, xr, t)) == val:
                 picked = (code, pred)
                 break
@@ -329,15 +388,14 @@ def _optimal_chain(ctx, table, apex_pos, meet):
     introduce(v) lower, and a mirrored introduce upper the forget lower of
     the vertex that the state before it in the chain keeps in its bag.
     """
-    k = ctx.k
     full = ctx.full
     left, right = meet
     chain = _state_chain(ctx, table, apex_pos, *left,
-                         _read(table, k, *left))
+                         _slot(ctx, table, *left))
     if right is None:
         return chain
     mirrored = _state_chain(ctx, table, apex_pos, *right,
-                            _read(table, k, *right))
+                            _slot(ctx, table, *right))
     for code, ahead, bag, slot in reversed(mirrored):
         below = full & ~(ahead | bag)
         if slot:
@@ -365,7 +423,7 @@ def reconstruct_path(g, ctx, table, apex, meet, width):
         ahead = ctx.full & ~(below | bag)
         size = bag.bit_count() + touching(ctx.inside, ctx.full, below, ahead)
         key = (size, i)
-        # as in _tight, `bag` stands for "no condition"
+        # as in _state_chain, `bag` stands for "no condition"
         for x in ctx.touching_vertices(bag, 1 << code if code < 32 else bag,
                                        1 << (slot - 1) if slot else bag):
             home[x] = min(home.get(x, key), key)

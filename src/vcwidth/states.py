@@ -29,9 +29,10 @@ can hold a state (no_rank_left), so the ranks they never reach are never
 built. Within a rank each `below`'s bags come in ascending order, with no
 sort; that order linearly extends the predecessor relation, so one sweep
 over triples in this order sees every predecessor before its successors.
-The sweeps never build states or op tags: they keep one int per triple
-(pathwidth packs its upper slots, treewidth stores one value), and the
-tests check them against the literal model in tests/spec.py.
+The sweeps never build states or op tags: they keep one value per triple,
+its best lower candidate, and derive every upper slot from it (pathwidth
+adds a flag bit per slot that a pendant bag raises by one); the tests
+check them against the literal model in tests/spec.py.
 """
 
 from __future__ import annotations
@@ -271,116 +272,5 @@ def touching(inside, outer, a, b):
             + inside[outer & ~(a | b)])
 
 
-# Packed tables (pathwidth): one int per triple, keyed (below << k) | bag.
-# Byte slot 0 holds the best value over introduce uppers (it does not depend
-# on which vertex) and slot u+1 the best value for forget(u). A zero byte
-# means unreachable; otherwise the byte stores min(value, 254) + 1. Every
-# optimum is at most k <= 26, so a saturated state never wins and no
-# back-walk visits one. The treewidth table stores one value per triple
-# instead (see treewidth.py).
-
-def _read(table, k, below, bag, slot):
-    pv = (table.get((below << k) | bag, 0) >> (8 * slot)) & 255
-    return pv - 1 if pv else None
-
-
-def _lowers(ctx, table, below, bag):
-    """Non-join lower candidates as (code, xl, pred), ascending code order:
-    introduce(u) has code u, forget(u) code 32+u. Unreachable predecessors
-    are dropped."""
-    k = ctx.k
-    cov_adj = ctx.cov_adj
-    inside = ctx.inside
-    below_bag = below | bag
-    extra = inside[below_bag] - inside[bag]
-    key = below << k
-    out = []
-    m = bag
-    while m:
-        bit = m & -m
-        m ^= bit
-        u = bit.bit_length() - 1
-        if cov_adj[u] & below:
-            continue
-        pv = table.get(key | (bag ^ bit), 0) & 255
-        if pv:  # xl = touching(inside, below | bag, below, bit)
-            out.append((u, extra - inside[below_bag ^ bit] + inside[bag ^ bit],
-                        pv - 1))
-    m = below
-    while m:
-        bit = m & -m
-        m ^= bit
-        u = bit.bit_length() - 1
-        packed = table.get(((below ^ bit) << k) | bag | bit, 0)
-        pv = (packed >> (8 * u + 8)) & 255
-        if pv:
-            out.append((32 + u, 0, pv - 1))
-    return out
-
-
-# _best_lower's value when no lower is reachable; above every real value.
+# A best lower candidate when no lower is reachable; above every real value.
 _NO_LOWER = 1 << 62
-
-
-def _best_lower(ctx, get, below, bag, base):
-    """(min over the reachable non-join lowers of max(pred, base + xl),
-    their count): _lowers folded into one value, reading the table through
-    its `get`. The value is _NO_LOWER when the count is 0."""
-    k = ctx.k
-    cov_adj = ctx.cov_adj
-    inside = ctx.inside
-    below_bag = below | bag
-    extra = base + inside[below_bag] - inside[bag]
-    key = below << k
-    best = _NO_LOWER
-    count = 0
-    m = bag
-    while m:
-        bit = m & -m
-        m ^= bit
-        if cov_adj[bit.bit_length() - 1] & below:
-            continue
-        pv = get(key | (bag ^ bit), 0) & 255
-        if pv:
-            count += 1
-            val = extra - inside[below_bag ^ bit] + inside[bag ^ bit]
-            if pv > val:
-                val = pv - 1
-            if val < best:
-                best = val
-    m = below
-    while m:
-        bit = m & -m
-        m ^= bit
-        pv = (get(((below ^ bit) << k) | bag | bit, 0)
-              >> (8 * bit.bit_length())) & 255
-        if pv:  # a forget lower has xl = 0
-            count += 1
-            val = pv - 1 if pv > base else base
-            if val < best:
-                best = val
-    return best, count
-
-
-def _packed_forgets(ctx, bag, ahead, floor, base):
-    """(packed forget upper slots, their count): slot v+1 holds
-    max(floor, base + xr) of each valid forget(v), stored as the packed
-    tables store values."""
-    cov_adj = ctx.cov_adj
-    inside = ctx.inside
-    bag_ahead = bag | ahead
-    extra = base + inside[bag_ahead] - inside[bag]
-    packed = 0
-    count = 0
-    m = bag
-    while m:
-        bit = m & -m
-        m ^= bit
-        v = bit.bit_length()
-        if not cov_adj[v - 1] & ahead:
-            count += 1
-            val = extra - inside[bag_ahead ^ bit] + inside[bag ^ bit]
-            if val < floor:
-                val = floor
-            packed |= (val if val < 254 else 254) + 1 << (8 * v)
-    return packed, count

@@ -12,9 +12,7 @@ from collections import deque, namedtuple
 
 from genutil import add_universal_vertex
 from vcwidth.decomposition import Decomposition
-from vcwidth.pathwidth import _pw_lowers, _tight
-from vcwidth.states import (_best_lower, _packed_forgets, _read, iter_bits,
-                            touching)
+from vcwidth.states import _NO_LOWER, iter_bits, touching
 
 
 OpTag = namedtuple("OpTag", ["kind", "arg"])
@@ -435,9 +433,141 @@ def glue_by_scan(g, order, rooted):
     return best
 
 
+# Packed tables: one int per triple, keyed (below << k) | bag, with one
+# byte per upper slot. Byte slot 0 holds the best value over introduce
+# uppers (it does not depend on which vertex) and slot u+1 the best value
+# for forget(u); tw_packed_slots adds slot k+1 for the join upper. A zero
+# byte means unreachable; otherwise the byte stores min(value, 254) + 1.
+# Every optimum is at most k <= 26, so a saturated state never wins. The
+# solvers store one value per triple instead; pw_packed_slots and
+# tw_packed_slots expand their tables into this form.
+
+def _read(table, k, below, bag, slot):
+    pv = (table.get((below << k) | bag, 0) >> (8 * slot)) & 255
+    return pv - 1 if pv else None
+
+
+def _lowers(ctx, table, below, bag):
+    """Non-join lower candidates of a packed table as (code, xl, pred),
+    ascending code order: introduce(u) has code u, forget(u) code 32+u.
+    Unreachable predecessors are dropped."""
+    k = ctx.k
+    cov_adj = ctx.cov_adj
+    inside = ctx.inside
+    below_bag = below | bag
+    extra = inside[below_bag] - inside[bag]
+    key = below << k
+    out = []
+    m = bag
+    while m:
+        bit = m & -m
+        m ^= bit
+        u = bit.bit_length() - 1
+        if cov_adj[u] & below:
+            continue
+        pv = table.get(key | (bag ^ bit), 0) & 255
+        if pv:  # xl = touching(inside, below | bag, below, bit)
+            out.append((u, extra - inside[below_bag ^ bit] + inside[bag ^ bit],
+                        pv - 1))
+    m = below
+    while m:
+        bit = m & -m
+        m ^= bit
+        u = bit.bit_length() - 1
+        packed = table.get(((below ^ bit) << k) | bag | bit, 0)
+        pv = (packed >> (8 * u + 8)) & 255
+        if pv:
+            out.append((32 + u, 0, pv - 1))
+    return out
+
+
+def _best_lower(ctx, get, below, bag, base):
+    """(min over the reachable non-join lowers of max(pred, base + xl),
+    their count): _lowers folded into one value, reading a packed table
+    through its `get`. The value is _NO_LOWER when the count is 0."""
+    k = ctx.k
+    cov_adj = ctx.cov_adj
+    inside = ctx.inside
+    below_bag = below | bag
+    extra = base + inside[below_bag] - inside[bag]
+    key = below << k
+    best = _NO_LOWER
+    count = 0
+    m = bag
+    while m:
+        bit = m & -m
+        m ^= bit
+        if cov_adj[bit.bit_length() - 1] & below:
+            continue
+        pv = get(key | (bag ^ bit), 0) & 255
+        if pv:
+            count += 1
+            val = extra - inside[below_bag ^ bit] + inside[bag ^ bit]
+            if pv > val:
+                val = pv - 1
+            if val < best:
+                best = val
+    m = below
+    while m:
+        bit = m & -m
+        m ^= bit
+        pv = (get(((below ^ bit) << k) | bag | bit, 0)
+              >> (8 * bit.bit_length())) & 255
+        if pv:  # a forget lower has xl = 0
+            count += 1
+            val = pv - 1 if pv > base else base
+            if val < best:
+                best = val
+    return best, count
+
+
+def _packed_forgets(ctx, bag, ahead, floor, base):
+    """(packed forget upper slots, their count): slot v+1 holds
+    max(floor, base + xr) of each valid forget(v), stored as the packed
+    tables store values."""
+    cov_adj = ctx.cov_adj
+    inside = ctx.inside
+    bag_ahead = bag | ahead
+    extra = base + inside[bag_ahead] - inside[bag]
+    packed = 0
+    count = 0
+    m = bag
+    while m:
+        bit = m & -m
+        m ^= bit
+        v = bit.bit_length()
+        if not cov_adj[v - 1] & ahead:
+            count += 1
+            val = extra - inside[bag_ahead ^ bit] + inside[bag ^ bit]
+            if val < floor:
+                val = floor
+            packed |= (val if val < 254 else 254) + 1 << (8 * v)
+    return packed, count
+
+
+def _pw_lowers(ctx, table, below, bag, apex):
+    """Lower candidates (code, xl, pred) of a pathwidth triple. The base
+    state (nothing below, the apex alone in the bag) introduces the apex
+    with no predecessor; it carries pred = 0, which never dominates."""
+    if below == 0 and bag == apex:
+        return [(apex.bit_length() - 1, 0, 0)]
+    return _lowers(ctx, table, below, bag)
+
+
+def _tight(inside, bag, code, forgotten):
+    """1 if some vertex confined to the bag needs its pendant bag in this
+    state: it must see the introduced vertex under an introduce lower and
+    the forgotten one under a forget upper, else the pendant bag fits in a
+    neighboring state. Every vertex sees the apex, which is in the bag, so
+    `bag` stands for "no condition"."""
+    a = 1 << code if code < 32 else bag
+    b = 1 << forgotten if forgotten >= 0 else bag
+    return 1 if touching(inside, bag, a, b) else 0
+
+
 def _pack(values):
-    """Packed int of a list of (slot, value) pairs, as the tables store
-    them (see states.py)."""
+    """Packed int of a list of (slot, value) pairs, as the packed tables
+    store them."""
     packed = 0
     for slot, val in values:
         packed |= (min(val, 254) + 1) << (8 * slot)
@@ -464,7 +594,7 @@ def _forgets(ctx, bag, ahead):
 
 def tw_packed_slots(ctx, table, apex_pos, limit):
     """A treewidth table of one value V per triple, expanded into packed
-    upper slots (see states.py): slot 0 the introduce upper, slot u+1
+    upper slots (see _read): slot 0 the introduce upper, slot u+1
     forget(u), slot k+1 the join upper.
 
     The introduce and join slots are V. The forget(u) slot is max(V, the
@@ -497,6 +627,73 @@ def tw_packed_slots(ctx, table, apex_pos, limit):
         if slots:
             out[key] = _pack(slots)
     return out
+
+
+def pw_packed_slots(ctx, table):
+    """A pathwidth table of V and flag bits per triple, expanded into
+    packed upper slots (see _read): slot 0 the introduce upper, slot u+1
+    forget(u).
+
+    The introduce slot is V, and the forget(u) slot max(V, the base of the
+    successor (below + u, bag - u) plus 1), where base is |bag| - 1 plus the
+    crossing count; each slot adds its flag, bit 8 for slot 0 and bit u+9
+    for slot u+1. V is the entry's low byte.
+    """
+    k = ctx.k
+    full = ctx.full
+    out = {}
+    for key, entry in table.items():
+        below, bag = key >> k, key & full
+        ahead = full & ~(below | bag)
+        val = entry & 255
+        slots = [(0, val + (entry >> 8 & 1))] if ahead else []
+        for slot, _, v in _forgets(ctx, bag, ahead):
+            after = (bag.bit_count() - 1
+                     + touching(ctx.inside, full, below | 1 << v, ahead))
+            slots.append((slot, max(val, after) + (entry >> (v + 9) & 1)))
+        out[key] = _pack(slots)
+    return out
+
+
+def pw_packed_glue(ctx, table, apex_pos, limit):
+    """(pw + 1, meet) of a packed half table, glued at the balanced state
+    as pathwidth._glue glues its own table: the first strict minimum over
+    the table's keys, the introduce upper before the forget uppers, each
+    by ascending vertex. None if no path is within `limit`."""
+    k = ctx.k
+    full = ctx.full
+    apex = 1 << apex_pos
+    if k == 1:
+        val = _read(table, k, 0, apex, apex_pos + 1)
+        if val is None or val > limit:
+            return None
+        return val, ((0, apex, apex_pos + 1), None)
+    get = table.get
+    best = min(limit, 253) + 2  # stored bytes: min(value, 254) + 1
+    meet = None
+    for key, packed in table.items():
+        below = key >> k
+        bag = key & full
+        if 2 * below.bit_count() + bag.bit_count() != k:
+            continue
+        ahead = full ^ below ^ bag
+        a = packed & 255
+        if a and a < best:
+            for v in iter_bits(ahead):
+                b = (get(((ahead ^ 1 << v) << k) | bag | 1 << v, 0)
+                     >> (8 * v + 8)) & 255
+                if b and max(a, b) < best:
+                    best = max(a, b)
+                    meet = ((below, bag, 0), (ahead ^ 1 << v, bag | 1 << v,
+                                              v + 1))
+        for u in iter_bits(bag ^ apex):
+            a = (packed >> (8 * u + 8)) & 255
+            if a and a < best:
+                b = get((ahead << k) | (bag ^ 1 << u), 0) & 255
+                if b and max(a, b) < best:
+                    best = max(a, b)
+                    meet = ((below, bag, u + 1), (ahead, bag ^ 1 << u, 0))
+    return None if meet is None else (best - 1, meet)
 
 
 def explicit_graph(ctx):
@@ -571,20 +768,28 @@ def final_value(ctx, table, apex_pos):
     return val
 
 
-def pw_apex_sweep_table(ctx, stats=None, *, apex_pos):
+def pw_apex_sweep_table(ctx, stats=None, *, apex_pos, half=False,
+                        limit=None):
     """The pathwidth DP over every apex triple, |below| > |ahead| included:
     the packed table whose final state (everything but the apex below, the
     apex alone in the bag, forgotten next) holds pw + 1. The solver sweeps
-    the half with |below| <= |ahead| and glues; its table must equal this
-    one on every key it holds, and its glued value this final value.
+    the half with |below| <= |ahead| and glues; its table, expanded by
+    pw_packed_slots, must equal this one on every key it holds, and its
+    glued value this final value.
+
+    With `half`, only that half is swept, and with a `limit` a triple is
+    kept only if its best lower is within it, as the solver keeps one;
+    every rank is swept, with no stop.
     """
     k = ctx.k
     full = ctx.full
     inside = ctx.inside
     apex = 1 << apex_pos
+    if limit is None:
+        limit = 1 << 30
     table = {}
     get = table.get
-    triples = ctx.valid_triples(require_bit=apex_pos)
+    triples = ctx.valid_triples(require_bit=apex_pos, half=half)
     states = 0
     slots = 0
     for below, bag in triples:
@@ -596,6 +801,8 @@ def pw_apex_sweep_table(ctx, stats=None, *, apex_pos):
             m1, lowers = _best_lower(ctx, get, below, bag, base)
             if not lowers:
                 continue
+        if m1 > limit:
+            continue
         if m1 > base or not inside[bag]:
             packed, uppers = _packed_forgets(ctx, bag, ahead, m1, base)
             if ahead:  # the introduce upper: max(m1, base) = m1

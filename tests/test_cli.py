@@ -256,6 +256,19 @@ def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     assert rc == 4 and err.startswith("internal error:")
 
 
+def test_memory_error_exits_3_with_one_error_line(tmp_path, capsys,
+                                                  monkeypatch):
+    # running out of memory is a resource limit, never a traceback; the
+    # solver raises it here without allocating anything
+    def exhausted(g, cover=None, stats=None):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "treewidth_vc_4k", exhausted)
+    path = write(tmp_path, "p3.gr", P3)
+    rc, out, err = run(capsys, ["tw", "--algo", "4k", "--input", path])
+    assert (rc, out, err) == (3, "", "error: out of memory\n")
+
+
 def test_oracle_refuses_witness_flag(tmp_path, capsys):
     path = write(tmp_path, "p3.gr", P3)
     with pytest.raises(SystemExit) as exc:

@@ -9,17 +9,18 @@ from vcwidth.cover import minimum_vertex_cover
 from vcwidth.decomposition import find_violations
 from vcwidth.graph import Graph
 from vcwidth.oracle import pathwidth_exact
-from vcwidth.pathwidth import (_glue, _optimal_chain, partial_width_table,
-                               pathwidth_vc)
-from vcwidth.states import CoverContext, _lowers, iter_bits, touching
+from vcwidth.pathwidth import (_glue, _optimal_chain, _slot,
+                               partial_width_table, pathwidth_vc)
+from vcwidth.states import CoverContext, iter_bits, touching
 from vcwidth.treewidth import treewidth_table, treewidth_vc_4k, width_bound
 
 from genutil import (add_universal_vertex, complete_graph, cycle_graph,
                      grid_graph, path_graph, pw_by_full_sweep, random_graph,
                      random_graph_with_cover, random_tree,
                      small_graphs_up_to_isomorphism)
-from spec import (State, boundary_sets_pw, final_value, forget, introduce,
-                  local_width_pw, pw_apex_sweep_table, tw_packed_slots)
+from spec import (State, _lowers, boundary_sets_pw, final_value, forget,
+                  introduce, local_width_pw, pw_apex_sweep_table,
+                  pw_packed_glue, pw_packed_slots, tw_packed_slots)
 
 
 def solved(g, **kw):
@@ -122,7 +123,8 @@ def test_table_values_dominate_local_width():
         g = random_graph(rng, rng.randrange(1, 8), rng.random())
         gp, apex, ctx = context_of(g)
         table = partial_width_table(ctx, apex_pos=ctx.position[apex])
-        for below, bag, slot, val in decode(table, ctx.k):
+        for below, bag, slot, val in decode(pw_packed_slots(ctx, table),
+                                            ctx.k):
             assert val >= bag.bit_count() - 1
             if slot > 0:
                 v = slot - 1
@@ -140,7 +142,8 @@ def test_base_states_equal_their_local_width():
         g = random_graph(rng, rng.randrange(1, 8), rng.random())
         gp, apex, ctx = context_of(g)
         table = partial_width_table(ctx, apex_pos=ctx.position[apex])
-        for below, bag, slot, val in decode(table, ctx.k):
+        for below, bag, slot, val in decode(pw_packed_slots(ctx, table),
+                                            ctx.k):
             if below != 0 or bag.bit_count() != 1:
                 continue
             u = bag.bit_length() - 1
@@ -187,7 +190,9 @@ def test_apex_bag_sweep_matches_full_sweep():
 def half_and_spec_tables(rng):
     """(graph, context, apex position, half table, spec table) of random
     graphs with a minimum cover and of planted-cover graphs, K_{2,300}
-    last."""
+    last. Both tables are swept at limit 255, the largest V the half
+    table's low byte holds; below that every triple of a small graph is
+    kept."""
     graphs = [(g, minimum_vertex_cover(g)) for g in
               (random_graph(rng, rng.randrange(1, 10), rng.random())
                for _ in range(150))]
@@ -202,21 +207,70 @@ def half_and_spec_tables(rng):
         gp, apex = add_universal_vertex(g)
         ctx = CoverContext(gp, set(cover) | {apex})
         ap = ctx.position[apex]
-        yield (g, ctx, ap, partial_width_table(ctx, apex_pos=ap),
-               pw_apex_sweep_table(ctx, apex_pos=ap))
+        yield (g, ctx, ap, partial_width_table(ctx, apex_pos=ap, limit=255),
+               pw_apex_sweep_table(ctx, apex_pos=ap, limit=255))
 
 
 def test_half_table_equals_spec_table():
     # the half sweep holds exactly the spec's entries with |below| <=
-    # |ahead|, value for value: every predecessor of such a triple is one
+    # |ahead|, every upper slot value for value once expanded: every
+    # predecessor of such a triple is one
     entries = 0
     for g, ctx, ap, half, spec in half_and_spec_tables(random.Random(39)):
         want = {key: packed for key, packed in spec.items()
                 if (key >> ctx.k).bit_count()
                 <= (ctx.full & ~((key >> ctx.k) | key)).bit_count()}
-        assert half == want, f"{g.edges}"
+        assert pw_packed_slots(ctx, half) == want, f"{g.edges}"
         entries += len(half)
     assert entries > 5000
+
+
+def test_derived_slots_equal_the_packed_reference():
+    # the half table stores V and flags; every upper slot read through
+    # _slot equals the packed spec's half sweep at the same limit, which
+    # keeps a byte per slot, saturated at 254. The keys, their order and
+    # the glue agree too, at limits around the width bound and at k
+    rng = random.Random(43)
+    graphs = [(g, minimum_vertex_cover(g)) for g in
+              (random_graph(rng, rng.randrange(1, 10), rng.random())
+               for _ in range(60))]
+    for trial in range(60):
+        k = rng.randrange(1, 8)
+        n = k + rng.randrange(0, 9)
+        if trial % 2:
+            g = random_graph_with_cover(rng, k, n, rng.choice([0.2, 0.5]))
+        else:  # an independent cover
+            g = Graph(n, [(u, v) for u in range(k) for v in range(k, n)
+                          if rng.random() < 0.5])
+        graphs.append((g, set(range(k))))
+    for m in (1, 2, 3, 5, 300):
+        graphs.append((Graph(m + 2, [(a, x) for a in (0, 1)
+                                     for x in range(2, m + 2)]), {0, 1}))
+    slots = intro_flags = forget_flags = 0
+    for g, cover in graphs:
+        gp, apex = add_universal_vertex(g)
+        ctx = CoverContext(gp, set(cover) | {apex})
+        ap = ctx.position[apex]
+        bound = width_bound(ctx)
+        for limit in (bound - 1, bound, bound + 1, ctx.k):
+            half = partial_width_table(ctx, apex_pos=ap, limit=limit)
+            spec = pw_apex_sweep_table(ctx, apex_pos=ap, half=True,
+                                       limit=limit)
+            assert list(half) == list(spec), (g.edges, limit)
+            for key, packed in spec.items():
+                below, bag = key >> ctx.k, key & ctx.full
+                read = {slot: val for _, _, slot, val
+                        in decode({key: packed}, ctx.k)}
+                assert set(read) == valid_upper_slots(ctx, below, bag, None)
+                for slot, val in read.items():
+                    assert min(_slot(ctx, half, below, bag, slot), 254) \
+                        == val, (g.edges, limit)
+                slots += len(read)
+            assert _glue(ctx, half, ap, limit) == \
+                pw_packed_glue(ctx, spec, ap, limit), (g.edges, limit)
+            intro_flags += sum(entry >> 8 & 1 for entry in half.values())
+            forget_flags += sum(entry >> 9 > 0 for entry in half.values())
+    assert slots > 10000 and intro_flags and forget_flags
 
 
 def test_no_forget_lower_reaches_the_local_base():
@@ -249,8 +303,9 @@ def test_glued_width_matches_full_sweep_and_oracle():
         assert solved(g, cover=cover) == value - 1
         if g.n <= 9:
             assert value - 1 == pathwidth_exact(g), f"{g.edges}"
-        saturated += sum(val == 254 for *_, val in decode(half, ctx.k))
-    assert saturated > 0  # K_{2,300}'s forget slots
+        saturated += sum(val == 254 for *_, val in
+                         decode(pw_packed_slots(ctx, half), ctx.k))
+    assert saturated > 0  # K_{2,300}'s forget slots, expanded
 
 
 def test_glued_chain_is_an_apex_path_at_the_glued_value():
@@ -299,19 +354,28 @@ def valid_upper_slots(ctx, below, bag, join_slot):
 
 
 def test_wide_values_saturate_inside_their_slot():
-    # K_{2,300}: a forget upper can cost 300, more than one byte holds; a
-    # slot saturates instead of spilling into the next one
+    # K_{2,300}: forgetting a cover vertex from the bag it shares with the
+    # apex alone costs 301, more than one byte holds. The half table
+    # derives those slots exactly from V; its expansion and the packed
+    # tables saturate each inside its own slot instead of spilling into the
+    # next one
     g = Graph(302, [(a, x) for a in (0, 1) for x in range(2, 302)])
     gp, apex = add_universal_vertex(g)
     ctx = CoverContext(gp, {0, 1, apex})
     ap = ctx.position[apex]
-    tables = [(partial_width_table(ctx, apex_pos=ap), None),
+    half = partial_width_table(ctx, apex_pos=ap)
+    tables = [(pw_packed_slots(ctx, half), None),
               (pw_apex_sweep_table(ctx, apex_pos=ap), None),
               (tw_packed_slots(ctx, treewidth_table(ctx, ap), ap,
                                width_bound(ctx)), ctx.k + 1)]
     for table, join_slot in tables:
         for below, bag, slot, val in decode(table, ctx.k):
             assert slot in valid_upper_slots(ctx, below, bag, join_slot)
+    wide = {(below, bag, slot) for below, bag, slot, val
+            in decode(tables[0][0], ctx.k) if val == 254}
+    assert wide == {(0, 0b101, 1), (0, 0b110, 2)}
+    for below, bag, slot in wide:
+        assert _slot(ctx, half, below, bag, slot) == 301
     assert solved(g) == 2
     assert treewidth_vc_4k(g)[0] == 2
 

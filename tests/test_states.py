@@ -7,9 +7,9 @@ import pytest
 
 from vcwidth.errors import ResourceLimitError
 from vcwidth.graph import Graph
-from vcwidth.pathwidth import _tight, pathwidth_vc
-from vcwidth.states import (_NO_LOWER, MAX_COVER, CoverContext, _best_lower,
-                            _lowers, _packed_forgets, apex_context,
+from vcwidth import pathwidth
+from vcwidth.pathwidth import _slot, partial_width_table, pathwidth_vc
+from vcwidth.states import (_NO_LOWER, MAX_COVER, CoverContext, apex_context,
                             components_outside, enumerate_valid_triples,
                             iter_bits, touching)
 from vcwidth import treewidth
@@ -20,9 +20,10 @@ from vcwidth.cover import minimum_vertex_cover
 
 from genutil import (add_universal_vertex, path_graph, pw_tight_by_scan,
                      random_graph, random_graph_with_cover, scan_types)
-from spec import (State, boundary_sets_pw, boundary_sets_tw, forget,
-                  introduce, is_valid_triple, join_with_part, local_width_pw,
-                  local_width_tw, _forgets, _pack, precedes,
+from spec import (State, _best_lower, _forgets, _lowers, _pack,
+                  _packed_forgets, _tight, boundary_sets_pw, boundary_sets_tw,
+                  forget, introduce, is_valid_triple, join_with_part,
+                  local_width_pw, local_width_tw, precedes,
                   pw_apex_sweep_table, pw_ops, tw_lower_ops, tw_packed_slots,
                   tw_upper_ops)
 
@@ -351,17 +352,20 @@ def test_boundary_counts_match_type_scan():
     assert checked > 1000 and splits > 100
 
 
-def _helper_cases():
-    """(context, live table) pairs: the contexts above and K_{2,300}, whose
-    forget costs pass one byte, each with a random part of its finished
-    treewidth table expanded into packed slots and of its pathwidth table,
-    as a sweep sees its table part done."""
-    rng = random.Random(71)
+def _helper_contexts():
+    """The contexts above and K_{2,300}, whose forget costs pass one byte."""
     wide = Graph(302, [(a, x) for a in (0, 1) for x in range(2, 302)])
     gp, apex = add_universal_vertex(wide)
-    contexts = list(_count_spec_contexts())
-    contexts.append((CoverContext(gp, {0, 1, apex}), 2))
-    for ctx, ap in contexts:
+    return list(_count_spec_contexts()) + [(CoverContext(gp, {0, 1, apex}),
+                                            2)]
+
+
+def _helper_cases():
+    """(context, live table) pairs: each helper context with a random part
+    of its finished treewidth table expanded into packed slots and of its
+    packed pathwidth spec table, as a sweep sees its table part done."""
+    rng = random.Random(71)
+    for ctx, ap in _helper_contexts():
         tw_slots = tw_packed_slots(ctx, treewidth_table(ctx, ap), ap,
                                    width_bound(ctx))
         for full_table in (tw_slots, pw_apex_sweep_table(ctx, apex_pos=ap)):
@@ -386,8 +390,9 @@ def test_inside_counts_the_types_within_each_set():
 
 
 def test_folded_helpers_match_their_lists():
-    # _best_lower folds _lowers into one value and _packed_forgets packs
-    # _forgets with _pack's clamp; both must agree on every triple
+    # the packed spec's _best_lower folds _lowers into one value and its
+    # _packed_forgets packs _forgets with _pack's clamp; both must agree on
+    # every triple
     rng = random.Random(72)
     lowers_seen = wide_slots = 0
     for ctx, table in _helper_cases():
@@ -413,15 +418,54 @@ def test_folded_helpers_match_their_lists():
     assert lowers_seen > 1000 and wide_slots > 100
 
 
+def test_best_lower_folds_the_slots_it_reads():
+    # pathwidth's _best_lower reads V and the flags of each predecessor
+    # directly; it must equal the min over the valid lowers of max(the
+    # predecessor's slot read through _slot, base + xl), with their count,
+    # on every triple. Its tables are random parts of the pathwidth half
+    # table (V and flags) and of the treewidth table (V alone), at each
+    # triple's own base: the forget slot's floor is this triple's base + 1
+    rng = random.Random(73)
+    every = _AllReachable()
+    lowers_seen = flagged = 0
+    for ctx, ap in _helper_contexts():
+        for full_table in (partial_width_table(ctx, apex_pos=ap, limit=255),
+                           treewidth_table(ctx, ap)):
+            table = {key: val for key, val in full_table.items()
+                     if rng.random() < 0.7}
+            flagged += sum(val >> 8 > 0 for val in table.values())
+            for below, bag in ctx.valid_triples():
+                ahead = ctx.full & ~(below | bag)
+                base = bag.bit_count() - 1 + touching(ctx.inside, ctx.full,
+                                                      below, ahead)
+                cands = []
+                for code, xl, _ in _lowers(ctx, every, below, bag):
+                    if code < 32:
+                        pred = _slot(ctx, table, below, bag ^ 1 << code, 0)
+                    else:
+                        u = code - 32
+                        pred = _slot(ctx, table, below ^ 1 << u,
+                                     bag | 1 << u, u + 1)
+                    if pred is not None:
+                        cands.append(max(pred, base + xl))
+                assert pathwidth._best_lower(ctx, table.get, below, bag,
+                                             base) == \
+                    (min(cands, default=_NO_LOWER), len(cands))
+                lowers_seen += bool(cands)
+    assert lowers_seen > 1000 and flagged > 50
+
+
 def test_sweep_counters_of_the_ladder_k11_instance(monkeypatch):
     # the counters of ladder k = 11 (benchmark workload sparse-ladder):
     # the sweeps' order and helpers may change, the work they count not.
     # pw-vc sweeps the apex triples with |below| <= |ahead| within the
     # width bound, 10 here, and glues at once; the full apex sweep, kept
-    # as a spec, still counts what pw-vc counted before it had a bound.
-    # The treewidth sweeps store one value per triple, never a degenerate
-    # one, enumerate no degenerate triple, and count the lower candidates
-    # of the triples they store. They decide at 9, one below the bound:
+    # as a spec, still counts what pw-vc counted before it had a bound:
+    # lowers times valid uppers, and upper slots stored. Every sweep stores
+    # one value per triple and counts, as states, the lower candidates it
+    # read for the triples it stores, and, as its peak table, the triples
+    # it stores. The treewidth sweeps never store or enumerate a
+    # degenerate triple. They decide at 9, one below the bound:
     # rank 2 stores nothing, so they stop before rank 3 and the greedy
     # elimination order certifies the width. With no bound they count the
     # full sweep's work and the table certifies it
@@ -432,7 +476,7 @@ def test_sweep_counters_of_the_ladder_k11_instance(monkeypatch):
     stats = {}
     pw_apex_sweep_table(ctx, stats, apex_pos=ctx.position[apex])
     assert tuple(stats[name] for name in counted) == (7623, 148770, 27363)
-    expect = {pathwidth_vc: (4037, 24403, 4188),
+    expect = {pathwidth_vc: (4037, 13302, 2551),
               treewidth_vc_4k: (2176, 858, 228),
               treewidth_vc_3k: (2176, 858, 228)}
     for solve, want in expect.items():
