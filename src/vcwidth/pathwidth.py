@@ -46,7 +46,8 @@ higher while the glue finds nothing. That bound is one on treewidth, and
 pw >= tw, so the first sweep may fail; pw + 1 <= k bounds the retries. A
 failed sweep costs nearly a full one, so pw does not decide one below the
 bound the way treewidth does. Without joins, a rank that stores nothing
-ends the sweep.
+ends the sweep. Rank 0 is computed, not swept (see below), and always holds
+the base state, so the sweep starts at rank 1.
 
 Table layout: one int per stored triple (L, X, R), keyed (L << k) | X,
 like the treewidth table. Its low byte is V, the best lower candidate
@@ -58,9 +59,24 @@ forget(u) adds to the last bag are those that start crossing once u is
 below. A pendant-bag vertex can raise one slot by one more, and only when
 V = base and the slot's own term is 0; flag bit 8 marks that for the
 introduce slot and bit u + 9 for forget(u). _slot reads a slot this way.
+
+Rank 0 has a closed form and is never swept or stored. A triple (∅, X) has
+no forget lower and no crossing, so base = |X| - 1, and its introduce(u)
+lowers, u not the apex, have xl = touching(X, ∅, u) = 0 and read
+(∅, X - u). The base state (∅, {apex}) is worth 0, its base; if every
+(∅, X - u) is worth |X| - 2, every candidate of (∅, X) is
+max(|X| - 2, base) = base, so by induction V(∅, X) = |X| - 1 for every X
+that holds the apex, and a sweep at a limit keeps (∅, X) iff |X| - 1 is
+within it. The flags are _tight_flags over those predecessors. These are
+2^(k-1) triples, the bulk of the half (16,384 of its 23,998 at ladder
+k = 14), and the sweep above them reads at most one per rank-1 triple, so
+_rank0_entry computes an entry where it is read: by a rank-1 triple's
+forget lower, and through _slot by the glue and the back-walk.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from .decomposition import Decomposition, contract, validate
 from .errors import InternalError
@@ -69,10 +85,11 @@ from .states import (_NO_LOWER, apex_context, iter_bits, no_rank_left,
 from .treewidth import width_bound
 
 
-def _best_lower(ctx, get, below, bag, base):
+def _best_lower(ctx, get, below, bag, base, apex, limit):
     """(min over the reachable non-join lowers of max(pred, base + xl),
     their count), reading the table through its `get`; _NO_LOWER when the
-    count is 0.
+    count is 0. `below` is not empty: the forget lower of a rank-1 triple
+    reads its rank-0 predecessor from _rank0_entry, within `limit`.
 
     An introduce(u) lower reads V of (below, bag - u) and never its flag:
     base + xl is that predecessor's base + 1, so the flag, set only when
@@ -108,7 +125,11 @@ def _best_lower(ctx, get, below, bag, base):
     while m:
         bit = m & -m
         m ^= bit
-        pv = get(((below ^ bit) << k) | bag | bit)
+        rest = below ^ bit
+        if rest:
+            pv = get((rest << k) | bag | bit)
+        else:
+            pv = _rank0_entry(ctx, bag | bit, apex, limit)
         if pv is not None:
             count += 1
             val = pv & 255
@@ -201,15 +222,37 @@ def _tight_flags(ctx, get, below, bag, ahead, base, apex):
     return flags
 
 
+def _rank0_entry(ctx, bag, apex, limit=255):
+    """The entry of the rank-0 triple (nothing below, `bag`), computed as a
+    sweep at `limit` would store it: V = |bag| - 1, its base, plus the
+    flags. None if the bag lacks the apex, as the table holds only apex
+    bags, or if V is above the limit.
+
+    `apex` is the apex bit, from the caller: ctx.apex is 0 when the apex is
+    a vertex of the graph."""
+    base = bag.bit_count() - 1
+    if not bag & apex or base > limit:
+        return None
+    if not ctx.inside[bag]:
+        return base
+
+    def get(rest):  # V of (nothing below, rest), flags left out
+        return rest.bit_count() - 1 if rest & apex else None
+
+    return base | _tight_flags(ctx, get, 0, bag, ctx.full & ~bag, base, apex)
+
+
 def partial_width_table(ctx, stats=None, *, apex_pos, limit=None):
     """Run the pathwidth DP sweep over the apex triples with |below| <=
     |ahead|, the half that _glue reads; returns the table of V and flags.
 
     A triple is stored only if V is within `limit` (default k, since
     pw + 1 <= k; at most 255, the low byte); the slots of a stored triple
-    are exact, those above the limit included. Ranks are enumerated as the
-    sweep reaches them, and it stops after the first rank that stores
-    nothing (states.no_rank_left).
+    are exact, those above the limit included. The sweep starts at rank 1:
+    a rank-0 triple is computed where it is read (_rank0_entry), never
+    stored or counted. Ranks are enumerated as the sweep reaches them, and
+    it stops after the first rank that stores nothing
+    (states.no_rank_left).
     """
     k = ctx.k
     full = ctx.full
@@ -219,8 +262,8 @@ def partial_width_table(ctx, stats=None, *, apex_pos, limit=None):
     table = {}
     get = table.get
     triples = states = 0
-    stored = []
-    for rank in range(k):
+    stored = [1]  # rank 0: the base state at least, computed where read
+    for rank in range(1, k):
         if no_rank_left(stored, False):
             break
         ranked = ctx.valid_triples(require_bit=apex_pos, half=True, rank=rank)
@@ -231,12 +274,10 @@ def partial_width_table(ctx, stats=None, *, apex_pos, limit=None):
             base = bag.bit_count() + touching(inside, full, below, ahead) - 1
             if base > limit:
                 continue  # every slot is at least base
-            if below == 0 and bag == apex:
-                val, lowers = base, 1  # the base state: pred 0, xl 0
-            else:
-                val, lowers = _best_lower(ctx, get, below, bag, base)
-                if val > limit:  # no lower (_NO_LOWER), or every slot above
-                    continue
+            val, lowers = _best_lower(ctx, get, below, bag, base, apex,
+                                      limit)
+            if val > limit:  # no lower (_NO_LOWER), or every slot above
+                continue
             if val == base and inside[bag]:
                 # the tightness term, 0 or 1, cannot raise a lower that
                 # reaches V > base, and it is 0 when no vertex is confined
@@ -252,12 +293,16 @@ def partial_width_table(ctx, stats=None, *, apex_pos, limit=None):
     return table
 
 
-def _slot(ctx, table, below, bag, slot):
+def _slot(ctx, table, apex, below, bag, slot):
     """Upper `slot` of a stored triple, derived from its entry (None if the
     sweep did not keep it): slot 0, the introduce upper, is V, and slot
     u+1, forget(u), is max(V, base of (below + u, bag - u) + 1); each plus
-    its flag."""
-    entry = table.get((below << ctx.k) | bag)
+    its flag. A rank-0 entry is computed (_rank0_entry) whatever the
+    sweep's limit; the glue and the back-walk bound what they read."""
+    if below:
+        entry = table.get((below << ctx.k) | bag)
+    else:
+        entry = _rank0_entry(ctx, bag, apex)
     if entry is None:
         return None
     val = entry & 255
@@ -282,36 +327,40 @@ def _glue(ctx, table, apex_pos, limit=1 << 30):
     forget(u), u not the apex, with slot 0 of (ahead, bag - u, below + u).
     `meet` is ((below, bag, slot) of s0, the same of mirror(s1)). When the
     cover is the apex alone, the base state is the final state and the
-    second part is None.
+    second part is None. The balanced rank-0 state (nothing below,
+    everything in the bag) is computed and scanned first, where the sweep
+    used to store it, so that ties keep their order.
     """
     k = ctx.k
     full = ctx.full
     apex = 1 << apex_pos
     if k == 1:
-        val = _slot(ctx, table, 0, apex, apex_pos + 1)
+        val = _slot(ctx, table, apex, 0, apex, apex_pos + 1)
         if val is None or val > limit:
             return None
         return val, ((0, apex, apex_pos + 1), None)
     best = limit + 1
     meet = None
-    for key, entry in table.items():
+    first = (full, _rank0_entry(ctx, full, apex))  # (nothing below, full)
+    for key, entry in itertools.chain([first], table.items()):
         below = key >> k
         bag = key & full
         if 2 * below.bit_count() + bag.bit_count() != k or entry & 255 >= best:
             continue  # not balanced, or every slot is at least V
         ahead = full ^ below ^ bag
-        a = _slot(ctx, table, below, bag, 0)
+        a = _slot(ctx, table, apex, below, bag, 0)
         if a < best:
             for v in iter_bits(ahead):
-                b = _slot(ctx, table, ahead ^ 1 << v, bag | 1 << v, v + 1)
+                b = _slot(ctx, table, apex, ahead ^ 1 << v, bag | 1 << v,
+                          v + 1)
                 if b is not None and max(a, b) < best:
                     best = max(a, b)
                     meet = ((below, bag, 0), (ahead ^ 1 << v, bag | 1 << v,
                                               v + 1))
         for u in iter_bits(bag ^ apex):
-            b = _slot(ctx, table, ahead, bag ^ 1 << u, 0)
+            b = _slot(ctx, table, apex, ahead, bag ^ 1 << u, 0)
             if b is not None and b < best:
-                a = _slot(ctx, table, below, bag, u + 1)
+                a = _slot(ctx, table, apex, below, bag, u + 1)
                 if max(a, b) < best:
                     best = max(a, b)
                     meet = ((below, bag, u + 1), (ahead, bag ^ 1 << u, 0))
@@ -345,9 +394,9 @@ def _state_chain(ctx, table, apex_pos, below, bag, slot, val):
             lowers = [(apex_pos, 0, 0)]  # the base state: no predecessor
         else:
             lowers = [(u, touching(inside, below | bag, below, 1 << u),
-                       _slot(ctx, table, below, bag ^ 1 << u, 0))
+                       _slot(ctx, table, apex, below, bag ^ 1 << u, 0))
                       for u in iter_bits(bag) if not cov_adj[u] & below]
-            lowers += [(32 + u, 0, _slot(ctx, table, below ^ 1 << u,
+            lowers += [(32 + u, 0, _slot(ctx, table, apex, below ^ 1 << u,
                                          bag | 1 << u, u + 1))
                        for u in iter_bits(below)]
         picked = None
@@ -389,13 +438,14 @@ def _optimal_chain(ctx, table, apex_pos, meet):
     the vertex that the state before it in the chain keeps in its bag.
     """
     full = ctx.full
+    apex = 1 << apex_pos
     left, right = meet
     chain = _state_chain(ctx, table, apex_pos, *left,
-                         _slot(ctx, table, *left))
+                         _slot(ctx, table, apex, *left))
     if right is None:
         return chain
     mirrored = _state_chain(ctx, table, apex_pos, *right,
-                            _slot(ctx, table, *right))
+                            _slot(ctx, table, apex, *right))
     for code, ahead, bag, slot in reversed(mirrored):
         below = full & ~(ahead | bag)
         if slot:

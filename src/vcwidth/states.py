@@ -20,8 +20,9 @@ next (upper op). Operations:
 
 Degenerate treewidth states have below == 0, no lower op, and a forget upper
 op; they are the base cases of the treewidth recurrence, computed where they
-are read. The pathwidth base is the introduce-lower state with below == 0
-and the apex alone in the bag.
+are read. Pathwidth's triples with below == 0 are computed where they are
+read too, by a closed form (pathwidth.py); among them is the pathwidth base,
+the introduce-lower state with the apex alone in the bag.
 
 Triples are enumerated by rank, the size of `below`: the sweeps ask for
 one rank at a time, in ascending order, and stop asking once no higher rank

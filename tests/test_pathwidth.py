@@ -9,7 +9,7 @@ from vcwidth.cover import minimum_vertex_cover
 from vcwidth.decomposition import find_violations
 from vcwidth.graph import Graph
 from vcwidth.oracle import pathwidth_exact
-from vcwidth.pathwidth import (_glue, _optimal_chain, _slot,
+from vcwidth.pathwidth import (_glue, _optimal_chain, _rank0_entry, _slot,
                                partial_width_table, pathwidth_vc)
 from vcwidth.states import CoverContext, iter_bits, touching
 from vcwidth.treewidth import treewidth_table, treewidth_vc_4k, width_bound
@@ -122,7 +122,9 @@ def test_table_values_dominate_local_width():
     for _ in range(20):
         g = random_graph(rng, rng.randrange(1, 8), rng.random())
         gp, apex, ctx = context_of(g)
-        table = partial_width_table(ctx, apex_pos=ctx.position[apex])
+        ap = ctx.position[apex]
+        table = with_rank0(ctx, ap, partial_width_table(ctx, apex_pos=ap),
+                           ctx.k)
         for below, bag, slot, val in decode(pw_packed_slots(ctx, table),
                                             ctx.k):
             assert val >= bag.bit_count() - 1
@@ -136,16 +138,21 @@ def test_table_values_dominate_local_width():
 
 def test_base_states_equal_their_local_width():
     # the chain-bottom states (nothing below, singleton bag) have no
-    # predecessor: their stored value is exactly the local width
+    # predecessor: their value, computed at rank 0, is exactly the local
+    # width
     rng = random.Random(36)
+    checked = 0
     for _ in range(20):
         g = random_graph(rng, rng.randrange(1, 8), rng.random())
         gp, apex, ctx = context_of(g)
-        table = partial_width_table(ctx, apex_pos=ctx.position[apex])
+        ap = ctx.position[apex]
+        table = with_rank0(ctx, ap, partial_width_table(ctx, apex_pos=ap),
+                           ctx.k)
         for below, bag, slot, val in decode(pw_packed_slots(ctx, table),
                                             ctx.k):
             if below != 0 or bag.bit_count() != 1:
                 continue
+            checked += 1
             u = bag.bit_length() - 1
             ahead = ctx.full ^ bag
             upper = introduce(0) if slot == 0 else forget(slot - 1)
@@ -153,6 +160,21 @@ def test_base_states_equal_their_local_width():
             crossing, xl, xr, _, eps = boundary_sets_pw(gp, ctx.order, st)
             assert val == local_width_pw(
                 1, len(crossing), len(xl), len(xr), eps)
+    assert checked >= 20
+
+
+def with_rank0(ctx, ap, table, limit=255):
+    """A half table with its rank-0 entries put back in front, each computed
+    by _rank0_entry as a sweep at `limit` keeps it, in the order the spec
+    sweep stores them: the table itself holds none."""
+    assert all(key >> ctx.k for key in table)
+    out = {}
+    for bag in range(1 << ctx.k):
+        entry = _rank0_entry(ctx, bag, 1 << ap, limit)
+        if entry is not None:
+            out[bag] = entry
+    out.update(table)
+    return out
 
 
 def glued_chain(ctx, table, ap):
@@ -212,24 +234,27 @@ def half_and_spec_tables(rng):
 
 
 def test_half_table_equals_spec_table():
-    # the half sweep holds exactly the spec's entries with |below| <=
-    # |ahead|, every upper slot value for value once expanded: every
-    # predecessor of such a triple is one
+    # the half sweep plus the rank-0 entries computed where they are read
+    # hold exactly the spec's entries with |below| <= |ahead|, every upper
+    # slot value for value once expanded: every predecessor of such a
+    # triple is one
     entries = 0
     for g, ctx, ap, half, spec in half_and_spec_tables(random.Random(39)):
         want = {key: packed for key, packed in spec.items()
                 if (key >> ctx.k).bit_count()
                 <= (ctx.full & ~((key >> ctx.k) | key)).bit_count()}
-        assert pw_packed_slots(ctx, half) == want, f"{g.edges}"
-        entries += len(half)
+        whole = with_rank0(ctx, ap, half)
+        assert pw_packed_slots(ctx, whole) == want, f"{g.edges}"
+        entries += len(whole)
     assert entries > 5000
 
 
 def test_derived_slots_equal_the_packed_reference():
-    # the half table stores V and flags; every upper slot read through
-    # _slot equals the packed spec's half sweep at the same limit, which
-    # keeps a byte per slot, saturated at 254. The keys, their order and
-    # the glue agree too, at limits around the width bound and at k
+    # the half table stores V and flags above rank 0; every upper slot read
+    # through _slot, rank 0 computed, equals the packed spec's half sweep at
+    # the same limit, which keeps a byte per slot, saturated at 254. The
+    # keys (the table's after the rank-0 ones the limit keeps), their order
+    # and the glue agree too, at limits around the width bound and at k
     rng = random.Random(43)
     graphs = [(g, minimum_vertex_cover(g)) for g in
               (random_graph(rng, rng.randrange(1, 10), rng.random())
@@ -256,21 +281,85 @@ def test_derived_slots_equal_the_packed_reference():
             half = partial_width_table(ctx, apex_pos=ap, limit=limit)
             spec = pw_apex_sweep_table(ctx, apex_pos=ap, half=True,
                                        limit=limit)
-            assert list(half) == list(spec), (g.edges, limit)
+            whole = with_rank0(ctx, ap, half, limit)
+            assert list(whole) == list(spec), (g.edges, limit)
             for key, packed in spec.items():
                 below, bag = key >> ctx.k, key & ctx.full
                 read = {slot: val for _, _, slot, val
                         in decode({key: packed}, ctx.k)}
                 assert set(read) == valid_upper_slots(ctx, below, bag, None)
                 for slot, val in read.items():
-                    assert min(_slot(ctx, half, below, bag, slot), 254) \
-                        == val, (g.edges, limit)
+                    assert min(_slot(ctx, half, 1 << ap, below, bag, slot),
+                               254) == val, (g.edges, limit)
                 slots += len(read)
             assert _glue(ctx, half, ap, limit) == \
                 pw_packed_glue(ctx, spec, ap, limit), (g.edges, limit)
-            intro_flags += sum(entry >> 8 & 1 for entry in half.values())
-            forget_flags += sum(entry >> 9 > 0 for entry in half.values())
+            intro_flags += sum(entry >> 8 & 1 for entry in whole.values())
+            forget_flags += sum(entry >> 9 > 0 for entry in whole.values())
     assert slots > 10000 and intro_flags and forget_flags
+
+
+def test_rank0_entries_equal_the_spec_sweep():
+    # for every bag X, _rank0_entry gives the spec sweep's (∅, X) entry at
+    # the same limit: None where the spec keeps none (X without the apex,
+    # or |X| - 1 above the limit), else V = |X| - 1 and flag bits on valid
+    # slots only, equal to the spec's slot for slot. The sweep neither
+    # enumerates nor stores a rank-0 triple. Isolated vertices (type {apex})
+    # give the base state a flag
+    rng = random.Random(44)
+    graphs = [(g, minimum_vertex_cover(g)) for g in
+              (random_graph(rng, rng.randrange(1, 9), rng.random())
+               for _ in range(40))]
+    for trial in range(40):
+        k = rng.randrange(1, 8)
+        n = k + rng.randrange(0, 9)
+        g = random_graph_with_cover(rng, k, n, rng.choice([0.2, 0.5]))
+        if trial % 2:  # an independent cover
+            g = Graph(n, [(u, v) for u, v in g.edges if v >= k])
+        graphs.append((g, set(range(k))))
+    for _ in range(20):
+        k = rng.randrange(1, 6)
+        g = random_graph_with_cover(rng, k, k + rng.randrange(0, 5), 0.5)
+        graphs.append((Graph(g.n + rng.randrange(1, 4), g.edges),
+                       set(range(k))))
+    for m in (1, 2, 3, 5, 300):
+        graphs.append((Graph(m + 2, [(a, x) for a in (0, 1)
+                                     for x in range(2, m + 2)]), {0, 1}))
+    entries = intro_flags = forget_flags = base_flags = 0
+    for g, cover in graphs:
+        gp, apex = add_universal_vertex(g)
+        ctx = CoverContext(gp, set(cover) | {apex})
+        ap = ctx.position[apex]
+        ranks = []
+
+        def valid_triples(**kw):
+            ranks.append(kw["rank"])
+            return CoverContext.valid_triples(ctx, **kw)
+
+        bound = width_bound(ctx)
+        for limit in (bound - 1, bound, ctx.k, 255):
+            ctx.valid_triples = valid_triples
+            half = partial_width_table(ctx, apex_pos=ap, limit=limit)
+            del ctx.valid_triples
+            assert 0 not in ranks and all(key >> ctx.k for key in half)
+            spec = pw_apex_sweep_table(ctx, apex_pos=ap, half=True,
+                                       limit=limit)
+            for bag in range(1 << ctx.k):
+                entry = _rank0_entry(ctx, bag, 1 << ap, limit)
+                if bag not in spec:
+                    assert entry is None, (g.edges, limit, bag)
+                    continue
+                assert entry & 255 == bag.bit_count() - 1
+                flags = {slot for slot in range(ctx.k + 1)
+                         if entry >> (slot + 8) & 1}
+                assert flags <= valid_upper_slots(ctx, 0, bag, None)
+                assert pw_packed_slots(ctx, {bag: entry}) == \
+                    {bag: spec[bag]}, (g.edges, limit, bag)
+                entries += 1
+                intro_flags += 0 in flags
+                forget_flags += bool(flags - {0})
+                base_flags += bag == 1 << ap and bool(flags)
+    assert entries > 5000 and intro_flags and forget_flags and base_flags
 
 
 def test_no_forget_lower_reaches_the_local_base():
@@ -303,8 +392,9 @@ def test_glued_width_matches_full_sweep_and_oracle():
         assert solved(g, cover=cover) == value - 1
         if g.n <= 9:
             assert value - 1 == pathwidth_exact(g), f"{g.edges}"
+        whole = with_rank0(ctx, ap, half)
         saturated += sum(val == 254 for *_, val in
-                         decode(pw_packed_slots(ctx, half), ctx.k))
+                         decode(pw_packed_slots(ctx, whole), ctx.k))
     assert saturated > 0  # K_{2,300}'s forget slots, expanded
 
 
@@ -355,16 +445,16 @@ def valid_upper_slots(ctx, below, bag, join_slot):
 
 def test_wide_values_saturate_inside_their_slot():
     # K_{2,300}: forgetting a cover vertex from the bag it shares with the
-    # apex alone costs 301, more than one byte holds. The half table
-    # derives those slots exactly from V; its expansion and the packed
-    # tables saturate each inside its own slot instead of spilling into the
-    # next one
+    # apex alone costs 301, more than one byte holds. Those are rank-0
+    # slots, derived exactly from the computed V; the expansion of the half
+    # table with its rank-0 entries and the packed tables saturate each
+    # inside its own slot instead of spilling into the next one
     g = Graph(302, [(a, x) for a in (0, 1) for x in range(2, 302)])
     gp, apex = add_universal_vertex(g)
     ctx = CoverContext(gp, {0, 1, apex})
     ap = ctx.position[apex]
     half = partial_width_table(ctx, apex_pos=ap)
-    tables = [(pw_packed_slots(ctx, half), None),
+    tables = [(pw_packed_slots(ctx, with_rank0(ctx, ap, half, ctx.k)), None),
               (pw_apex_sweep_table(ctx, apex_pos=ap), None),
               (tw_packed_slots(ctx, treewidth_table(ctx, ap), ap,
                                width_bound(ctx)), ctx.k + 1)]
@@ -375,7 +465,7 @@ def test_wide_values_saturate_inside_their_slot():
             in decode(tables[0][0], ctx.k) if val == 254}
     assert wide == {(0, 0b101, 1), (0, 0b110, 2)}
     for below, bag, slot in wide:
-        assert _slot(ctx, half, below, bag, slot) == 301
+        assert _slot(ctx, half, 1 << ap, below, bag, slot) == 301
     assert solved(g) == 2
     assert treewidth_vc_4k(g)[0] == 2
 

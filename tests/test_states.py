@@ -422,9 +422,12 @@ def test_best_lower_folds_the_slots_it_reads():
     # pathwidth's _best_lower reads V and the flags of each predecessor
     # directly; it must equal the min over the valid lowers of max(the
     # predecessor's slot read through _slot, base + xl), with their count,
-    # on every triple. Its tables are random parts of the pathwidth half
-    # table (V and flags) and of the treewidth table (V alone), at each
-    # triple's own base: the forget slot's floor is this triple's base + 1
+    # on every triple the sweep reads it for, those with something below
+    # (rank 0 is computed, _rank0_entry). Its tables are random parts of
+    # the pathwidth half table (V and flags) and of the treewidth table (V
+    # alone), at each triple's own base: the forget slot's floor is this
+    # triple's base + 1. The flagged entries it reads are those of the table
+    # and the rank-0 predecessors of rank-1 triples
     rng = random.Random(73)
     every = _AllReachable()
     lowers_seen = flagged = 0
@@ -434,24 +437,32 @@ def test_best_lower_folds_the_slots_it_reads():
             table = {key: val for key, val in full_table.items()
                      if rng.random() < 0.7}
             flagged += sum(val >> 8 > 0 for val in table.values())
+            rank0 = set()
             for below, bag in ctx.valid_triples():
+                if not below:
+                    continue
                 ahead = ctx.full & ~(below | bag)
                 base = bag.bit_count() - 1 + touching(ctx.inside, ctx.full,
                                                       below, ahead)
                 cands = []
                 for code, xl, _ in _lowers(ctx, every, below, bag):
                     if code < 32:
-                        pred = _slot(ctx, table, below, bag ^ 1 << code, 0)
+                        pred = _slot(ctx, table, 1 << ap, below,
+                                     bag ^ 1 << code, 0)
                     else:
                         u = code - 32
-                        pred = _slot(ctx, table, below ^ 1 << u,
+                        pred = _slot(ctx, table, 1 << ap, below ^ 1 << u,
                                      bag | 1 << u, u + 1)
+                        if below == 1 << u:
+                            rank0.add(bag | 1 << u)
                     if pred is not None:
                         cands.append(max(pred, base + xl))
                 assert pathwidth._best_lower(ctx, table.get, below, bag,
-                                             base) == \
+                                             base, 1 << ap, 255) == \
                     (min(cands, default=_NO_LOWER), len(cands))
                 lowers_seen += bool(cands)
+            flagged += sum((pathwidth._rank0_entry(ctx, bag, 1 << ap) or 0)
+                           >> 8 > 0 for bag in rank0)
     assert lowers_seen > 1000 and flagged > 50
 
 
@@ -464,11 +475,14 @@ def test_sweep_counters_of_the_ladder_k11_instance(monkeypatch):
     # lowers times valid uppers, and upper slots stored. Every sweep stores
     # one value per triple and counts, as states, the lower candidates it
     # read for the triples it stores, and, as its peak table, the triples
-    # it stores. The treewidth sweeps never store or enumerate a
-    # degenerate triple. They decide at 9, one below the bound:
-    # rank 2 stores nothing, so they stop before rank 3 and the greedy
-    # elimination order certifies the width. With no bound they count the
-    # full sweep's work and the table certifies it
+    # it stores. No sweep stores or enumerates a triple with nothing below.
+    # pw-vc computes its rank-0 triples where it reads them; when it swept
+    # them, it enumerated all 2048, stored 2047 and counted 11254 lower
+    # candidates for them. The treewidth sweeps never need a degenerate
+    # triple. They decide at 9, one below the bound: rank 2 stores nothing,
+    # so they stop before rank 3 and the greedy elimination order certifies
+    # the width. With no bound they count the full sweep's work and the
+    # table certifies it
     g = random_graph_with_cover(random.Random(20260814), 11, 28, 0.35)
     counted = ("valid_triples", "states", "peak_table")
     gp, apex = add_universal_vertex(g)
@@ -476,7 +490,7 @@ def test_sweep_counters_of_the_ladder_k11_instance(monkeypatch):
     stats = {}
     pw_apex_sweep_table(ctx, stats, apex_pos=ctx.position[apex])
     assert tuple(stats[name] for name in counted) == (7623, 148770, 27363)
-    expect = {pathwidth_vc: (4037, 13302, 2551),
+    expect = {pathwidth_vc: (1989, 2048, 504),
               treewidth_vc_4k: (2176, 858, 228),
               treewidth_vc_3k: (2176, 858, 228)}
     for solve, want in expect.items():
