@@ -45,9 +45,13 @@ the greedy elimination width of the apexed graph, and sweeps again one
 higher while the glue finds nothing. That bound is one on treewidth, and
 pw >= tw, so the first sweep may fail; pw + 1 <= k bounds the retries. A
 failed sweep costs nearly a full one, so pw does not decide one below the
-bound the way treewidth does. Without joins, a rank that stores nothing
-ends the sweep. Rank 0 is computed, not swept (see below), and always holds
-the base state, so the sweep starts at rank 1.
+bound the way treewidth does.
+
+The sweep is states.sweep, the one treewidth runs, with pathwidth's hooks
+(partial_width_table): the half, _rank0_entry as its rank-0 reader, and
+_tight_flags as its finishing step. Without joins, a rank that stores
+nothing ends it. Rank 0 is computed, not swept (see below), and always
+holds the base state, so the sweep starts at rank 1.
 
 Table layout: one int per stored triple (L, X, R), keyed (L << k) | X,
 like the treewidth table. Its low byte is V, the best lower candidate
@@ -71,7 +75,8 @@ within it. The flags are _tight_flags over those predecessors. These are
 2^(k-1) triples, the bulk of the half (16,384 of its 23,998 at ladder
 k = 14), and the sweep above them reads at most one per rank-1 triple, so
 _rank0_entry computes an entry where it is read: by a rank-1 triple's
-forget lower, and through _slot by the glue and the back-walk.
+forget lower (states.best_lower), and through _slot by the glue and the
+back-walk.
 """
 
 from __future__ import annotations
@@ -80,65 +85,8 @@ import itertools
 
 from .decomposition import Decomposition, contract, validate
 from .errors import InternalError
-from .states import (_NO_LOWER, apex_context, iter_bits, no_rank_left,
-                     state_bags, touching)
+from .states import apex_context, iter_bits, state_bags, sweep, touching
 from .treewidth import width_bound
-
-
-def _best_lower(ctx, get, below, bag, base, apex, limit):
-    """(min over the reachable non-join lowers of max(pred, base + xl),
-    their count), reading the table through its `get`; _NO_LOWER when the
-    count is 0. `below` is not empty: the forget lower of a rank-1 triple
-    reads its rank-0 predecessor from _rank0_entry, within `limit`.
-
-    An introduce(u) lower reads V of (below, bag - u) and never its flag:
-    base + xl is that predecessor's base + 1, so the flag, set only when
-    its V is its base, cannot raise the candidate. A forget(u) lower has
-    xl = 0 and reads the forget(u) slot of (below - u, bag + u), whose
-    successor is this triple: max(V, base + 1) plus its flag.
-    """
-    k = ctx.k
-    cov_adj = ctx.cov_adj
-    inside = ctx.inside
-    below_bag = below | bag
-    extra = base + inside[below_bag] - inside[bag]
-    key = below << k
-    best = _NO_LOWER
-    count = 0
-    m = bag
-    while m:
-        bit = m & -m
-        m ^= bit
-        if cov_adj[bit.bit_length() - 1] & below:
-            continue
-        pv = get(key | (bag ^ bit))
-        if pv is not None:
-            count += 1
-            val = extra - inside[below_bag ^ bit] + inside[bag ^ bit]
-            pv &= 255
-            if pv > val:
-                val = pv
-            if val < best:
-                best = val
-    floor = base + 1
-    m = below
-    while m:
-        bit = m & -m
-        m ^= bit
-        rest = below ^ bit
-        if rest:
-            pv = get((rest << k) | bag | bit)
-        else:
-            pv = _rank0_entry(ctx, bag | bit, apex, limit)
-        if pv is not None:
-            count += 1
-            val = pv & 255
-            if val < floor:
-                val = floor
-            val += pv >> (bit.bit_length() + 8) & 1
-            if val < best:
-                best = val
-    return best, count
 
 
 def _free_intros(ctx, get, below, bag, base, apex):
@@ -243,54 +191,27 @@ def _rank0_entry(ctx, bag, apex, limit=255):
 
 
 def partial_width_table(ctx, stats=None, *, apex_pos, limit=None):
-    """Run the pathwidth DP sweep over the apex triples with |below| <=
-    |ahead|, the half that _glue reads; returns the table of V and flags.
+    """Run the pathwidth DP sweep (states.sweep) over the apex triples with
+    |below| <= |ahead|, the half that _glue reads; returns the table of V
+    and flags.
 
     A triple is stored only if V is within `limit` (default k, since
     pw + 1 <= k; at most 255, the low byte); the slots of a stored triple
-    are exact, those above the limit included. The sweep starts at rank 1:
-    a rank-0 triple is computed where it is read (_rank0_entry), never
-    stored or counted. Ranks are enumerated as the sweep reaches them, and
-    it stops after the first rank that stores nothing
-    (states.no_rank_left).
+    are exact, those above the limit included. A rank-0 triple is computed
+    where it is read (_rank0_entry), never stored or counted. Without
+    joins, the sweep stops after the first rank that stores nothing.
     """
-    k = ctx.k
-    full = ctx.full
-    inside = ctx.inside
     apex = 1 << apex_pos
-    limit = min(k if limit is None else limit, 255)
-    table = {}
-    get = table.get
-    triples = states = 0
-    stored = [1]  # rank 0: the base state at least, computed where read
-    for rank in range(1, k):
-        if no_rank_left(stored, False):
-            break
-        ranked = ctx.valid_triples(require_bit=apex_pos, half=True, rank=rank)
-        triples += len(ranked)
-        kept = len(table)
-        for below, bag in ranked:
-            ahead = full & ~(below | bag)
-            base = bag.bit_count() + touching(inside, full, below, ahead) - 1
-            if base > limit:
-                continue  # every slot is at least base
-            val, lowers = _best_lower(ctx, get, below, bag, base, apex,
-                                      limit)
-            if val > limit:  # no lower (_NO_LOWER), or every slot above
-                continue
-            if val == base and inside[bag]:
-                # the tightness term, 0 or 1, cannot raise a lower that
-                # reaches V > base, and it is 0 when no vertex is confined
-                # to the bag
-                val |= _tight_flags(ctx, get, below, bag, ahead, base, apex)
-            table[(below << k) | bag] = val
-            states += lowers
-        stored.append(len(table) - kept)
-    if stats is not None:
-        stats["valid_triples"] = triples
-        stats["states"] = states
-        stats["peak_table"] = len(table)
-    return table
+    limit = min(ctx.k if limit is None else limit, 255)
+
+    def rank0(bag):
+        return _rank0_entry(ctx, bag, apex, limit)
+
+    def finish(get, below, bag, ahead, base):
+        return base | _tight_flags(ctx, get, below, bag, ahead, base, apex)
+
+    return sweep(ctx, apex_pos, stats, limit=limit, rank0=rank0,
+                 finish=finish, half=True)
 
 
 def _slot(ctx, table, apex, below, bag, slot):
@@ -525,8 +446,8 @@ def pathwidth_vc(g, cover=None, stats=None):
         limit += 1
     if stats is not None:
         for name in ("valid_triples", "states"):
-            stats[name] = sum(sweep[name] for sweep in sweeps)
-        stats["peak_table"] = max(sweep["peak_table"] for sweep in sweeps)
+            stats[name] = sum(run[name] for run in sweeps)
+        stats["peak_table"] = max(run["peak_table"] for run in sweeps)
         stats["width_bound"] = bound
         stats["sweeps"] = len(sweeps)
     value, meet = glued

@@ -24,16 +24,23 @@ are read. Pathwidth's triples with below == 0 are computed where they are
 read too, by a closed form (pathwidth.py); among them is the pathwidth base,
 the introduce-lower state with the apex alone in the bag.
 
-Triples are enumerated by rank, the size of `below`: the sweeps ask for
-one rank at a time, in ascending order, and stop asking once no higher rank
-can hold a state (no_rank_left), so the ranks they never reach are never
+Triples are enumerated by rank, the size of `below`: the sweep asks for
+one rank at a time, in ascending order, and stops asking once no higher rank
+can hold a state (no_rank_left), so the ranks it never reaches are never
 built. Within a rank each `below`'s bags come in ascending order, with no
 sort; that order linearly extends the predecessor relation, so one sweep
 over triples in this order sees every predecessor before its successors.
-The sweeps never build states or op tags: they keep one value per triple,
-its best lower candidate, and derive every upper slot from it (pathwidth
-adds a flag bit per slot that a pendant bag raises by one); the tests
-check them against the literal model in tests/spec.py.
+The sweep never builds states or op tags: it keeps one value per triple,
+its best lower candidate, and every upper slot is derived from it
+(pathwidth adds a flag bit per slot that a pendant bag raises by one); the
+tests check it against the literal model in tests/spec.py.
+
+One sweep body, `sweep`, serves pw-vc, tw-vc-4k and tw-vc-3k, with one
+lower kernel, best_lower. A solver passes only what differs: its rank-0
+reader (pathwidth's closed form, or treewidth's degenerate floor), its
+finishing step for a value at its base (pathwidth's flags, or treewidth's
+floor and limit), `half` for pathwidth, and for treewidth a join provider
+(bipartitions of `below`, or subset-convolution minima).
 """
 
 from __future__ import annotations
@@ -275,3 +282,124 @@ def touching(inside, outer, a, b):
 
 # A best lower candidate when no lower is reachable; above every real value.
 _NO_LOWER = 1 << 62
+
+
+def best_lower(ctx, get, below, bag, base, rank0):
+    """(min over the reachable non-join lowers of max(pred, base + xl),
+    their count), reading the table through its `get`; _NO_LOWER when the
+    count is 0. `below` is not empty: the forget lower of a rank-1 triple
+    reads its rank-0 predecessor through `rank0(bag)`, None if it is not
+    kept.
+
+    An entry is V, plus pathwidth's flag bits from bit 8 on. An
+    introduce(u) lower reads V of (below, bag - u) and never its flag:
+    base + xl is that predecessor's base + 1, so the flag, set only when
+    its V is its base, cannot raise the candidate. A forget(u) lower has
+    xl = 0 and reads the forget(u) slot of (below - u, bag + u), whose
+    successor is this triple: max(V, base + 1) plus its flag.
+    """
+    k = ctx.k
+    cov_adj = ctx.cov_adj
+    inside = ctx.inside
+    below_bag = below | bag
+    extra = base + inside[below_bag] - inside[bag]
+    key = below << k
+    best = _NO_LOWER
+    count = 0
+    m = bag
+    while m:
+        bit = m & -m
+        m ^= bit
+        if cov_adj[bit.bit_length() - 1] & below:
+            continue
+        pv = get(key | (bag ^ bit))
+        if pv is not None:
+            count += 1
+            val = extra - inside[below_bag ^ bit] + inside[bag ^ bit]
+            pv &= 255
+            if pv > val:
+                val = pv
+            if val < best:
+                best = val
+    floor = base + 1
+    m = below
+    while m:
+        bit = m & -m
+        m ^= bit
+        rest = below ^ bit
+        if rest:
+            pv = get((rest << k) | bag | bit)
+        else:
+            pv = rank0(bag | bit)
+        if pv is not None:
+            count += 1
+            val = pv & 255
+            if val < floor:
+                val = floor
+            val += pv >> (bit.bit_length() + 8) & 1
+            if val < best:
+                best = val
+    return best, count
+
+
+def sweep(ctx, apex_pos, stats, *, limit, rank0, finish, half=False,
+          joins=None):
+    """The cover DP sweep: the table {(below << k) | bag: entry} of the
+    triples with the apex in the bag and something below whose value is
+    within `limit`, in rank order. pw-vc, tw-vc-4k and tw-vc-3k all run
+    it; they differ only in their hooks.
+
+    A triple's base is |bag| - 1 plus its crossing count, and every lower
+    candidate is at least base, so a triple with base above the limit is
+    skipped before any is read. Its value is the min of best_lower's and,
+    with `joins`, of joins(table, below, bag, base), the list of its join
+    lowers' candidates. The tight term, 0 or 1, can raise only a value
+    equal to base, and only when some vertex is confined to the bag, so
+    only such a value goes through `finish(get, below, bag, ahead, base)`,
+    which returns the entry to store, or None if it is above the limit.
+    Rank-0 triples are computed where they are read (`rank0`), never swept
+    or stored; `half` keeps |below| <= |ahead|.
+
+    Ranks are enumerated as the sweep reaches them, and it stops at the
+    first rank that can no longer hold a stored triple (no_rank_left).
+    `stats` gets the triples enumerated, the lower candidates read for the
+    triples stored ("states") and the entries stored.
+    """
+    k = ctx.k
+    full = ctx.full
+    inside = ctx.inside
+    table = {}
+    get = table.get
+    triples = states = 0
+    stored = [1]  # rank 0: computed where read, never empty
+    for rank in range(1, k):
+        if no_rank_left(stored, joins is not None):
+            break
+        ranked = ctx.valid_triples(require_bit=apex_pos, half=half, rank=rank)
+        triples += len(ranked)
+        kept = len(table)
+        for below, bag in ranked:
+            ahead = full & ~(below | bag)
+            base = bag.bit_count() - 1 + touching(inside, full, below, ahead)
+            if base > limit:
+                continue
+            val, lowers = best_lower(ctx, get, below, bag, base, rank0)
+            if joins is not None:
+                split = joins(table, below, bag, base)
+                if split:
+                    lowers += len(split)
+                    val = min(val, *split)
+            if val > limit:  # no lower (_NO_LOWER), or every slot above
+                continue
+            if val == base and inside[bag]:
+                val = finish(get, below, bag, ahead, base)
+                if val is None:
+                    continue
+            table[(below << k) | bag] = val
+            states += lowers
+        stored.append(len(table) - kept)
+    if stats is not None:
+        stats["valid_triples"] = triples
+        stats["states"] = states
+        stats["peak_table"] = len(table)
+    return table

@@ -41,17 +41,14 @@ own tree decomposition, the apex stripped: every bag before the apex goes
 holds the apex, and every later bag lies in the apex's bag, so stripped,
 no bag holds more than b vertices. Both witnesses are validated.
 
-The sweep goes rank by rank (the rank of a triple is |below|), enumerating
-each rank as it reaches it, and stops at the first rank that can no longer
-hold a stored triple: a state of rank r has a forget predecessor of rank
-r - 1, an introduce predecessor of rank r, or join children of ranks
-a + b = r, so once ranks ceil(r/2) .. r - 1 store nothing, no rank from r
-on does (states.no_rank_left). When the greedy bound is tight, the sweep
-at b - 1 often ends after a few ranks.
-
-One sweep body, _tw_sweep, serves both treewidth solvers; they differ only
-in where a triple's join candidates come from. treewidth_table enumerates
-the bipartitions of `below` into component unions over the live table;
+The sweep is states.sweep, the one pw-vc runs too. It goes rank by rank
+and stops at the first rank that can no longer hold a stored triple,
+counting join children of ranks a + b = r (states.no_rank_left); when the
+greedy bound is tight, the sweep at b - 1 often ends after a few ranks.
+Treewidth's hooks (_sweep_hooks) read a degenerate state as its floor and
+floor a value at base, then apply the limit. The two treewidth solvers
+differ only in their join provider: treewidth_table enumerates the
+bipartitions of `below` into component unions over the live table;
 treewidth_fast computes each bag's minima by subset convolution, rank by
 rank, as the sweep reaches them.
 """
@@ -62,8 +59,8 @@ import heapq
 
 from .decomposition import Decomposition, contract, validate
 from .errors import InternalError
-from .states import (_NO_LOWER, apex_context, components_outside, iter_bits,
-                     no_rank_left, state_bags, touching)
+from .states import (apex_context, components_outside, iter_bits, state_bags,
+                     sweep, touching)
 
 
 def _value(ctx, table, below, bag):
@@ -172,117 +169,44 @@ def width_bound(ctx):
     return elimination_order(ctx)[0]
 
 
-def _tw_sweep(ctx, apex_pos, join_candidates, stats, join_values,
-              limit=None):
-    """The treewidth DP sweep over bags containing the apex, storing V of
-    every non-degenerate triple within `limit` (default width_bound(ctx)).
-
-    Ranks are swept in ascending order, each enumerated as it is reached,
-    and the sweep stops at the first rank that can no longer hold a stored
-    triple (states.no_rank_left). `join_candidates(table, below, bag,
-    cross)` lists the values of the join lowers of a triple, each already
-    max(child value, cross + straddlers), where cross is |bag| - 1 plus the
-    crossing count. If `join_values` is a dict, it maps each stored (below,
-    bag) with a join lower to the floored minimum over its join lowers.
-    """
-    k = ctx.k
-    full = ctx.full
-    inside = ctx.inside
-    cov_adj = ctx.cov_adj
-    type_masks = ctx.type_masks
+def _sweep_hooks(ctx, limit=None):
+    """states.sweep's limit and hooks for a treewidth table within `limit`
+    (default width_bound(ctx)). The rank-0 reader gives a degenerate state
+    its floor, as _value does; the finishing step floors a value at base
+    the same way, then applies the limit."""
     if limit is None:
         limit = width_bound(ctx)
-    table = {}
-    get = table.get
-    triples = states = 0
-    stored = [1]  # rank 0: the degenerate states, computed where read
-    for rank in range(1, k):
-        if no_rank_left(stored, True):
-            break
-        ranked = ctx.valid_triples(require_bit=apex_pos, rank=rank)
-        triples += len(ranked)
-        kept = len(table)
-        for below, bag in ranked:
-            below_bag = below | bag
-            base = bag.bit_count() - 1
-            cross = base + touching(inside, full, below, full ^ below_bag)
-            if cross > limit:
-                continue
-            # forget(u) lowers: max(V of (below - u, bag + u), cross + 1)
-            if rank > 1:
-                best, lowers = _NO_LOWER, 0
-                m = below
-                while m:
-                    bit = m & -m
-                    m ^= bit
-                    val = get(((below ^ bit) << k) | bag | bit)
-                    if val is not None:
-                        lowers += 1
-                        if val < best:
-                            best = val
-            else:  # the predecessor is degenerate
-                best, lowers = base + 1 + (below_bag in type_masks), 1
-            if best <= cross:
-                best = cross + 1
-            # introduce(u) lowers: max(V of (below, bag - u), cross + xl)
-            key = below << k
-            extra = cross + inside[below_bag] - inside[bag]
-            m = bag
-            while m:
-                bit = m & -m
-                m ^= bit
-                if cov_adj[bit.bit_length() - 1] & below:
-                    continue
-                val = get(key | (bag ^ bit))
-                if val is not None:
-                    lowers += 1
-                    xl = extra - inside[below_bag ^ bit] + inside[bag ^ bit]
-                    if val < xl:
-                        val = xl
-                    if val < best:
-                        best = val
-            joins = join_candidates(table, below, bag, cross)
-            if joins:
-                best = min(best, *joins)
-            # a vertex whose neighborhood is exactly the bag needs a full bag
-            floor = base + 1 if bag in type_masks else base
-            if best < floor:
-                best = floor
-            if best > limit:
-                continue
-            table[key | bag] = best
-            states += lowers + len(joins)
-            if join_values is not None and joins:
-                join_values[(below, bag)] = max(floor, min(joins))
-        stored.append(len(table) - kept)
-    if stats is not None:
-        stats["valid_triples"] = triples
-        stats["states"] = states
-        stats["peak_table"] = len(table)
-    return table
+    type_masks = ctx.type_masks
+
+    def rank0(bag):
+        return bag.bit_count() - 1 + (bag in type_masks)
+
+    def finish(get, below, bag, ahead, base):
+        # a vertex whose neighborhood is exactly the bag needs a full bag,
+        # one more than base if nothing crosses
+        if bag in type_masks and base < bag.bit_count():
+            base += 1
+        return base if base <= limit else None
+
+    return {"limit": limit, "rank0": rank0, "finish": finish}
 
 
-def treewidth_table(ctx, apex_pos, stats=None, join_values=None, limit=None):
-    """Run the treewidth DP sweep, enumerating join bipartitions over the
-    live table.
-
-    Returns the table of V values within `limit` (default the width
-    bound). If `join_values` is a dict, the floored
-    minimum over join-lower candidates is recorded per (below, bag) — the
-    subset-convolution solver computes exactly these numbers and tests
-    compare them.
+def treewidth_table(ctx, apex_pos, stats=None, limit=None):
+    """Run the treewidth DP sweep (states.sweep) within `limit` (default
+    the width bound), enumerating join bipartitions over the live table;
+    returns the table of V values.
     """
     comps_of = {}
 
-    def join_candidates(table, below, bag, cross):
+    def joins(table, below, bag, cross):
         comps = comps_of.get(below)
         if comps is None:
             comps = comps_of[below] = components_outside(ctx.cov_adj, below)
         return [max(pred, cross + xl) for _, _, pred, xl
                 in _join_splits(ctx, table, below, bag, comps)]
 
-    return _tw_sweep(ctx, apex_pos, join_candidates, stats, join_values,
-                     limit)
+    return sweep(ctx, apex_pos, stats, joins=joins,
+                 **_sweep_hooks(ctx, limit))
 
 
 def _expand_tree(ctx, table, below, bag, slot, val, nodes):
@@ -449,13 +373,11 @@ def reconstruct_tree(g, ctx, table, apex, width):
     return dec
 
 
-def treewidth_vc_4k(g, cover=None, stats=None, join_values=None):
+def treewidth_vc_4k(g, cover=None, stats=None):
     """Exact treewidth of g and a tree decomposition witnessing it.
 
     Joins enumerate explicit part bipartitions (quartic-in-3^k state count).
-    `cover` may inject a verified vertex cover; `join_values`, if a dict, is
-    filled with the per-state join-only minima for cross-checking against
-    treewidth_vc_3k.
+    `cover` may inject a verified vertex cover.
     """
     if g.n == 0:
         return -1, Decomposition([], [], kind="tree")
@@ -463,5 +385,5 @@ def treewidth_vc_4k(g, cover=None, stats=None, join_values=None):
     apex_pos = ctx.position[apex]
     width, table = decide_width(
         ctx, apex_pos, lambda limit: treewidth_table(
-            ctx, apex_pos, stats, join_values, limit), stats)
+            ctx, apex_pos, stats, limit), stats)
     return width, reconstruct_tree(g, ctx, table, apex, width)

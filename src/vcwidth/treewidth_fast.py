@@ -1,8 +1,9 @@
 """Treewidth solver with joins via subset convolution instead of part
 enumeration.
 
-Same states, values and sweep as treewidth.py, but the per-state minimum
-over join bipartitions is not found by enumerating bipartitions of `below`.
+Same states, values and sweep (states.sweep, with treewidth's hooks) as
+treewidth.py, but the per-state minimum over join bipartitions, the join
+provider's answer, is not found by enumerating bipartitions of `below`.
 The sweep runs once, its triples ordered so that |below| never falls. The
 first time it reaches a triple with |below| = s at bag X within the width
 bound, it computes X's join minima for every target of cover rank s from
@@ -31,16 +32,17 @@ once no pending target can gain from it.
 The bag data (components, z, the union of each component pick, the split
 penalty base, the targets by rank) is built once per solve. A child's value
 is its table entry, the triple's V, which is also its join upper slot. The
-table is treewidth_table's entry for entry, so the answers, the recorded
-per-triple join minima and the witness reconstruction are treewidth.py's.
+table is treewidth_table's entry for entry, and so are the join minima of
+every stored triple, so the answers and the witness reconstruction are
+treewidth.py's.
 """
 
 from __future__ import annotations
 
 from .convolution import STATS, SetFunction, convolve, zeta
 from .decomposition import Decomposition
-from .states import apex_context, components_outside
-from .treewidth import _tw_sweep, decide_width, reconstruct_tree
+from .states import apex_context, components_outside, sweep
+from .treewidth import _sweep_hooks, decide_width, reconstruct_tree
 
 
 def _split_minima(c, z, a, base, targets):
@@ -179,17 +181,17 @@ def _join_minima(ctx, bj, targets, table):
     return {bj.keys[p]: v for p, v in best.items()}
 
 
-def _layer_sweep(ctx, apex_pos, stats=None, join_values=None, limit=None):
-    """The one table sweep within `limit` (default the width bound),
-    computing each bag's join minima rank by rank as the sweep reaches
-    them."""
+def _layer_sweep(ctx, apex_pos, stats=None, limit=None):
+    """The treewidth DP sweep (states.sweep) within `limit` (default the
+    width bound), computing each bag's join minima rank by rank as the
+    sweep reaches them."""
     k = ctx.k
     bags = _bag_joins(ctx, apex_pos)
     if stats is not None:
         stats["join_cells"] = sum(bj.cells for bj in bags.values())
     jmin = {}
 
-    def join_candidates(table, below, bag, cross):
+    def joins(table, below, bag, cross):
         bj = bags.get(bag)
         if bj is None:
             return []
@@ -199,16 +201,15 @@ def _layer_sweep(ctx, apex_pos, stats=None, join_values=None, limit=None):
         split = jmin.pop((below << k) | bag, None)
         return [] if split is None else [split]
 
-    return _tw_sweep(ctx, apex_pos, join_candidates, stats, join_values,
-                     limit)
+    return sweep(ctx, apex_pos, stats, joins=joins,
+                 **_sweep_hooks(ctx, limit))
 
 
-def treewidth_vc_3k(g, cover=None, stats=None, join_values=None):
+def treewidth_vc_3k(g, cover=None, stats=None):
     """Exact treewidth of g via joins by subset convolution, plus witness.
 
-    Interface matches treewidth_vc_4k, and so do the computed values —
-    including the per-(below, bag) join minima optionally collected
-    into `join_values` — only the join machinery differs.
+    Interface matches treewidth_vc_4k, and so do the computed values, the
+    join minima of every triple included; only the join machinery differs.
     """
     if g.n == 0:
         return -1, Decomposition([], [], kind="tree")
@@ -219,7 +220,7 @@ def treewidth_vc_3k(g, cover=None, stats=None, join_values=None):
     apex_pos = ctx.position[apex]
     width, table = decide_width(
         ctx, apex_pos, lambda limit: _layer_sweep(
-            ctx, apex_pos, stats, join_values, limit), stats)
+            ctx, apex_pos, stats, limit), stats)
     if stats is not None:  # this solve's real convolution work
         stats["convolve_calls"] = STATS["convolve_calls"] - calls0
         stats["convolve_cells"] = STATS["convolve_cells"] - cells0

@@ -1,4 +1,5 @@
-"""Shared test helpers: seeded generators and independent reference solvers.
+"""Shared test helpers: seeded generators, independent reference solvers,
+and a recorder of the treewidth sweep's join values.
 
 Everything here is deliberately primitive. The reference solvers re-derive
 widths from first principles (permutation search, literal submask sums) so
@@ -7,6 +8,7 @@ they share no machinery with the package code they check.
 
 from itertools import combinations, permutations
 
+from vcwidth import states, treewidth, treewidth_fast
 from vcwidth.convolution import SetFunction
 from vcwidth.graph import Graph
 
@@ -262,6 +264,41 @@ def join_minima_by_splits(ctx, apex_pos, table):
             if best is not None:
                 out[(union(pick) << k) | bag] = best
     return out
+
+
+def solve_recording_joins(solve, g, *args, **kwargs):
+    """(solve(g, ...), its join values) for a treewidth solver.
+
+    The join values map each (below, bag) that the sweep stored with a join
+    lower to max(|bag| - 1 + tight, the min of its join candidates), tight
+    being 1 if some vertex's neighborhood is exactly the bag. The sweep's
+    join provider is wrapped to see the candidates, and the table the sweep
+    returns tells which triples it stored.
+    """
+    values = {}
+
+    def recording(ctx, apex_pos, stats, *, joins, **hooks):
+        seen = {}
+
+        def recorded(table, below, bag, cross):
+            split = joins(table, below, bag, cross)
+            if split:
+                seen[(below, bag)] = min(split)
+            return split
+
+        table = states.sweep(ctx, apex_pos, stats, joins=recorded, **hooks)
+        for (below, bag), best in seen.items():
+            if (below << ctx.k) | bag in table:
+                floor = bag.bit_count() - 1 + (bag in ctx.type_masks)
+                values[(below, bag)] = max(floor, best)
+        return table
+
+    bound = treewidth.sweep, treewidth_fast.sweep
+    treewidth.sweep = treewidth_fast.sweep = recording
+    try:
+        return solve(g, *args, **kwargs), values
+    finally:
+        treewidth.sweep, treewidth_fast.sweep = bound
 
 
 def scan_types(types, below, ahead):

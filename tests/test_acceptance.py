@@ -23,7 +23,8 @@ from vcwidth.treewidth import treewidth_vc_4k
 from vcwidth.treewidth_fast import treewidth_vc_3k
 
 from genutil import (add_universal_vertex, enumerate_small_graphs, identity,
-                     naive_convolve, random_graph, random_graph_with_cover)
+                     naive_convolve, random_graph, random_graph_with_cover,
+                     solve_recording_joins)
 
 TRIPLE_CAP = lambda k: 3 ** (k + 1)  # noqa: E731
 
@@ -37,10 +38,9 @@ def check_instance(g, agg):
     otw = treewidth_exact(g)
     opw = pathwidth_exact(g)
     s_pw, s_t4, s_t3 = {}, {}, {}
-    jv4, jv3 = {}, {}
     pw, pdec = pathwidth_vc(g, stats=s_pw)
-    tw4, tdec4 = treewidth_vc_4k(g, stats=s_t4, join_values=jv4)
-    tw3, tdec3 = treewidth_vc_3k(g, stats=s_t3, join_values=jv3)
+    (tw4, tdec4), jv4 = solve_recording_joins(treewidth_vc_4k, g, stats=s_t4)
+    (tw3, tdec3), jv3 = solve_recording_joins(treewidth_vc_3k, g, stats=s_t3)
     agg["graphs"] += 1
     if pw != opw or tw4 != otw or tw3 != otw:
         agg["oracle_mismatch"] += 1

@@ -10,8 +10,8 @@ from vcwidth.graph import Graph
 from vcwidth import pathwidth
 from vcwidth.pathwidth import _slot, partial_width_table, pathwidth_vc
 from vcwidth.states import (_NO_LOWER, MAX_COVER, CoverContext, apex_context,
-                            components_outside, enumerate_valid_triples,
-                            iter_bits, touching)
+                            best_lower, components_outside,
+                            enumerate_valid_triples, iter_bits, touching)
 from vcwidth import treewidth
 from vcwidth.treewidth import (_join_splits, treewidth_table, treewidth_vc_4k,
                                width_bound)
@@ -418,26 +418,52 @@ def test_folded_helpers_match_their_lists():
     assert lowers_seen > 1000 and wide_slots > 100
 
 
+def _pw_pred(ctx, table, ap, below, bag, forgotten, base):
+    """A pathwidth predecessor's slot read by a lower: the introduce slot,
+    or the forget(`forgotten`) slot, through _slot."""
+    slot = 0 if forgotten is None else forgotten + 1
+    return _slot(ctx, table, 1 << ap, below, bag, slot)
+
+
+def _tw_pred(ctx, table, ap, below, bag, forgotten, base):
+    """A treewidth predecessor's slot read by a lower of a triple at
+    `base`: V (_value, the degenerate floor at rank 0), and under the
+    forget upper max(V, base + 1)."""
+    pred = treewidth._value(ctx, table, below, bag)
+    if pred is None or forgotten is None:
+        return pred
+    return max(pred, base + 1)
+
+
 def test_best_lower_folds_the_slots_it_reads():
-    # pathwidth's _best_lower reads V and the flags of each predecessor
-    # directly; it must equal the min over the valid lowers of max(the
-    # predecessor's slot read through _slot, base + xl), with their count,
-    # on every triple the sweep reads it for, those with something below
-    # (rank 0 is computed, _rank0_entry). Its tables are random parts of
+    # states.best_lower reads V and the flags of each predecessor directly;
+    # it must equal the min over the valid lowers of max(the predecessor's
+    # slot, base + xl), with their count, on every triple the sweep reads
+    # it for, those with something below. Its tables are random parts of
     # the pathwidth half table (V and flags) and of the treewidth table (V
     # alone), at each triple's own base: the forget slot's floor is this
-    # triple's base + 1. The flagged entries it reads are those of the table
+    # triple's base + 1. Each is read through its own solver's rank-0
+    # reader, _rank0_entry and the degenerate floor, and checked against
+    # its own slots. The flagged entries it reads are those of the table
     # and the rank-0 predecessors of rank-1 triples
     rng = random.Random(73)
     every = _AllReachable()
     lowers_seen = flagged = 0
     for ctx, ap in _helper_contexts():
-        for full_table in (partial_width_table(ctx, apex_pos=ap, limit=255),
-                           treewidth_table(ctx, ap)):
+        apex = 1 << ap
+
+        def pw_rank0(bag):
+            return pathwidth._rank0_entry(ctx, bag, apex, 255)
+
+        for full_table, rank0, read in (
+                (partial_width_table(ctx, apex_pos=ap, limit=255), pw_rank0,
+                 _pw_pred),
+                (treewidth_table(ctx, ap),
+                 treewidth._sweep_hooks(ctx)["rank0"], _tw_pred)):
             table = {key: val for key, val in full_table.items()
                      if rng.random() < 0.7}
             flagged += sum(val >> 8 > 0 for val in table.values())
-            rank0 = set()
+            rank0_read = set()
             for below, bag in ctx.valid_triples():
                 if not below:
                     continue
@@ -447,22 +473,21 @@ def test_best_lower_folds_the_slots_it_reads():
                 cands = []
                 for code, xl, _ in _lowers(ctx, every, below, bag):
                     if code < 32:
-                        pred = _slot(ctx, table, 1 << ap, below,
-                                     bag ^ 1 << code, 0)
+                        pred = read(ctx, table, ap, below, bag ^ 1 << code,
+                                    None, base)
                     else:
                         u = code - 32
-                        pred = _slot(ctx, table, 1 << ap, below ^ 1 << u,
-                                     bag | 1 << u, u + 1)
+                        pred = read(ctx, table, ap, below ^ 1 << u,
+                                    bag | 1 << u, u, base)
                         if below == 1 << u:
-                            rank0.add(bag | 1 << u)
+                            rank0_read.add(bag | 1 << u)
                     if pred is not None:
                         cands.append(max(pred, base + xl))
-                assert pathwidth._best_lower(ctx, table.get, below, bag,
-                                             base, 1 << ap, 255) == \
+                assert best_lower(ctx, table.get, below, bag, base,
+                                  rank0) == \
                     (min(cands, default=_NO_LOWER), len(cands))
                 lowers_seen += bool(cands)
-            flagged += sum((pathwidth._rank0_entry(ctx, bag, 1 << ap) or 0)
-                           >> 8 > 0 for bag in rank0)
+            flagged += sum((rank0(bag) or 0) >> 8 > 0 for bag in rank0_read)
     assert lowers_seen > 1000 and flagged > 50
 
 

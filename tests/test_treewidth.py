@@ -21,7 +21,7 @@ from genutil import (add_universal_vertex, complete_graph, cycle_graph,
                      enumerate_small_graphs, grid_graph, path_graph,
                      random_graph, random_graph_with_cover, random_tree,
                      scan_types, small_graphs_up_to_isomorphism,
-                     tw_by_elimination_orders)
+                     solve_recording_joins, tw_by_elimination_orders)
 from spec import tw_lower_ops, tw_packed_slots
 
 
@@ -218,8 +218,7 @@ def test_join_values_dominate_bag_size():
     rng = random.Random(50)
     for _ in range(10):
         g = random_graph(rng, rng.randrange(3, 8), 0.4)
-        jv = {}
-        treewidth_vc_4k(g, join_values=jv)
+        _, jv = solve_recording_joins(treewidth_vc_4k, g)
         for (below, bag), val in jv.items():
             assert val >= bag.bit_count() - 1
 

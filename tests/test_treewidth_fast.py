@@ -9,14 +9,14 @@ from vcwidth.graph import Graph
 from vcwidth.oracle import treewidth_exact
 from vcwidth.states import CoverContext
 from vcwidth.treewidth import treewidth_table, treewidth_vc_4k, width_bound
-from vcwidth import pathwidth, treewidth, treewidth_fast
-from vcwidth.pathwidth import partial_width_table
+from vcwidth import pathwidth, states, treewidth, treewidth_fast
+from vcwidth.pathwidth import partial_width_table, pathwidth_vc
 from vcwidth.treewidth_fast import _layer_sweep, _split_minima, treewidth_vc_3k
 
 from genutil import (add_universal_vertex, complete_graph, cycle_graph,
                      enumerate_small_graphs, grid_graph, join_minima_by_splits,
                      path_graph, random_graph, random_graph_with_cover,
-                     random_tree)
+                     random_tree, solve_recording_joins)
 from spec import final_value, tw_packed_slots, tw_table_by_states
 
 
@@ -50,9 +50,8 @@ def test_random_trees():
 
 def test_identical_to_bipartition_solver_exhaustive_n4():
     for g in enumerate_small_graphs(4):
-        jv3, jv4 = {}, {}
-        w3, _ = treewidth_vc_3k(g, join_values=jv3)
-        w4, _ = treewidth_vc_4k(g, join_values=jv4)
+        (w3, _), jv3 = solve_recording_joins(treewidth_vc_3k, g)
+        (w4, _), jv4 = solve_recording_joins(treewidth_vc_4k, g)
         assert w3 == w4
         assert jv3 == jv4, f"join minima differ on edges {g.edges}"
 
@@ -62,9 +61,8 @@ def test_identical_to_bipartition_solver_random():
     for trial in range(100):
         n = rng.randrange(1, 8)
         g = random_graph(rng, n, rng.choice([0.2, 0.4, 0.6, 0.8]))
-        jv3, jv4 = {}, {}
-        w3, _ = treewidth_vc_3k(g, join_values=jv3)
-        w4, _ = treewidth_vc_4k(g, join_values=jv4)
+        (w3, _), jv3 = solve_recording_joins(treewidth_vc_3k, g)
+        (w4, _), jv4 = solve_recording_joins(treewidth_vc_4k, g)
         assert w3 == w4, f"trial {trial}: {g.edges}"
         assert jv3 == jv4, f"trial {trial}: {g.edges}"
 
@@ -142,14 +140,16 @@ def test_bounded_tables_hold_every_state_within_the_bound(monkeypatch):
 
 
 def fed_sweep(ctx, ap, jmin):
-    """A treewidth sweep whose join candidates are read from `jmin`."""
+    """The treewidth sweep, with treewidth's hooks, whose join candidates
+    are read from `jmin`."""
     k = ctx.k
 
-    def join_candidates(table, below, bag, cross):
+    def joins(table, below, bag, cross):
         split = jmin.get((below << k) | bag)
         return [] if split is None else [split]
 
-    return treewidth_fast._tw_sweep(ctx, ap, join_candidates, None, None)
+    return states.sweep(ctx, ap, None, joins=joins,
+                        **treewidth._sweep_hooks(ctx))
 
 
 def iter_slots(packed):
@@ -200,28 +200,39 @@ def test_stable_table_matches_final_answer():
 
 
 def test_one_sweep_per_solve(monkeypatch):
+    # every cover solver runs the one sweep of states.py: once per tw-vc-3k
+    # or tw-vc-4k solve, and stats["sweeps"] times per pw-vc solve, which
+    # sweeps twice on ladder k = 16
     calls = []
-    real = treewidth_fast._tw_sweep
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(args)
-        return real(*args)
+        return states.sweep(*args, **kwargs)
 
-    monkeypatch.setattr(treewidth_fast, "_tw_sweep", counting)
+    for module in (pathwidth, treewidth, treewidth_fast):
+        monkeypatch.setattr(module, "sweep", counting)
     rng = random.Random(55)
-    for _ in range(10):
-        g = random_graph(rng, rng.randrange(2, 9), rng.choice([0.2, 0.4]))
+    cases = [(random_graph(rng, rng.randrange(2, 9), rng.choice([0.2, 0.4])),
+              None) for _ in range(10)]
+    cases.append((random_graph_with_cover(random.Random(20260814), 16, 38,
+                                          0.35), set(range(16))))
+    for g, cover in cases:
+        for solve in (treewidth_vc_3k, treewidth_vc_4k):
+            calls.clear()
+            solve(g, cover)
+            assert len(calls) == 1
         calls.clear()
-        treewidth_vc_3k(g)
-        assert len(calls) == 1
+        stats = {}
+        pathwidth_vc(g, cover, stats)
+        assert len(calls) == stats["sweeps"]
+    assert len(calls) == 2
 
 
 def test_join_values_dominate_bag_size():
     rng = random.Random(56)
     for _ in range(10):
         g = random_graph(rng, rng.randrange(3, 8), 0.4)
-        jv = {}
-        treewidth_vc_3k(g, join_values=jv)
+        _, jv = solve_recording_joins(treewidth_vc_3k, g)
         for (below, bag), v in jv.items():
             assert v >= bag.bit_count() - 1
 
@@ -355,8 +366,8 @@ def test_the_rank_stop_drops_no_stored_triple(monkeypatch):
     # width bound for treewidth, the bound for pw) and one lower
     rng = random.Random(62)
     sweeps = [
-        (lambda ctx, ap, st, lim: treewidth_table(ctx, ap, st, None, lim), -1),
-        (lambda ctx, ap, st, lim: _layer_sweep(ctx, ap, st, None, lim), -1),
+        (lambda ctx, ap, st, lim: treewidth_table(ctx, ap, st, lim), -1),
+        (lambda ctx, ap, st, lim: _layer_sweep(ctx, ap, st, lim), -1),
         (lambda ctx, ap, st, lim: partial_width_table(ctx, st, apex_pos=ap,
                                                       limit=lim), 0)]
     runs = []
@@ -368,8 +379,7 @@ def test_the_rank_stop_drops_no_stored_triple(monkeypatch):
                 runs.append((ctx, ap, sweep, limit,
                              sweep(ctx, ap, stats, limit),
                              stats["valid_triples"]))
-    for module in (treewidth, pathwidth):
-        monkeypatch.setattr(module, "no_rank_left", lambda *args: False)
+    monkeypatch.setattr(states, "no_rank_left", lambda *args: False)
     stopped = 0
     for ctx, ap, sweep, limit, table, triples in runs:
         stats = {}
