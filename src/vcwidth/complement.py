@@ -15,9 +15,11 @@ having |N(.) \\ .| <= w. So for each threshold w the family of such L is one
 Python int with a bit per subset (a bitset), grown to its fixpoint by
 shifts and masks, and boundary counts are bit-sliced: count bit j of every
 subset lives in one int, the j-th plane. No Python loop runs over the 2^k'
-subsets. The table itself is kept only as bit planes: bit L of plane j is
-bit j of rooted[L], and the few entries the glue and the witness need are
-read from a byte copy of each plane.
+subsets. One loop raises w: it grows F_w, then takes one glue step on it,
+and stops at the first w where some L glues, so no entry above the width is
+ever computed. The table is kept only as bit planes: bit L of plane j is
+bit j of min(rooted[L], width + 1), and the few entries the witness needs
+are read from a byte copy of each plane.
 """
 
 from __future__ import annotations
@@ -73,12 +75,13 @@ def _at_most(planes, w, all_subsets):
     if w >> len(planes):
         return all_subsets
     below, equal = 0, all_subsets
-    for j in reversed(range(len(planes))):
+    for j in reversed(range(len(planes))):  # no ~: negative ints are slow
         if w >> j & 1:
-            below |= equal & ~planes[j]
-            equal &= planes[j]
+            ones = equal & planes[j]
+            below |= equal ^ ones
+            equal = ones
         else:
-            equal &= ~planes[j]
+            equal ^= equal & planes[j]
     return below | equal
 
 
@@ -121,64 +124,93 @@ def _reach(family, allowed, k):
     """Close `family` under adding one of the k positions while staying in
     `allowed`; returns the closure and the number of sweeps over the
     positions."""
-    positions = (1 << k) - 1
     sweeps = 0
     while True:
         sweeps += 1
         count = family.bit_count()  # it only grows: no old copy is held
-        for u in range(k):
-            # the subsets without u, rebuilt per use: k stored masks of 2^k
-            # bits would outweigh the table
-            without_u = _subsets_of(positions ^ (1 << u))
-            family |= ((family & without_u) << (1 << u)) & allowed
+        with_u = (1 << (1 << k)) - 1
+        for u in reversed(range(k)):
+            # the subsets containing u, from those containing u + 1 (all
+            # subsets when u + 1 = k): shifting a subset without u up by
+            # 2^u adds u, and shifting one with u lands outside them
+            with_u ^= with_u >> (1 << u)
+            family |= (family << (1 << u)) & with_u & allowed
         if family.bit_count() == count:
             return family, sweeps
 
 
-def _thresholds(k, boundary, w):
-    """Bit planes of rooted[L], the least w whose F_w holds L, over the
-    subsets of the k cover positions, with the number of thresholds whose
-    F_w was grown and of the sweeps that took. `boundary` holds the planes
-    of |N(L) \\ L|, and w is a lower bound on every nonempty L's value."""
-    all_subsets = (1 << (1 << k)) - 1
-    reached, allowed, value = 1, None, []
-    levels = sweeps = 0
-    while reached != all_subsets:
-        at_most = _at_most(boundary, w, all_subsets)
-        if at_most != allowed:  # else F_w is F_(w-1)
-            allowed = at_most
-            grown, n = _reach(reached, allowed, k)
-            levels += 1
-            sweeps += n
-            value.extend([0] * (w.bit_length() - len(value)))
-            for j in iter_bits(w):
-                value[j] |= grown & ~reached
-            reached = grown
-        w += 1
-    return value, levels, sweeps
-
-
-def rooted_pw_table(g, order, stats=None, cover_data=None):
-    """Bit planes of rooted[L] over the subsets L of the cover, least
-    significant first, as many as its largest value needs.
+def rooted_pw_table(g, order, stats=None):
+    """(width, (L, N(L) in C, R), planes): the least glued width, the
+    glue at its least L, and the bit planes of min(rooted[L], width + 1)
+    over the subsets L of the cover, least significant first, as many as
+    its largest value needs.
 
     order fixes the bit positions; rooted[L] is the least width of a path
-    decomposition of G[N[L]] with N(L) as its inner end bag. `stats`, when
-    given, gains the threshold levels whose reachable family was grown and
-    the sweeps that growing took; `cover_data` is _cover_data(g, order)
-    when the caller has built it already.
+    decomposition of G[N[L]] with N(L) as its inner end bag. Gluing at L
+    costs max(rooted[L], rooted[R], s_width + |N(L) in C|), R = C minus
+    N[L]. w walks upward, growing F_w until it holds every subset, and the
+    L that first have rooted[L] <= w and |N(L) in C| <= w - s_width are
+    evaluated in increasing order, each once. Such an L costs exactly w
+    when R is in F_w, and otherwise waits until R enters. The first w that
+    some L attains is the least width, and the least L attaining it is the
+    one a scan over all L in increasing order would keep; no F_w above it
+    is grown. `stats`, when given, gains the entries computed (the subsets
+    reached), the threshold levels whose F_w was grown, the sweeps that
+    took and the subsets the glue evaluated.
     """
     k = len(order)
-    _, outside, cover_boundary = cover_data or _cover_data(g, order)
+    cov, outside, cover_boundary = _cover_data(g, order)
+    boundary = _boundary_planes(k, cover_boundary, outside)
+    full, all_subsets = (1 << k) - 1, (1 << (1 << k)) - 1
+    s_width = g.n - k - 1  # the middle bag's width when N(L) is empty
     # every chain to a nonempty L starts at one vertex, whose boundary is
-    # all of its neighbours
-    lowest = min((len(g.adj[v]) for v in order), default=0)
-    value, levels, sweeps = _thresholds(
-        k, _boundary_planes(k, cover_boundary, outside), lowest)
+    # all of its neighbours: below that, F_w holds the empty set alone, and
+    # gluing there waits for R = C
+    w = lowest = min((len(g.adj[v]) for v in order), default=0)
+    reached, value, pending = 1, [], []
+    seen = levels = sweeps = evaluated = 0
+    while True:
+        if reached != all_subsets:
+            grown, n = _reach(reached, _at_most(boundary, w, all_subsets), k)
+            levels += 1
+            sweeps += n
+            for j in iter_bits(w):
+                _add(value, grown ^ reached, j)
+            reached = grown
+        if w >= s_width:
+            eligible = (_at_most(cover_boundary, w - s_width, all_subsets)
+                        & reached)
+            fresh, seen = eligible ^ seen, eligible  # seen is inside it
+            inside = _reader([reached], 1 << k)  # 1 on the subsets in F_w
+            # a waiting L whose R is in F_w entered at w
+            hit = min((glue for glue in pending if inside(glue[2])),
+                      default=None)
+            for l_mask in _members(fresh, 1 << k):
+                if hit is not None and l_mask > hit[0]:
+                    break
+                evaluated += 1
+                cn = 0
+                for p in iter_bits(l_mask):
+                    cn |= cov[p]
+                cn &= ~l_mask
+                glue = (l_mask, cn, full ^ (l_mask | cn))
+                if inside(glue[2]):
+                    hit = glue
+                    break
+                pending.append(glue)
+            del inside, fresh  # freed before the next big ints
+            if hit is not None:
+                break
+        w += 1
+    if reached != all_subsets:  # read as w + 1, above every reached entry
+        for j in iter_bits(w + 1):
+            _add(value, all_subsets ^ reached, j)
     if stats is not None:
+        stats["table_entries"] = reached.bit_count()
         stats["threshold_levels"] = levels
         stats["reach_sweeps"] = sweeps
-    return value
+        stats["glue_evaluated"] = evaluated
+    return w, hit, value
 
 
 def _reader(planes, size):
@@ -209,51 +241,10 @@ def _members(family, size):
             i = bits.rfind("1", 0, i)
 
 
-def _glue(rooted, planes, cover_data, s_width):
-    """(width, L, N(L) in C, subsets evaluated) of the best glue.
-
-    Gluing at L costs max(rooted[L], rooted[R], s_width + |N(L) in C|),
-    R = C minus N[L]. That is at most w only if L is in F_w and
-    |N(L) in C| <= w - s_width, so w walks upward and the L that first pass
-    both tests at w are evaluated in increasing order, each once. The first
-    w that some L attains is the least width, and the least L attaining it
-    is the one a scan over all L in increasing order would keep. `rooted`
-    reads the table's entries and `planes` are their bit planes.
-    """
-    cov, _, cover_boundary = cover_data
-    k = len(cov)
-    full = (1 << k) - 1
-    all_subsets = (1 << (1 << k)) - 1
-    seen = evaluated = 0
-    best = {}  # width -> (least L evaluated with it, N(L) in C)
-    w = max(s_width, 0)
-    while True:
-        hit = best.get(w)
-        fresh = (_at_most(cover_boundary, w - s_width, all_subsets)
-                 & _at_most(planes, w, all_subsets) & ~seen)
-        seen |= fresh
-        for l_mask in _members(fresh, 1 << k):
-            if hit is not None and l_mask > hit[0]:
-                break
-            evaluated += 1
-            cn = 0
-            for p in iter_bits(l_mask):
-                cn |= cov[p]
-            cn &= ~l_mask
-            cand = max(rooted(l_mask), rooted(full ^ (l_mask | cn)),
-                       s_width + cn.bit_count())
-            if cand == w:
-                hit = (l_mask, cn)
-                break
-            if cand not in best or l_mask < best[cand][0]:
-                best[cand] = (l_mask, cn)
-        if hit is not None:
-            return w, hit[0], hit[1], evaluated
-        w += 1
-
-
 def _peel_order(rooted, mask):
-    """Optimal layout of `mask`, outermost vertex position last."""
+    """Optimal layout of `mask`, outermost vertex position last. Entries
+    above the width read as width + 1, and no choice here takes one: a
+    nonempty L within the width has some L minus u within it too."""
     order = []
     while mask:  # the least position on ties
         u = min(iter_bits(mask), key=lambda u: rooted(mask ^ (1 << u)))
@@ -313,22 +304,14 @@ def pathwidth_cvc(g, cover=None, stats=None, max_cover=MAX_COMPLEMENT_COVER):
             f"complement cover of size {k} exceeds the supported maximum "
             f"of {max_cover}")
     order = sorted(cover)
-    cover_data = _cover_data(g, order)
-    planes = rooted_pw_table(g, order, stats, cover_data)
+    width, (l_mask, cn, r_mask), planes = rooted_pw_table(g, order, stats)
     rooted = _reader(planes, 1 << k)
     if stats is not None:
         stats["cover_size"] = k
-        stats["table_entries"] = 1 << k
         stats["states"] = 1 << k  # one rooted-table state per subset of C
         stats["peak_table"] = 1 << k
 
     # glue: L, the middle bag S plus N(L) in C, and R = C minus N[L]
-    s_width = g.n - k - 1  # the middle bag's width when N(L) is empty
-    width, l_mask, cn, evaluated = _glue(rooted, planes, cover_data, s_width)
-    r_mask = ((1 << k) - 1) ^ (l_mask | cn)
-    if stats is not None:
-        stats["glue_evaluated"] = evaluated
-
     left = _side_bags(g, order, _peel_order(rooted, l_mask))
     right = _side_bags(g, order, _peel_order(rooted, r_mask))
     middle = (set(range(g.n)) - cover) | {order[i] for i in iter_bits(cn)}

@@ -1,9 +1,12 @@
 """Pathwidth via a vertex cover of the complement: table recurrence,
 bitset helpers, the rooted table's bit planes and the glue against the
-per-mask spec,
+per-mask spec, the table stopped at the width,
 oracle equality on dense graphs, witness shape, limits."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -58,13 +61,15 @@ def entries(planes, k):
 
 
 def test_rooted_table_trivial_masks():
-    assert rooted_pw_table(complete_graph(4), []) == []
+    # k' = 0: the middle bag alone, L, N(L) and R empty, no planes
+    assert rooted_pw_table(complete_graph(4), []) == (3, (0, 0, 0), [])
     g = cycle_graph(4)
     order = sorted(minimum_vertex_cover(g.complement()))
-    rooted = entries(rooted_pw_table(g, order), len(order))
+    width, _, planes = rooted_pw_table(g, order)
+    rooted = entries(planes, len(order))
     assert rooted[0] == 0
     for i, v in enumerate(order):
-        assert rooted[1 << i] == len(g.adj[v])
+        assert rooted[1 << i] == min(len(g.adj[v]), width + 1)
 
 
 def test_rooted_table_recurrence():
@@ -74,7 +79,10 @@ def test_rooted_table_recurrence():
         order = sorted(minimum_vertex_cover(g.complement()))
         if len(order) > 10:
             continue
-        rooted = entries(rooted_pw_table(g, order), len(order))
+        # the table stops at the width: its entries are min(rooted,
+        # width + 1), which keep the recurrence capped at width + 1
+        width, _, planes = rooted_pw_table(g, order)
+        rooted = entries(planes, len(order))
         for mask in range(1, 1 << len(order)):
             members = {order[i] for i in range(len(order)) if mask >> i & 1}
             boundary = set()
@@ -83,7 +91,7 @@ def test_rooted_table_recurrence():
             boundary -= members
             sub = min(rooted[mask ^ (1 << i)]
                       for i in range(len(order)) if mask >> i & 1)
-            assert rooted[mask] == max(len(boundary), sub)
+            assert rooted[mask] == min(width + 1, max(len(boundary), sub))
 
 
 def test_subsets_of_by_brute_force():
@@ -93,6 +101,35 @@ def test_subsets_of_by_brute_force():
             t = rng.randrange(1 << k)
             family = complement._subsets_of(t)
             assert family == sum(1 << m for m in subsets(k) if m & ~t == 0)
+
+
+def closure_by_brute_force(family, allowed, k):
+    """The subsets reached from `family` by adding one position at a time,
+    each step staying in `allowed`, one subset at a time."""
+    reached = set(family)
+    stack = list(reached)
+    while stack:
+        mask = stack.pop()
+        for u in range(k):
+            grown = mask | 1 << u
+            if grown in allowed and grown not in reached:
+                reached.add(grown)
+                stack.append(grown)
+    return reached
+
+
+def test_reach_by_brute_force():
+    rng = random.Random(69)
+    for k in range(7):
+        for _ in range(30):
+            p = rng.random()
+            allowed = {m for m in subsets(k) if rng.random() < p}
+            family = {m for m in subsets(k) if rng.random() < p / 4}
+            got, sweeps = complement._reach(
+                sum(1 << m for m in family), sum(1 << m for m in allowed), k)
+            want = closure_by_brute_force(family, allowed, k)
+            assert got == sum(1 << m for m in want)
+            assert sweeps >= 1
 
 
 def test_bit_plane_count_and_at_most_by_brute_force():
@@ -144,21 +181,23 @@ def table_planes(rooted):
 
 def test_returned_planes_are_the_table_bit_planes():
     # the table is kept only as these planes, as many as its largest entry
-    # needs, and the glue and the peel orders read entries through them
+    # needs, and the peel orders read entries through them; entries above
+    # the width are never computed and read as width + 1
     rng = random.Random(68)
     for _ in range(40):
         g = random_graph(rng, rng.randrange(1, 14), 0.25).complement()
         order = sorted(minimum_vertex_cover(g.complement()))
-        want = rooted_pw_by_recurrence(g, order)
-        planes = rooted_pw_table(g, order)
+        width, _, planes = rooted_pw_table(g, order)
+        want = [min(v, width + 1)
+                for v in rooted_pw_by_recurrence(g, order)]
         assert planes == table_planes(want)
         read = complement._reader(planes, 1 << len(order))
         assert [read(m) for m in subsets(len(order))] == want
     for m in (8, 10):  # entries up to 298: nine planes
         g, order = k300_minus_matching(m), list(range(0, 2 * m, 2))
         want = rooted_pw_by_recurrence(g, order)
-        planes = rooted_pw_table(g, order)
-        assert len(planes) == 9 and max(want) == 298
+        width, _, planes = rooted_pw_table(g, order)
+        assert len(planes) == 9 and max(want) == 298 == width
         assert planes == table_planes(want)
 
 
@@ -182,11 +221,19 @@ def spied_glue(monkeypatch, g, cover):
 def assert_matches_spec(monkeypatch, g, cover):
     order = sorted(cover)
     want = rooted_pw_by_recurrence(g, order)
-    assert entries(rooted_pw_table(g, order), len(order)) == want
-    w, l_mask, stats = spied_glue(monkeypatch, g, cover)
-    assert (w, l_mask) == glue_by_scan(g, order, want)
+    width, (l_mask, _, _), planes = rooted_pw_table(g, order)
+    # each reached entry is the spec's, and each unreached subset's spec
+    # entry exceeds the width: the stopped table is min(spec, width + 1)
+    assert entries(planes, len(order)) == [min(v, width + 1) for v in want]
+    assert (width, l_mask) == glue_by_scan(g, order, want)
+    w, peeled, stats = spied_glue(monkeypatch, g, cover)
+    assert (w, peeled) == (width, l_mask)
     assert 0 < stats["glue_evaluated"] <= 1 << len(order)
     assert stats["reach_sweeps"] >= stats["threshold_levels"]
+    assert stats["table_entries"] == sum(v <= width for v in want)
+    # no threshold above the width is grown
+    lowest = min((len(g.adj[v]) for v in order), default=0)
+    assert stats["threshold_levels"] <= width - lowest + 1
 
 
 def test_table_and_glue_match_the_spec(monkeypatch):
@@ -233,7 +280,10 @@ def test_matches_oracle_on_dense_graphs():
         outside = set(range(g.n)) - set(cover)
         assert any(outside <= set(b) for b in dec.bags), \
             "no bag holds the whole outside clique"
-        assert stats["table_entries"] == 1 << stats["cover_size"]
+        # the entries computed: the subsets whose rooted value is within w
+        want = rooted_pw_by_recurrence(g, sorted(cover))
+        assert stats["table_entries"] == sum(v <= w for v in want)
+        assert stats["cover_size"] == len(cover)
 
 
 def test_agrees_with_cover_parameter_solver():
@@ -274,7 +324,8 @@ def test_widths_above_one_byte(tmp_path, capsys):
         assert solved(complete_minus_two_edges(n)) == n - 2
     g = complete_minus_two_edges(300)
     order = sorted(minimum_vertex_cover(g.complement()))
-    planes = rooted_pw_table(g, order)
+    width, _, planes = rooted_pw_table(g, order)
+    assert width == 298
     assert len(planes) == 9 and max(entries(planes, len(order))) == 298
     gr = tmp_path / "k300.gr"
     gr.write_text(emit_gr(complete_minus_two_edges(300)))
@@ -292,9 +343,65 @@ def test_nine_plane_table_matches_the_spec(monkeypatch):
     for m in (8, 10):
         g = k300_minus_matching(m)
         cover = set(range(0, 2 * m, 2))
-        assert len(rooted_pw_table(g, sorted(cover))) == 9
+        assert len(rooted_pw_table(g, sorted(cover))[2]) == 9
         assert_matches_spec(monkeypatch, g, cover)
         assert solved(g, cover=cover) == 298
+
+
+def test_one_table_per_solve(monkeypatch, tmp_path, capsys):
+    # the traced benchmark times pw-cvc's table through this one call
+    calls = []
+    table = complement.rooted_pw_table
+
+    def spy(*args, **kwargs):
+        calls.append(args[1])
+        return table(*args, **kwargs)
+
+    monkeypatch.setattr(complement, "rooted_pw_table", spy)
+    rng = random.Random(70)
+    graphs = [complete_graph(4), cycle_graph(5)] + [
+        random_graph(rng, 9, 0.2).complement() for _ in range(5)]
+    for g in graphs:
+        calls.clear()
+        solved(g)
+        assert len(calls) == 1
+    calls.clear()
+    gr = tmp_path / "c5.gr"
+    gr.write_text(emit_gr(cycle_graph(5)))
+    assert cli.main(["pw", "--algo", "cvc", "--input", str(gr)]) == 0
+    assert capsys.readouterr().out == "width: 2\n"
+    assert len(calls) == 1
+
+
+def test_cli_k22_stops_its_table_at_the_width(tmp_path, capsys):
+    # above the benchmark's k' = 18: the complement of a sparse instance
+    # with its planted cover, solved as a child process
+    g = random_graph_with_cover(random.Random(20260814), 22, 28,
+                                0.35).complement()
+    gr = tmp_path / "k22.gr"
+    gr.write_text(emit_gr(g))
+    cover = tmp_path / "k22.cover"
+    cover.write_text(" ".join(str(v + 1) for v in range(22)) + "\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    result = subprocess.run(
+        [sys.executable, "-m", "vcwidth", "pw", "--algo", "cvc", "--cover",
+         str(cover), "--emit-witness", "--stats", "--input", str(gr)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=60)
+    assert result.returncode == 0 and result.stderr == ""
+    lines = result.stdout.splitlines(keepends=True)
+    first_td = next(i for i, line in enumerate(lines)
+                    if line.startswith(("c ", "s td")))
+    stats = dict(line.rstrip("\n").split(": ") for line in lines[:first_td])
+    width = int(stats["width"])
+    td = tmp_path / "k22.td"
+    td.write_text("".join(lines[first_td:]))
+    assert cli.main(["check", str(gr), str(td)]) == 0
+    assert capsys.readouterr().out == f"width: {width}\n"
+    lowest = min(len(g.adj[v]) for v in range(22))
+    assert int(stats["cover size"]) == 22
+    assert int(stats["threshold levels"]) <= width - lowest + 1
+    assert int(stats["table entries"]) < 1 << 22
 
 
 def test_vertex_count_cap():
