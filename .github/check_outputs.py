@@ -4,9 +4,11 @@ Runs every call of every workload in perfbench/workloads.py at each pinned
 seed as `python -m vcwidth` with the benchmark's own arguments
 (gate.call_argv), in a temporary directory with relative input paths, and
 compares a digest of each call's exit code, stdout and stderr with
-.github/benchmark_outputs.json. A change that alters an answer, a witness
-or an error message on purpose re-pins the file with --pin and says why.
-Usage, from anywhere:
+.github/benchmark_outputs.json. Each call runs a second time with `--stats`
+appended, whose digest is pinned under the call's name plus " --stats", so
+the solvers' counters are pinned too. A change that alters an answer, a
+witness, an error message or a counter on purpose re-pins the file with
+--pin and says why. Usage, from anywhere:
 
     python3 .github/check_outputs.py          # check
     python3 .github/check_outputs.py --pin    # rewrite the pinned digests
@@ -23,6 +25,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PINNED = ROOT / ".github" / "benchmark_outputs.json"
 SEEDS = (20260814, 7)
+STATS = " --stats"  # suffix of the name of a call's --stats digest
 
 sys.path.insert(0, str(ROOT))
 from perfbench.gate import call_argv  # noqa: E402
@@ -37,7 +40,8 @@ def digest(code, out, err):
 
 
 def run_calls(seed, workdir):
-    """{"workload/call": digest} of every call at `seed`."""
+    """{"workload/call": digest} of every call at `seed`, plus
+    {"workload/call --stats": digest} of the same call with --stats."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     digests = {}
     for workload, make in WORKLOADS.items():
@@ -49,12 +53,15 @@ def run_calls(seed, workdir):
                     p and os.path.relpath(p, workdir)
                     for p in inst.write(workdir))
             argv = call_argv(call, paths[inst.key])
-            done = subprocess.run([sys.executable, "-m", "vcwidth", *argv],
-                                  cwd=workdir, env=env, capture_output=True,
-                                  stdin=subprocess.DEVNULL, timeout=600)
             name = f"{workload}/{call.name}"
             assert name not in digests, name
-            digests[name] = digest(done.returncode, done.stdout, done.stderr)
+            for key, extra in ((name, []), (name + STATS, ["--stats"])):
+                done = subprocess.run(
+                    [sys.executable, "-m", "vcwidth", *argv, *extra],
+                    cwd=workdir, env=env, capture_output=True,
+                    stdin=subprocess.DEVNULL, timeout=600)
+                digests[key] = digest(done.returncode, done.stdout,
+                                      done.stderr)
     return digests
 
 
@@ -63,9 +70,11 @@ def main(pin):
     for seed in SEEDS:
         with tempfile.TemporaryDirectory() as workdir:
             got[str(seed)] = run_calls(seed, workdir)
+    calls = sum(not name.endswith(STATS)
+                for names in got.values() for name in names)
     if pin:
         PINNED.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n")
-        print(f"pinned {sum(map(len, got.values()))} calls to {PINNED}")
+        print(f"pinned {calls} calls, with and without --stats, to {PINNED}")
         return 0
     want = json.loads(PINNED.read_text())
     bad = [f"seed {seed} {name}"
@@ -74,7 +83,9 @@ def main(pin):
            if want.get(seed, {}).get(name) != got.get(seed, {}).get(name)]
     for line in bad:
         print("output changed:", line)
-    print(f"{sum(map(len, got.values()))} calls, {len(bad)} changed")
+    stats = sum(line.endswith(STATS) for line in bad)
+    print(f"{calls} calls, {len(bad) - stats} plain-output digests changed, "
+          f"{stats} --stats digests changed")
     return 1 if bad else 0
 
 

@@ -121,10 +121,6 @@ def run(args, algo):
     if args.stats:
         _print_stats(stats)
     if args.emit_witness:
-        if witness is None:
-            print("error: the oracle computes widths only, no witness",
-                  file=sys.stderr)
-            return 2
         sys.stdout.write(emit_td(witness, g.n))
     return 0
 
@@ -200,9 +196,10 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvalidDecompositionError as exc:
+        # a solver's own witness failed validation (`check` exits 2 itself)
         for v in exc.violations:
-            print(f"invalid: {v}", file=sys.stderr)
-        return 2
+            print(f"internal error: {v}", file=sys.stderr)
+        return 4
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

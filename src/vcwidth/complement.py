@@ -308,8 +308,8 @@ def pathwidth_cvc(g, cover=None, stats=None, max_cover=MAX_COMPLEMENT_COVER):
     rooted = _reader(planes, 1 << k)
     if stats is not None:
         stats["cover_size"] = k
-        stats["states"] = 1 << k  # one rooted-table state per subset of C
-        stats["peak_table"] = 1 << k
+        stats["states"] = stats["table_entries"]  # the subsets computed
+        stats["peak_table"] = 1 << k  # the span of the bit planes
 
     # glue: L, the middle bag S plus N(L) in C, and R = C minus N[L]
     left = _side_bags(g, order, _peel_order(rooted, l_mask))

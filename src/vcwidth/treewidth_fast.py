@@ -29,10 +29,12 @@ counts the splits of L per partner rank in digits of c+1 bits, so the top
 non-zero digit of h[L] names the best partner z for v1. A group is skipped
 once no pending target can gain from it.
 
-The bag data (components, z, the union of each component pick, the split
-penalty base, the targets by rank) is built once per solve. A child's value
-is its table entry, the triple's V, which is also its join upper slot. The
-table is treewidth_table's entry for entry, and so are the join minima of
+A bag's data (components, z, the union of each component pick, the split
+penalty base, the targets by rank) is built once, when the sweep first
+reaches a triple at the bag with two or more cover vertices below, the
+least rank of a target; `join_cells` counts the 2^|C minus X| cells of the
+bags built. A child's value is its table entry, the triple's V, which is
+also its join upper slot. The table is treewidth_table's entry for entry, and so are the join minima of
 every stored triple, so the answers and the witness reconstruction are
 treewidth.py's.
 """
@@ -114,7 +116,8 @@ def _split_minima(c, z, a, base, targets):
 
 
 class _BagJoins:
-    """Join data of one bag, built once per solve.
+    """Join data of one bag, built by the sweep's join provider when it
+    first asks for the bag's joins.
 
     The universe is the bag's c components outside the cover: every child
     and every target of a join below the bag is a union of them. `keys[P]`
@@ -123,7 +126,7 @@ class _BagJoins:
     cover vertices whose minima are still to be computed.
     """
 
-    __slots__ = ("cells", "c", "z", "base", "keys", "targets")
+    __slots__ = ("c", "z", "base", "keys", "targets")
 
     def __init__(self, ctx, bag, rest, comps):
         k = ctx.k
@@ -144,7 +147,6 @@ class _BagJoins:
                         foot |= 1 << i
                 cnt[foot] += mult
                 total += mult
-        self.cells = 1 << rest.bit_count()
         self.c = c
         self.z = zeta(SetFunction(c, cnt)).values
         self.base = bag.bit_count() - 1 + total
@@ -153,20 +155,6 @@ class _BagJoins:
         for p in range(3, size):
             if p & (p - 1):
                 self.targets.setdefault(masks[p].bit_count(), []).append(p)
-
-
-def _bag_joins(ctx, apex_pos):
-    """{bag: _BagJoins} of every apex bag whose outside has two or more
-    components."""
-    bags = {}
-    for bag in range(1 << ctx.k):
-        if not bag >> apex_pos & 1:
-            continue
-        rest = ctx.full ^ bag
-        comps = components_outside(ctx.cov_adj, rest)
-        if len(comps) >= 2:
-            bags[bag] = _BagJoins(ctx, bag, rest, comps)
-    return bags
 
 
 def _join_minima(ctx, bj, targets, table):
@@ -183,16 +171,21 @@ def _join_minima(ctx, bj, targets, table):
 
 def _layer_sweep(ctx, apex_pos, stats=None, limit=None):
     """The treewidth DP sweep (states.sweep) within `limit` (default the
-    width bound), computing each bag's join minima rank by rank as the
-    sweep reaches them."""
+    width bound), building each bag's join data and computing its join
+    minima rank by rank as the sweep reaches them."""
     k = ctx.k
-    bags = _bag_joins(ctx, apex_pos)
-    if stats is not None:
-        stats["join_cells"] = sum(bj.cells for bj in bags.values())
+    bags = {}  # bag: its _BagJoins, or None if it has no joins
     jmin = {}
 
     def joins(table, below, bag, cross):
-        bj = bags.get(bag)
+        if not below & (below - 1):
+            return []  # a target spans two components, so two cover vertices
+        bj = bags.get(bag, False)
+        if bj is False:  # first ask at this bag: build its join data
+            rest = ctx.full ^ bag
+            comps = components_outside(ctx.cov_adj, rest)
+            bj = bags[bag] = (_BagJoins(ctx, bag, rest, comps)
+                              if len(comps) >= 2 else None)
         if bj is None:
             return []
         targets = bj.targets.pop(below.bit_count(), None)
@@ -201,8 +194,12 @@ def _layer_sweep(ctx, apex_pos, stats=None, limit=None):
         split = jmin.pop((below << k) | bag, None)
         return [] if split is None else [split]
 
-    return sweep(ctx, apex_pos, stats, joins=joins,
-                 **_sweep_hooks(ctx, limit))
+    table = sweep(ctx, apex_pos, stats, joins=joins,
+                  **_sweep_hooks(ctx, limit))
+    if stats is not None:  # the cells of the bags built
+        stats["join_cells"] = sum(1 << (ctx.full ^ bag).bit_count()
+                                  for bag, bj in bags.items() if bj)
+    return table
 
 
 def treewidth_vc_3k(g, cover=None, stats=None):

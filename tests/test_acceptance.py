@@ -19,6 +19,7 @@ from vcwidth.formats import emit_gr, emit_td, parse_gr, parse_td
 from vcwidth.graph import Graph
 from vcwidth.oracle import pathwidth_exact, treewidth_exact
 from vcwidth.pathwidth import pathwidth_vc
+from vcwidth import treewidth
 from vcwidth.treewidth import treewidth_vc_4k
 from vcwidth.treewidth_fast import treewidth_vc_3k
 
@@ -146,17 +147,29 @@ def test_criterion_6_universal_vertex_shift():
         assert pathwidth_exact(gp) == pathwidth_exact(g) + 1
 
 
-def test_criterion_7_structural_bounds(exhaustive6, random_suite):
+def test_criterion_7_structural_bounds(exhaustive6, random_suite,
+                                       monkeypatch):
+    # join cells are read from unbounded sweeps, which reach every apex bag,
+    # so they measure the whole join universe and not how far a bounded
+    # sweep got
     assert exhaustive6["triples_excess"] == 0
     assert random_suite["triples_excess"] == 0
-    ratios = []
+    cases = []
     for k in (8, 10, 12):
         rng = random.Random(4000 + k)
-        g = random_graph_with_cover(rng, k, k + 10, 0.35)
+        cases.append((k, random_graph_with_cover(rng, k, k + 10, 0.35)))
+    for k, g in cases:
         stats = {}
         treewidth_vc_3k(g, cover=set(range(k)), stats=stats)
         assert stats["valid_triples"] <= TRIPLE_CAP(k)
-        ratios.append(stats["join_cells"] / 3 ** k)
+    monkeypatch.setattr(treewidth, "width_bound", lambda ctx: 1 << 30)
+    cells = []
+    for k, g in cases:
+        stats = {}
+        treewidth_vc_3k(g, cover=set(range(k)), stats=stats)
+        cells.append(stats["join_cells"])
+    assert cells == [2676, 56352, 211624]
+    ratios = [c / 3 ** k for c, (k, _) in zip(cells, cases)]
     assert max(ratios) <= 4 * min(ratios), ratios
 
 

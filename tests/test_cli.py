@@ -152,8 +152,10 @@ def test_stats_block_of_the_complement_cover_solver(tmp_path, capsys):
         "glue subsets evaluated"]
     counts = {label: int(value) for label, value in pairs}
     # the entries within the width 2: all 8 subsets of the cover {1, 2, 3}
-    # but {1, 3}, whose boundary {2, 4, 5} puts it at 3
+    # but {1, 3}, whose boundary {2, 4, 5} puts it at 3; they are the
+    # states computed, while the bit planes span all 8
     assert counts["cover size"] == 3 and counts["table entries"] == 7
+    assert counts["states"] == 7 and counts["peak table entries"] == 8
     assert 1 <= counts["threshold levels"] <= counts["reach sweeps"]
     assert 1 <= counts["glue subsets evaluated"] <= 8
 
@@ -272,10 +274,43 @@ def test_memory_error_exits_3_with_one_error_line(tmp_path, capsys,
 
 
 def test_oracle_refuses_witness_flag(tmp_path, capsys):
+    # a usage error, whichever subcommand selects the oracle
     path = write(tmp_path, "p3.gr", P3)
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["oracle", "--emit-witness", "--input", path])
-    assert exc.value.code == 2
+    for argv in (["oracle"], ["oracle", "--algo", "pw"],
+                 ["tw", "--algo", "oracle"], ["pw", "--algo", "oracle-pw"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--emit-witness", "--input", path])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: vcwidth ")
+        assert err.endswith(
+            "error: --emit-witness is not available for the oracle\n")
+
+
+def test_invalid_own_witness_exits_4(tmp_path, capsys, monkeypatch):
+    # a solver whose witness fails its own validation has a bug: exit 4
+    # with the violations as internal errors, not 2 as for a bad input.
+    # Each solver's contraction is made to empty a bag of the witness
+    from vcwidth import complement, pathwidth, treewidth
+    from vcwidth.decomposition import Decomposition, contract
+
+    def emptying(bags, edges, kind):
+        dec = contract(bags, edges, kind)
+        return Decomposition([()] + dec.bags[1:], dec.edges, kind)
+
+    path = write(tmp_path, "c5.gr", C5)
+    for module, runs in ((pathwidth, [["pw"]]),
+                         (treewidth, [["tw"], ["tw", "--algo", "4k"]]),
+                         (complement, [["pw", "--algo", "cvc"]])):
+        with monkeypatch.context() as m:
+            m.setattr(module, "contract", emptying)
+            for argv in runs:
+                rc, out, err = run(capsys, argv + ["--input", path])
+                assert (rc, out) == (4, ""), argv
+                lines = err.splitlines()
+                assert lines and all(line.startswith("internal error: ")
+                                     for line in lines), argv
+                assert "is contained in no bag" in err, argv
 
 
 def test_oracle_vertex_cap(tmp_path, capsys):

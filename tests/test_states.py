@@ -507,7 +507,10 @@ def test_sweep_counters_of_the_ladder_k11_instance(monkeypatch):
     # triple. They decide at 9, one below the bound: rank 2 stores nothing,
     # so they stop before rank 3 and the greedy elimination order certifies
     # the width. With no bound they count the full sweep's work and the
-    # table certifies it
+    # table certifies it. tw-vc-3k builds the join data of a bag only when
+    # a triple there has two or more cover vertices below: 544 join cells
+    # at the bound, where rank 2 is the last one swept, against 49424 for
+    # every apex bag with two or more outside components with no bound
     g = random_graph_with_cover(random.Random(20260814), 11, 28, 0.35)
     counted = ("valid_triples", "states", "peak_table")
     gp, apex = add_universal_vertex(g)
@@ -526,7 +529,7 @@ def test_sweep_counters_of_the_ladder_k11_instance(monkeypatch):
         if solve is not pathwidth_vc:
             assert stats["certificate"] == "elimination order"
     joins = ("join_cells", "convolve_calls", "convolve_cells")
-    assert tuple(stats[name] for name in joins) == (49424, 8, 64)
+    assert tuple(stats[name] for name in joins) == (544, 8, 64)
     monkeypatch.setattr(treewidth, "width_bound", lambda ctx: 1 << 30)
     expect = {treewidth_vc_4k: (5575, 31357, 5575),
               treewidth_vc_3k: (5575, 30371, 5575)}

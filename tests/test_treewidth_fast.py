@@ -247,6 +247,95 @@ def test_join_cell_accounting():
         assert 0 <= stats["join_cells"] <= 3 ** (k - 1)
 
 
+def outside_components(ctx, bag):
+    """How many connected components the cover graph has outside `bag`,
+    counted by merging the ends of every cover edge."""
+    outside = [i for i in range(ctx.k) if not bag >> i & 1]
+    root = {i: i for i in outside}
+
+    def find(i):
+        while root[i] != i:
+            i = root[i]
+        return i
+
+    for i in outside:
+        for j in outside:
+            if ctx.cov_adj[i] >> j & 1:
+                root[find(i)] = find(j)
+    return len({find(i) for i in outside})
+
+
+def join_universe(ctx, ap):
+    """The apex bags whose outside has two or more components."""
+    return [bag for bag in range(1 << ctx.k)
+            if bag >> ap & 1 and outside_components(ctx, bag) >= 2]
+
+
+def test_bag_joins_built_once_where_the_sweep_asks(monkeypatch):
+    # the join data of a bag is built by the sweep's join provider the
+    # first time it asks about the bag with two or more cover vertices
+    # below, and never again in that solve: the built bags are exactly the
+    # asked bags with two or more outside components. The bounded solve at
+    # ladder k = 14 builds only part of the join universe
+    built, asked = [], set()
+    real_bag_joins = treewidth_fast._BagJoins
+    real_sweep = treewidth_fast.sweep
+
+    def building(ctx, bag, rest, comps):
+        built.append(bag)
+        return real_bag_joins(ctx, bag, rest, comps)
+
+    def asking(ctx, apex_pos, stats, *, joins, **hooks):
+        def recorded(table, below, bag, cross):
+            if below & (below - 1):
+                asked.add(bag)
+            return joins(table, below, bag, cross)
+        return real_sweep(ctx, apex_pos, stats, joins=recorded, **hooks)
+
+    monkeypatch.setattr(treewidth_fast, "_BagJoins", building)
+    monkeypatch.setattr(treewidth_fast, "sweep", asking)
+    rng = random.Random(63)
+    cases = [(g, minimum_vertex_cover(g)) for g in (
+        random_graph(rng, rng.randrange(2, 10), rng.choice([0.2, 0.4]))
+        for _ in range(30))]
+    cases.append((random_graph_with_cover(random.Random(20260814), 14, 34,
+                                          0.35), set(range(14))))
+    for g, cover in cases:
+        built.clear()
+        asked.clear()
+        treewidth_vc_3k(g, cover)
+        assert len(built) == len(set(built)), g.edges
+        ctx, ap = apex_ctx(g, cover)
+        assert set(built) == {bag for bag in asked
+                              if outside_components(ctx, bag) >= 2}, g.edges
+    assert 0 < len(built) < len(join_universe(ctx, ap))
+
+
+def test_unbounded_join_cells_count_the_whole_universe(monkeypatch):
+    # with no bound the sweep reaches every apex bag, so join_cells is the
+    # sum of 2^|C minus X| over the apex bags X with two or more outside
+    # components; at the width bound it counts no more than that
+    rng = random.Random(64)
+    cases = list(instance_mix(rng, 45))
+    bounded = []
+    for ctx, ap in cases:
+        stats = {}
+        _layer_sweep(ctx, ap, stats)
+        bounded.append(stats["join_cells"])
+    monkeypatch.setattr(treewidth, "width_bound", lambda ctx: 1 << 30)
+    fewer = some = 0
+    for (ctx, ap), cells in zip(cases, bounded):
+        stats = {}
+        _layer_sweep(ctx, ap, stats)
+        want = sum(1 << (ctx.full ^ bag).bit_count()
+                   for bag in join_universe(ctx, ap))
+        assert stats["join_cells"] == want
+        assert cells <= want
+        fewer += cells < want
+        some += want > 0
+    assert fewer > 0 and some > 30
+
+
 def test_join_minima_match_split_enumeration(monkeypatch):
     # the minima are computed only for the (bag, rank) pairs that a triple
     # within the width bound reaches; those must hold every target the
