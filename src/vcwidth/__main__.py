@@ -2,6 +2,7 @@
 process of its own."""
 
 import gc
+import os
 import sys
 
 
@@ -11,9 +12,20 @@ def main():
     # is off before cli is imported; in-process callers of cli.main keep
     # the collector as they have it.
     gc.disable()
-    from .cli import main as cli_main
+    from . import cli
 
-    return cli_main()
+    code = cli.main()
+    # For the same reason the process ends without interpreter teardown
+    # (module clean-up, freeing every object, atexit hooks, the last
+    # collection) once its output is out. A usage error or an uncaught
+    # exception never gets here and exits the usual way.
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        if code == 0:  # a write that failed in cli.main was reported there
+            code = cli.output_failed(exc)
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -6,7 +6,8 @@ path/tree decomposition against a graph. Graphs are read in .gr format from
 --input or stdin; decompositions are printed in .td format.
 
 Exit codes: 0 success, 2 malformed input (or failed check), 3 resource cap
-exceeded or memory exhausted, 4 internal invariant violation.
+exceeded, memory exhausted or output that cannot be written, 4 internal
+invariant violation.
 """
 
 from __future__ import annotations
@@ -67,14 +68,31 @@ _EXTRA_STATS = [
 ]
 
 
-def _print_stats(stats):
-    print(f"cover size: {stats.get('cover_size', 0)}")
-    print(f"valid triples: {stats.get('valid_triples', 0)}")
-    print(f"states: {stats.get('states', 0)}")
-    print(f"peak table entries: {stats.get('peak_table', 0)}")
-    for key, label in _EXTRA_STATS:
-        if key in stats:
-            print(f"{label}: {stats[key]}")
+def _stats_text(stats):
+    lines = [f"cover size: {stats.get('cover_size', 0)}",
+             f"valid triples: {stats.get('valid_triples', 0)}",
+             f"states: {stats.get('states', 0)}",
+             f"peak table entries: {stats.get('peak_table', 0)}"]
+    lines += [f"{label}: {stats[key]}" for key, label in _EXTRA_STATS
+              if key in stats]
+    return "\n".join(lines) + "\n"
+
+
+def output_failed(exc):
+    """Report that writing or flushing stdout failed; returns exit code 3."""
+    print(f"error: cannot write output: {exc.strerror or exc}",
+          file=sys.stderr)
+    return 3
+
+
+def _write_output(text):
+    """Write the answer to stdout: 0, or 3 when the write fails (a full
+    disk, a reader that closed the pipe)."""
+    try:
+        sys.stdout.write(text)
+    except OSError as exc:
+        return output_failed(exc)
+    return 0
 
 
 def _run_solver(args, algo, g):
@@ -117,12 +135,12 @@ def _run_solver(args, algo, g):
 def run(args, algo):
     g = parse_gr(_read_input(args.input))
     width, witness, stats = _run_solver(args, algo, g)
-    print(f"width: {width}")
+    out = [f"width: {width}\n"]
     if args.stats:
-        _print_stats(stats)
+        out.append(_stats_text(stats))
     if args.emit_witness:
-        sys.stdout.write(emit_td(witness, g.n))
-    return 0
+        out.append(emit_td(witness, g.n))
+    return _write_output("".join(out))
 
 
 def _run_check(graph_path, td_path):
@@ -138,8 +156,7 @@ def _run_check(graph_path, td_path):
         for v in violations:
             print(f"invalid: {v}", file=sys.stderr)
         return 2
-    print(f"width: {dec.width}")
-    return 0
+    return _write_output(f"width: {dec.width}\n")
 
 
 def _build_parser():

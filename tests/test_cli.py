@@ -1,5 +1,6 @@
 """Command-line interface: selectors, exit codes, witness round trips."""
 
+import errno
 import io
 import os
 import random
@@ -15,7 +16,7 @@ from vcwidth.errors import InternalError
 from vcwidth.graph import Graph
 from vcwidth.oracle import treewidth_exact
 
-from genutil import random_graph
+from genutil import random_graph, random_graph_with_cover
 
 
 def gr_text(n, edges):
@@ -454,3 +455,172 @@ def test_cover_limit_does_not_count_the_apex(tmp_path, capsys, solver, cover):
     assert (rc, out) == (3, "")
     assert err == "error: cover of size 26 exceeds the supported maximum " \
         "of 25\n"
+
+
+# The process entry: `python -m vcwidth` and the console script flush the
+# output and end with os._exit, skipping interpreter teardown.
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+MODULE = ["-m", "vcwidth"]
+
+
+def entry(*setup):
+    """`python -c` code that runs `setup` and then what the `vcwidth`
+    console script runs."""
+    return ["-c", "\n".join([*setup, "from vcwidth.__main__ import main",
+                             "sys.exit(main())"])]
+
+
+CONSOLE_SCRIPT = entry("import sys")
+ATEXIT_HOOK = entry("import atexit, sys",
+                    "atexit.register(sys.stderr.write, 'atexit ran\\n')")
+# a stdout whose failed bytes stay pending, so every flush fails again
+FULL_STDOUT = entry(
+    "import errno, os, sys",
+    "class Full:",
+    "    def write(self, text):",
+    "        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))",
+    "    def flush(self):",
+    "        self.write('')",
+    "sys.stdout = Full()")
+
+
+def spawn(args, unbuffered=False, **kwargs):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run([sys.executable, *args], env=env,
+                          stderr=subprocess.PIPE, timeout=60, **kwargs)
+
+
+def write_error(code):
+    return f"error: cannot write output: {os.strerror(code)}\n".encode()
+
+
+@pytest.fixture(scope="module")
+def wide_gr(tmp_path_factory):
+    # the `wide` benchmark's k = 5, n = 3000 structure
+    g = random_graph_with_cover(random.Random(20260814), 5, 3000, 0.35)
+    path = tmp_path_factory.mktemp("wide") / "wide.gr"
+    path.write_text(gr_text(g.n, sorted(g.edges)))
+    return str(path)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("sink", ["pipe", "file"])
+@pytest.mark.parametrize("solver", [["pw"], ["tw", "--algo", "4k"]])
+def test_process_prints_a_large_witness_whole(tmp_path, capsys, wide_gr,
+                                              solver, sink, unbuffered):
+    argv = [*solver, "--emit-witness", "--input", wide_gr]
+    rc, expected, err = run(capsys, argv)
+    assert rc == 0 and err == ""
+    assert len(expected) > 1 << 16  # more than a pipe buffer holds
+    if sink == "pipe":
+        result = spawn([*MODULE, *argv], unbuffered)
+        out = result.stdout
+    else:
+        out_path = tmp_path / "witness.td"
+        with open(out_path, "wb") as fh:
+            result = spawn([*MODULE, *argv], unbuffered, stdout=fh)
+        out = out_path.read_bytes()
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert out == expected.encode()
+
+
+@pytest.mark.parametrize("start", [MODULE, CONSOLE_SCRIPT])
+def test_process_exit_codes_match_cli_main(tmp_path, capsys, start):
+    c5 = write(tmp_path, "c5.gr", C5)
+    cases = [
+        ["pw", "--input", write(tmp_path, "bad.gr", "p tw 2 1\n1 3\n")],
+        ["pw", "--max-k", "0", "--input", c5],
+        ["tw", "--algo", "4k", "--max-k", "2", "--input", c5],
+        ["check", c5, write(tmp_path, "bad.td", "s td 1 2 5\nb 1 1 2\n")],
+        ["tw", "--stats", "--input", c5],
+    ]
+    codes = []
+    for argv in cases:
+        rc, out, err = run(capsys, argv)
+        result = spawn([*start, *argv])
+        assert (result.returncode, result.stdout, result.stderr) == \
+            (rc, out.encode(), err.encode()), argv
+        codes.append(rc)
+    assert codes == [2, 2, 3, 2, 0]
+
+
+def test_process_skips_teardown_only_after_cli_main_returns(tmp_path):
+    # atexit hooks are part of the teardown that a returned call skips; a
+    # usage error or --help leaves through SystemExit and runs them
+    path = write(tmp_path, "p3.gr", P3)
+    result = spawn([*ATEXIT_HOOK, "pw", "--input", path])
+    assert (result.returncode, result.stdout, result.stderr) == \
+        (0, b"width: 1\n", b"")
+    for argv, code in [(["tw", "--algo", "cvc", "--input", path], 2),
+                       (["--help"], 0)]:
+        result = spawn([*ATEXIT_HOOK, *argv])
+        assert result.returncode == code
+        assert result.stderr.endswith(b"atexit ran\n")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_output_to_a_full_device_exits_3(tmp_path, wide_gr, unbuffered):
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    # buffered, "width: 1" waits for the last flush, and the witness fails
+    # in the CLI's own write
+    for argv in [["pw", "--input", write(tmp_path, "p3.gr", P3)],
+                 ["pw", "--emit-witness", "--input", wide_gr]]:
+        with open("/dev/full", "wb") as full:
+            result = spawn([*MODULE, *argv], unbuffered, stdout=full)
+        assert (result.returncode, result.stderr) == \
+            (3, write_error(errno.ENOSPC)), argv
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_output_to_a_closed_pipe_exits_3(tmp_path, wide_gr, unbuffered):
+    # the reader is gone before the CLI writes anything
+    for argv in [["pw", "--input", write(tmp_path, "p3.gr", P3)],
+                 ["tw", "--algo", "4k", "--emit-witness", "--input",
+                  wide_gr]]:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = spawn([*MODULE, *argv], unbuffered, stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == \
+            (3, write_error(errno.EPIPE)), argv
+
+
+def test_a_failed_write_is_reported_once(tmp_path):
+    # the bytes of the failed write are still pending at the last flush
+    result = spawn([*FULL_STDOUT, "pw", "--input",
+                    write(tmp_path, "p3.gr", P3)])
+    assert (result.returncode, result.stderr) == \
+        (3, write_error(errno.ENOSPC))
+
+
+class BrokenStdout:
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
+def test_cli_main_reports_a_failed_write(tmp_path, capsys, monkeypatch):
+    c5 = write(tmp_path, "c5.gr", C5)
+    rc, out, err = run(capsys, ["pw", "--emit-witness", "--input", c5])
+    td = write(tmp_path, "c5.td", out.split("\n", 1)[1])
+    monkeypatch.setattr(sys, "stdout", BrokenStdout())
+    for argv in [["pw", "--input", c5], ["check", c5, td]]:
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err == write_error(errno.EPIPE).decode()
+
+
+def test_other_os_errors_are_not_relabelled(tmp_path, monkeypatch):
+    # the handler covers the output writes only
+    def broken(data):
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    monkeypatch.setattr(cli, "parse_gr", broken)
+    with pytest.raises(OSError):
+        cli.main(["pw", "--input", write(tmp_path, "p3.gr", P3)])
