@@ -6,9 +6,12 @@ seed as `python -m vcwidth` with the benchmark's own arguments
 compares a digest of each call's exit code, stdout and stderr with
 .github/benchmark_outputs.json. Each call runs a second time with `--stats`
 appended, whose digest is pinned under the call's name plus " --stats", so
-the solvers' counters are pinned too. A change that alters an answer, a
-witness, an error message or a counter on purpose re-pins the file with
---pin and says why. Usage, from anywhere:
+the solvers' counters are pinned too. The witness of each call that exits 0
+is then run through `python -m vcwidth check` against the call's graph, and
+that digest is pinned under the call's name plus " check", so the reader
+and validator that the benchmark's gate relies on are pinned as well. A
+change that alters an answer, a witness, an error message or a counter on
+purpose re-pins the file with --pin and says why. Usage, from anywhere:
 
     python3 .github/check_outputs.py          # check
     python3 .github/check_outputs.py --pin    # rewrite the pinned digests
@@ -26,6 +29,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PINNED = ROOT / ".github" / "benchmark_outputs.json"
 SEEDS = (20260814, 7)
 STATS = " --stats"  # suffix of the name of a call's --stats digest
+CHECK = " check"  # suffix of the name of its witness's `check` digest
 
 sys.path.insert(0, str(ROOT))
 from perfbench.gate import call_argv  # noqa: E402
@@ -41,9 +45,18 @@ def digest(code, out, err):
 
 def run_calls(seed, workdir):
     """{"workload/call": digest} of every call at `seed`, plus
-    {"workload/call --stats": digest} of the same call with --stats."""
+    {"workload/call --stats": digest} of the same call with --stats and
+    {"workload/call check": digest} of `check` on its witness, if any."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     digests = {}
+
+    def run(name, args):
+        done = subprocess.run(
+            [sys.executable, "-m", "vcwidth", *args], cwd=workdir, env=env,
+            capture_output=True, stdin=subprocess.DEVNULL, timeout=600)
+        digests[name] = digest(done.returncode, done.stdout, done.stderr)
+        return done
+
     for workload, make in WORKLOADS.items():
         paths = {}
         for call in make(seed):
@@ -55,13 +68,12 @@ def run_calls(seed, workdir):
             argv = call_argv(call, paths[inst.key])
             name = f"{workload}/{call.name}"
             assert name not in digests, name
-            for key, extra in ((name, []), (name + STATS, ["--stats"])):
-                done = subprocess.run(
-                    [sys.executable, "-m", "vcwidth", *argv, *extra],
-                    cwd=workdir, env=env, capture_output=True,
-                    stdin=subprocess.DEVNULL, timeout=600)
-                digests[key] = digest(done.returncode, done.stdout,
-                                      done.stderr)
+            done = run(name, argv)
+            run(name + STATS, argv + ["--stats"])
+            if done.returncode == 0:
+                witness = Path(workdir, "witness.td")
+                witness.write_bytes(done.stdout.split(b"\n", 1)[1])
+                run(name + CHECK, ["check", paths[inst.key][0], witness.name])
     return digests
 
 
@@ -70,11 +82,12 @@ def main(pin):
     for seed in SEEDS:
         with tempfile.TemporaryDirectory() as workdir:
             got[str(seed)] = run_calls(seed, workdir)
-    calls = sum(not name.endswith(STATS)
+    calls = sum(not name.endswith((STATS, CHECK))
                 for names in got.values() for name in names)
     if pin:
         PINNED.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n")
-        print(f"pinned {calls} calls, with and without --stats, to {PINNED}")
+        print(f"pinned {calls} calls, with and without --stats, and the "
+              f"checks of their witnesses to {PINNED}")
         return 0
     want = json.loads(PINNED.read_text())
     bad = [f"seed {seed} {name}"
@@ -84,8 +97,10 @@ def main(pin):
     for line in bad:
         print("output changed:", line)
     stats = sum(line.endswith(STATS) for line in bad)
-    print(f"{calls} calls, {len(bad) - stats} plain-output digests changed, "
-          f"{stats} --stats digests changed")
+    checks = sum(line.endswith(CHECK) for line in bad)
+    print(f"{calls} calls, {len(bad) - stats - checks} plain-output digests "
+          f"changed, {stats} --stats digests changed, {checks} check digests "
+          f"changed")
     return 1 if bad else 0
 
 

@@ -24,7 +24,10 @@ def main():
     except OSError as exc:
         if code == 0:  # a write that failed in cli.main was reported there
             code = cli.output_failed(exc)
-    sys.stderr.flush()
+    try:
+        sys.stderr.flush()
+    except OSError:  # a stderr that cannot be written keeps the exit code
+        pass
     os._exit(code)
 
 

@@ -20,8 +20,7 @@ from .cover import is_vertex_cover, minimum_vertex_cover
 from .decomposition import find_violations
 from .errors import (InputError, InternalError, InvalidDecompositionError,
                      ParseError, ResourceLimitError)
-from .formats import (decomposition_of, emit_td, parse_cover, parse_gr,
-                      parse_td)
+from .formats import emit_td, parse_cover, parse_gr, parse_td
 from .oracle import pathwidth_exact, treewidth_exact
 from .pathwidth import pathwidth_vc
 from .treewidth import treewidth_vc_4k
@@ -78,10 +77,18 @@ def _stats_text(stats):
     return "\n".join(lines) + "\n"
 
 
+def _print_errors(*lines):
+    """Print lines to stderr; if it cannot be written they are lost but
+    the exit code is not, as with argparse's own messages."""
+    try:
+        sys.stderr.write("".join(line + "\n" for line in lines))
+    except OSError:
+        pass
+
+
 def output_failed(exc):
     """Report that writing or flushing stdout failed; returns exit code 3."""
-    print(f"error: cannot write output: {exc.strerror or exc}",
-          file=sys.stderr)
+    _print_errors(f"error: cannot write output: {exc.strerror or exc}")
     return 3
 
 
@@ -145,16 +152,14 @@ def run(args, algo):
 
 def _run_check(graph_path, td_path):
     g = parse_gr(_read_input(graph_path))
-    doc = parse_td(_read_input(td_path))
-    dec, n = decomposition_of(doc)
+    dec, n = parse_td(_read_input(td_path))
     if n != g.n:
-        print(f"error: decomposition is for {n} vertices, graph has {g.n}",
-              file=sys.stderr)
+        _print_errors(
+            f"error: decomposition is for {n} vertices, graph has {g.n}")
         return 2
     violations = find_violations(g, dec)
     if violations:
-        for v in violations:
-            print(f"invalid: {v}", file=sys.stderr)
+        _print_errors(*(f"invalid: {v}" for v in violations))
         return 2
     return _write_output(f"width: {dec.width}\n")
 
@@ -207,24 +212,23 @@ def main(argv=None):
             parser.error("--emit-witness is not available for the oracle")
         return run(args, algo)
     except ParseError as exc:
-        print(f"error: line {exc.line}: {exc.message}", file=sys.stderr)
+        _print_errors(f"error: line {exc.line}: {exc.message}")
         return 2
     except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_errors(f"error: {exc}")
         return 2
     except InvalidDecompositionError as exc:
         # a solver's own witness failed validation (`check` exits 2 itself)
-        for v in exc.violations:
-            print(f"internal error: {v}", file=sys.stderr)
+        _print_errors(*(f"internal error: {v}" for v in exc.violations))
         return 4
     except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_errors(f"error: {exc}")
         return 3
     except MemoryError:
-        print("error: out of memory", file=sys.stderr)
+        _print_errors("error: out of memory")
         return 3
     except InternalError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+        _print_errors(f"internal error: {exc}")
         return 4
 
 

@@ -98,7 +98,8 @@ def contract(bags, edges, kind):
 
 
 def find_violations(g, dec):
-    """All axiom violations of `dec` as a decomposition of `g`, as strings.
+    """All axiom violations of `dec` as a decomposition of `g`, as strings
+    that name bags and vertices 1-based, as .td and .gr files write them.
 
     Checks structure first (bag graph is a tree; a path for kind="path"),
     then the three axioms: vertex coverage, edge coverage, and connectivity
@@ -113,16 +114,16 @@ def find_violations(g, dec):
     unknown = not all(map(known.issuperset, bags))
     if unknown:
         for idx, bag in enumerate(bags):
-            out += [f"bag {idx} contains unknown vertex {v}"
+            out += [f"bag {idx + 1} contains unknown vertex {v + 1}"
                     for v in bag if not 0 <= v < n]
 
     # structure: connected and exactly nbags-1 edges => tree
     edge_set = set()
     for i, j in dec.edges:
         if i == j:
-            out.append(f"bag edge ({i},{i}) is a self-loop")
+            out.append(f"bag edge ({i + 1},{i + 1}) is a self-loop")
         elif (i, j) in edge_set:
-            out.append(f"duplicate bag edge ({i},{j})")
+            out.append(f"duplicate bag edge ({i + 1},{j + 1})")
         edge_set.add((i, j))
     is_tree = True
     order = []  # the bags reachable from bag 0, parents first
@@ -144,11 +145,11 @@ def find_violations(g, dec):
                     order.append(j)
         if len(order) != nbags:
             out.append(f"bag graph is disconnected "
-                       f"({len(order)} of {nbags} bags reachable from bag 0)")
+                       f"({len(order)} of {nbags} bags reachable from bag 1)")
             is_tree = False
         if dec.kind == "path" and is_tree and any(len(x) > 2 for x in nbr):
             bad = next(i for i, x in enumerate(nbr) if len(x) > 2)
-            out.append(f"path decomposition has branching bag {bad}")
+            out.append(f"path decomposition has branching bag {bad + 1}")
 
     # on a tree, the bags holding v form roots[v] subtrees, each topped by a
     # bag whose parent lacks v; 1 means connected. Only vertices in two or
@@ -180,7 +181,7 @@ def find_violations(g, dec):
         missing = [] if settled else [v for v, c in enumerate(roots) if not c]
     else:
         missing = [v for v in range(n) if not occurs[v]]
-    out += [f"vertex {v} appears in no bag" for v in missing]
+    out += [f"vertex {v + 1} appears in no bag" for v in missing]
 
     # axiom 2: every edge is inside some bag. Two single subtrees meet iff
     # the shallower root's vertex lies in the deeper root's bag; otherwise
@@ -197,7 +198,7 @@ def find_violations(g, dec):
             if any(b in bags[i] for i in occurs.get(a, ())):
                 continue
         missed.append((u, v))
-    out += [f"edge ({u},{v}) is contained in no bag"
+    out += [f"edge ({u + 1},{v + 1}) is contained in no bag"
             for u, v in sorted(missed)]
 
     # axiom 3: the bags holding a vertex form a connected subtree
@@ -213,7 +214,7 @@ def find_violations(g, dec):
                     if j in allowed and j not in seen:
                         seen.add(j)
                         queue.append(j)
-            out.append(f"bags containing vertex {v} are disconnected "
+            out.append(f"bags containing vertex {v + 1} are disconnected "
                        f"({len(seen)} of {len(allowed)} connected)")
     return out
 

@@ -85,40 +85,16 @@ def emit_gr(g):
     return "\n".join(out) + "\n"
 
 
-class DecompositionDocument:
-    """A parsed .td file: 1-based ids exactly as written."""
-
-    __slots__ = ("num_bags", "width_plus_one", "n", "bags", "edges", "kind")
-
-    def __init__(self, num_bags, width_plus_one, n, bags, edges, kind):
-        self.num_bags = num_bags
-        self.width_plus_one = width_plus_one
-        self.n = n
-        self.bags = bags      # dict: bag id -> sorted tuple of vertex ids
-        self.edges = edges    # list of (i, j) bag-id pairs, i < j
-        self.kind = kind
-
-    def __eq__(self, other):
-        return (isinstance(other, DecompositionDocument)
-                and self.num_bags == other.num_bags
-                and self.width_plus_one == other.width_plus_one
-                and self.n == other.n
-                and self.bags == other.bags
-                and sorted(self.edges) == sorted(other.edges)
-                and self.kind == other.kind)
-
-    def __repr__(self):
-        return (f"DecompositionDocument(bags={self.num_bags}, "
-                f"width={self.width_plus_one - 1}, n={self.n}, kind={self.kind!r})")
-
-
 def parse_td(data):
-    """Parse .td text (str or bytes) into a DecompositionDocument."""
+    """Parse .td text (str or bytes) into (Decomposition, n): file bag i
+    is bag i-1, file vertex v is vertex v-1. Only the text is checked: the
+    header, tokens, id ranges, each bag defined once and the declared
+    width. Whether the bag edges form a tree (a path under 'c path') is
+    decomposition.find_violations' to say."""
     lines = _lines(data)
     header = None
     bags = {}
     edges = []
-    edge_seen = set()
     kind = "tree"
     for lineno, raw in enumerate(lines, 1):
         tok = raw.split()
@@ -155,8 +131,8 @@ def parse_td(data):
                 v = _nonneg(t, lineno, "bag vertex")
                 if not (1 <= v <= n):
                     raise ParseError(lineno, f"bag vertex {v} out of range 1..{n}")
-                content.add(v)
-            bags[i] = tuple(sorted(content))
+                content.add(v - 1)
+            bags[i] = content
             continue
         if len(tok) != 2:
             raise ParseError(lineno, "malformed bag edge line, expected '<i> <j>'")
@@ -166,47 +142,21 @@ def parse_td(data):
             raise ParseError(lineno, "bag id 0 (ids are 1-based)")
         if i > num_bags or j > num_bags:
             raise ParseError(lineno, f"bag id out of range 1..{num_bags}")
-        if i == j:
-            raise ParseError(lineno, f"self-loop bag edge at {i}")
-        e = (min(i, j), max(i, j))
-        if e in edge_seen:
-            raise ParseError(lineno, f"duplicate bag edge {i} {j}")
-        edge_seen.add(e)
-        edges.append(e)
+        edges.append((i - 1, j - 1))
 
     last = len(lines) if lines else 1
     if header is None:
         raise ParseError(last, "missing 's td <N> <w+1> <n>' header")
     num_bags, width_plus_one, n = header
-    for i in range(1, num_bags + 1):
-        if i not in bags:
-            raise ParseError(last, f"bag {i} never defined")
-    if num_bags > 0 and len(edges) != num_bags - 1:
-        raise ParseError(last, f"{len(edges)} bag edges do not form a tree "
-                               f"on {num_bags} bags")
-    if num_bags > 0:
-        # connectivity over bag ids 1..num_bags
-        nbr = {i: [] for i in range(1, num_bags + 1)}
-        for i, j in edges:
-            nbr[i].append(j)
-            nbr[j].append(i)
-        seen = {1}
-        stack = [1]
-        while stack:
-            i = stack.pop()
-            for j in nbr[i]:
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        if len(seen) != num_bags:
-            raise ParseError(last, "bag edges do not form a tree (disconnected)")
-        if kind == "path" and any(len(v) > 2 for v in nbr.values()):
-            raise ParseError(last, "declared path decomposition branches")
-    declared_max = max((len(b) for b in bags.values()), default=0)
+    if len(bags) != num_bags:  # every defined id is in 1..num_bags
+        missing = next(i for i in range(1, num_bags + 1) if i not in bags)
+        raise ParseError(last, f"bag {missing} never defined")
+    declared_max = max(map(len, bags.values()), default=0)
     if declared_max != width_plus_one:
         raise ParseError(last, f"header declares max bag size {width_plus_one} "
                                f"but largest bag has {declared_max}")
-    return DecompositionDocument(num_bags, width_plus_one, n, bags, edges, kind)
+    return Decomposition([bags[i] for i in range(1, num_bags + 1)], edges,
+                         kind), n
 
 
 def emit_td(dec, n):
@@ -229,15 +179,6 @@ def emit_td(dec, n):
     for i, j in sorted(dec.edges):
         out.append(f"{label(i)} {label(j)}")
     return "\n".join(out) + "\n"
-
-
-def decomposition_of(doc):
-    """DecompositionDocument -> (Decomposition with 0-based ids, n)."""
-    order = sorted(doc.bags)
-    index = {i: k for k, i in enumerate(order)}
-    bags = [frozenset(v - 1 for v in doc.bags[i]) for i in order]
-    edges = [(index[i], index[j]) for i, j in doc.edges]
-    return Decomposition(bags, edges, kind=doc.kind), doc.n
 
 
 def parse_cover(data, n):

@@ -846,14 +846,14 @@ def find_violations_by_scan(g, dec):
     for idx, bag in enumerate(dec.bags):
         for v in bag:
             if not (0 <= v < g.n):
-                out.append(f"bag {idx} contains unknown vertex {v}")
+                out.append(f"bag {idx + 1} contains unknown vertex {v + 1}")
 
     edge_set = set()
     for i, j in dec.edges:
         if i == j:
-            out.append(f"bag edge ({i},{i}) is a self-loop")
+            out.append(f"bag edge ({i + 1},{i + 1}) is a self-loop")
         elif (i, j) in edge_set:
-            out.append(f"duplicate bag edge ({i},{j})")
+            out.append(f"duplicate bag edge ({i + 1},{j + 1})")
         edge_set.add((i, j))
     is_tree = True
     if nbags > 0:
@@ -872,11 +872,11 @@ def find_violations_by_scan(g, dec):
                     queue.append(j)
         if len(seen) != nbags:
             out.append(f"bag graph is disconnected "
-                       f"({len(seen)} of {nbags} bags reachable from bag 0)")
+                       f"({len(seen)} of {nbags} bags reachable from bag 1)")
             is_tree = False
         if dec.kind == "path" and is_tree and any(len(x) > 2 for x in nbr):
             bad = next(i for i, x in enumerate(nbr) if len(x) > 2)
-            out.append(f"path decomposition has branching bag {bad}")
+            out.append(f"path decomposition has branching bag {bad + 1}")
 
     occurs = [[] for _ in range(g.n)]
     for idx, bag in enumerate(dec.bags):
@@ -885,7 +885,7 @@ def find_violations_by_scan(g, dec):
                 occurs[v].append(idx)
     for v in range(g.n):
         if not occurs[v]:
-            out.append(f"vertex {v} appears in no bag")
+            out.append(f"vertex {v + 1} appears in no bag")
 
     bags = dec.bags
     missed = []
@@ -893,7 +893,7 @@ def find_violations_by_scan(g, dec):
         a, b = (u, v) if len(occurs[u]) <= len(occurs[v]) else (v, u)
         if not any(b in bags[i] for i in occurs[a]):
             missed.append((u, v))
-    out += [f"edge ({u},{v}) is contained in no bag"
+    out += [f"edge ({u + 1},{v + 1}) is contained in no bag"
             for u, v in sorted(missed)]
 
     if is_tree and nbags > 0:
@@ -911,6 +911,6 @@ def find_violations_by_scan(g, dec):
                         seen.add(j)
                         queue.append(j)
             if len(seen) != len(allowed):
-                out.append(f"bags containing vertex {v} are disconnected "
+                out.append(f"bags containing vertex {v + 1} are disconnected "
                            f"({len(seen)} of {len(allowed)} connected)")
     return out

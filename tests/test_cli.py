@@ -491,8 +491,9 @@ def spawn(args, unbuffered=False, **kwargs):
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     kwargs.setdefault("stdout", subprocess.PIPE)
-    return subprocess.run([sys.executable, *args], env=env,
-                          stderr=subprocess.PIPE, timeout=60, **kwargs)
+    kwargs.setdefault("stderr", subprocess.PIPE)
+    return subprocess.run([sys.executable, *args], env=env, timeout=60,
+                          **kwargs)
 
 
 def write_error(code):
@@ -549,6 +550,29 @@ def test_process_exit_codes_match_cli_main(tmp_path, capsys, start):
     assert codes == [2, 2, 3, 2, 0]
 
 
+@pytest.mark.parametrize("td, lines", [
+    ("s td 2 1 1\nb 1 1\nb 2 1\n",
+     ["bag graph has 0 edges, a tree on 2 bags needs 1",
+      "bag graph is disconnected (1 of 2 bags reachable from bag 1)"]),
+    ("s td 2 1 1\nb 1 1\nb 2 1\n1 1\n",
+     ["bag edge (1,1) is a self-loop",
+      "bag graph is disconnected (1 of 2 bags reachable from bag 1)"]),
+    ("s td 3 1 1\nb 1 1\nb 2 1\nb 3 1\n1 2\n2 3\n3 2\n",
+     ["duplicate bag edge (2,3)",
+      "bag graph has 3 edges, a tree on 3 bags needs 2"]),
+    ("c path\ns td 4 1 1\nb 1 1\nb 2 1\nb 3 1\nb 4 1\n1 2\n1 3\n1 4\n",
+     ["path decomposition has branching bag 1"]),
+], ids=["no-edges", "self-loop", "duplicate-edge", "branching-path"])
+def test_check_names_bag_graph_faults_with_the_file_ids(tmp_path, td, lines):
+    # the .td reader leaves the bag graph's shape to the validator, whose
+    # lines name bags as the file does
+    gr = write(tmp_path, "k1.gr", "p tw 1 0\n")
+    result = spawn([*MODULE, "check", gr, write(tmp_path, "bad.td", td)])
+    assert (result.returncode, result.stdout) == (2, b"")
+    assert result.stderr.decode().splitlines() == \
+        [f"invalid: {line}" for line in lines]
+
+
 def test_process_skips_teardown_only_after_cli_main_returns(tmp_path):
     # atexit hooks are part of the teardown that a returned call skips; a
     # usage error or --help leaves through SystemExit and runs them
@@ -575,6 +599,24 @@ def test_output_to_a_full_device_exits_3(tmp_path, wide_gr, unbuffered):
             result = spawn([*MODULE, *argv], unbuffered, stdout=full)
         assert (result.returncode, result.stderr) == \
             (3, write_error(errno.ENOSPC)), argv
+
+
+def test_an_unwritable_stderr_keeps_the_exit_code(tmp_path):
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    # the error line is lost, as argparse's would be, but not the exit code
+    p3 = write(tmp_path, "p3.gr", P3)
+    bad = write(tmp_path, "bad.td", "s td 2 2 3\nb 1 1 2\nb 2 3\n1 2\n")
+    for argv, to_full, code in [
+            (["pw", "--input", write(tmp_path, "bad.gr", "p tw 2 1\n1 3\n")],
+             False, 2),
+            (["pw", "--input", p3, "--max-k", "0"], False, 2),
+            (["check", p3, bad], False, 2),
+            (["pw", "--input", p3], True, 3)]:
+        with open("/dev/full", "wb") as full:
+            result = spawn([*MODULE, *argv], stderr=full,
+                           stdout=full if to_full else subprocess.PIPE)
+        assert result.returncode == code, argv
 
 
 @pytest.mark.parametrize("unbuffered", [False, True])

@@ -87,7 +87,7 @@ def test_uncovered_edge_is_named():
     p3 = path_graph(3)
     bad = Decomposition([{0, 1}, {2}], [(0, 1)])
     violations = find_violations(p3, bad)
-    assert any("edge (1,2)" in v for v in violations)
+    assert any("edge (2,3)" in v for v in violations)
     with pytest.raises(InvalidDecompositionError):
         validate(p3, bad)
 
@@ -99,7 +99,8 @@ def test_uncovered_edges_are_named_in_sorted_order():
     dec = Decomposition([{v} for v in range(g.n)],
                         [(v, v + 1) for v in range(g.n - 1)], kind="path")
     assert find_violations(g, dec) == [
-        f"edge ({u},{v}) is contained in no bag" for u, v in sorted(g.edges)]
+        f"edge ({u + 1},{v + 1}) is contained in no bag"
+        for u, v in sorted(g.edges)]
     assert list(g.edges) != sorted(g.edges)
 
 
