@@ -20,12 +20,12 @@ def main():
     # collection) once its output is out. A usage error or an uncaught
     # exception never gets here and exits the usual way.
     try:
-        sys.stdout.flush()
+        cli.std_stream("stdout").flush()
     except OSError as exc:
         if code == 0:  # a write that failed in cli.main was reported there
             code = cli.output_failed(exc)
     try:
-        sys.stderr.flush()
+        cli.std_stream("stderr").flush()
     except OSError:  # a stderr that cannot be written keeps the exit code
         pass
     os._exit(code)

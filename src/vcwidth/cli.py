@@ -5,9 +5,9 @@ runs the exponential reference solvers on small graphs, `check` validates a
 path/tree decomposition against a graph. Graphs are read in .gr format from
 --input or stdin; decompositions are printed in .td format.
 
-Exit codes: 0 success, 2 malformed input (or failed check), 3 resource cap
-exceeded, memory exhausted or output that cannot be written, 4 internal
-invariant violation.
+Exit codes: 0 success, 2 malformed or unreadable input (or failed check), 3
+resource cap exceeded, memory exhausted or output that cannot be written, 4
+internal invariant violation; a closed stream is one that cannot be used.
 """
 
 from __future__ import annotations
@@ -42,14 +42,24 @@ _SELECTORS = {
 }
 
 
+def std_stream(name):
+    """sys.stdin, stdout or stderr by name; OSError where Python set it to
+    None, as it does for a fd closed at start-up."""
+    stream = getattr(sys, name)
+    if stream is None:
+        raise OSError(f"{name} is closed")
+    return stream
+
+
 def _read_input(path):
-    if path is None:
-        return sys.stdin.buffer.read()
     try:
+        if path is None:
+            return std_stream("stdin").buffer.read()
         with open(path, "rb") as fh:
             return fh.read()
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
+        name = "stdin" if path is None else path
+        raise InputError(f"cannot read {name}: {exc.strerror or exc}") from exc
 
 
 # Solver-specific counters, printed after the common four when collected.
@@ -81,7 +91,7 @@ def _print_errors(*lines):
     """Print lines to stderr; if it cannot be written they are lost but
     the exit code is not, as with argparse's own messages."""
     try:
-        sys.stderr.write("".join(line + "\n" for line in lines))
+        std_stream("stderr").write("".join(line + "\n" for line in lines))
     except OSError:
         pass
 
@@ -94,9 +104,9 @@ def output_failed(exc):
 
 def _write_output(text):
     """Write the answer to stdout: 0, or 3 when the write fails (a full
-    disk, a reader that closed the pipe)."""
+    disk, a reader that closed the pipe, a closed stdout)."""
     try:
-        sys.stdout.write(text)
+        std_stream("stdout").write(text)
     except OSError as exc:
         return output_failed(exc)
     return 0

@@ -49,9 +49,10 @@ bound the way treewidth does.
 
 The sweep is states.sweep, the one treewidth runs, with pathwidth's hooks
 (partial_width_table): the half, _rank0_entry as its rank-0 reader, and
-_tight_flags as its finishing step. Without joins, a rank that stores
-nothing ends it. Rank 0 is computed, not swept (see below), and always
-holds the base state, so the sweep starts at rank 1.
+_tight_flags as its finishing step, which gets the lowers that reach base
+from states.best_lower. Without joins, a rank that stores nothing ends it.
+Rank 0 is computed, not swept (see below), and always holds the base
+state, so the sweep starts at rank 1.
 
 Table layout: one int per stored triple (L, X, R), keyed (L << k) | X,
 like the treewidth table. Its low byte is V, the best lower candidate
@@ -71,7 +72,7 @@ lowers, u not the apex, have xl = touching(X, ∅, u) = 0 and read
 (∅, X - u) is worth |X| - 2, every candidate of (∅, X) is
 max(|X| - 2, base) = base, so by induction V(∅, X) = |X| - 1 for every X
 that holds the apex, and a sweep at a limit keeps (∅, X) iff |X| - 1 is
-within it. The flags are _tight_flags over those predecessors. These are
+within it. The flags are _tight_flags over those lowers, all free. These are
 2^(k-1) triples, the bulk of the half (16,384 of its 23,998 at ladder
 k = 14), and the sweep above them reads at most one per rank-1 triple, so
 _rank0_entry computes an entry where it is read: by a rank-1 triple's
@@ -89,43 +90,19 @@ from .states import apex_context, iter_bits, state_bags, sweep, touching
 from .treewidth import width_bound
 
 
-def _free_intros(ctx, get, below, bag, base, apex):
-    """The bits u of the introduce(u) lowers with xl = 0 and pred <= base:
-    the lowers that reach base. No forget(u) lower does: the vertices that
-    see u and ahead but nothing else below are both what this triple's
-    crossing adds to its predecessor's and that predecessor's forget(u)
-    extra, so the predecessor's value is at least base + 1. With xl = 0
-    the predecessor's base is base - 1, so its flag never matters here."""
-    if below == 0 and bag == apex:
-        return [apex]  # the base state: pred 0, xl 0
-    cov_adj = ctx.cov_adj
-    inside = ctx.inside
-    below_bag = below | bag
-    extra = inside[below_bag] - inside[bag]
-    key = below << ctx.k
-    intro = []
-    m = bag
-    while m:
-        bit = m & -m
-        m ^= bit
-        if cov_adj[bit.bit_length() - 1] & below:
-            continue
-        pv = get(key | (bag ^ bit))
-        if (pv is not None and pv & 255 <= base
-                and extra == inside[below_bag ^ bit] - inside[bag ^ bit]):
-            intro.append(bit)
-    return intro
-
-
-def _tight_flags(ctx, get, below, bag, ahead, base, apex):
+def _tight_flags(ctx, free, bag, ahead):
     """The flag bits of a triple whose best lower reaches exactly base
-    while some vertex is confined to the bag.
+    while some vertex is confined to the bag; `free` masks the u of the
+    introduce(u) lowers that reach it (xl = 0 and pred <= base).
 
-    Only the free lowers (_free_intros) reach base. A slot whose own term
-    is 0 (the introduce upper, or forget(v) with xr = 0) costs base + 1
-    unless one of them leaves every bag-confined vertex a pendant bag in a
-    neighboring state: a vertex confined to the bag needs its pendant bag
-    here only if it sees the introduced vertex and, under forget(v), v.
+    No forget(u) lower reaches base: the vertices that see u and ahead but
+    nothing else below are both what this triple's crossing adds to its
+    predecessor's and that predecessor's forget(u) extra, so its value is
+    at least base + 1. A slot whose own term is 0 (the introduce upper, or
+    forget(v) with xr = 0) costs base + 1 unless a free lower leaves every
+    bag-confined vertex a pendant bag in a neighboring state: a vertex
+    confined to the bag needs its pendant bag here only if it sees the
+    introduced vertex and, under forget(v), v.
     """
     cov_adj = ctx.cov_adj
     inside = ctx.inside
@@ -133,21 +110,13 @@ def _tight_flags(ctx, get, below, bag, ahead, base, apex):
     flags = 0
     if ahead:
         # under the introduce upper, introduce(u) frees the pendant bags
-        # only when no confined vertex sees u: check those lowers alone
+        # only when no confined vertex sees u
         flags = 1 << 8
-        below_bag = below | bag
-        extra = inside[below_bag] - in_bag
-        key = below << ctx.k
-        m = bag
+        m = free
         while m:
             bit = m & -m
             m ^= bit
-            rest = bag ^ bit
-            if inside[rest] != in_bag or cov_adj[bit.bit_length() - 1] & below:
-                continue
-            pv = get(key | rest)
-            if (pv is not None and pv & 255 <= base
-                    and extra == inside[below_bag ^ bit] - inside[rest]):
+            if inside[bag ^ bit] == in_bag:
                 flags = 0
                 break
     intro = None
@@ -163,7 +132,7 @@ def _tight_flags(ctx, get, below, bag, ahead, base, apex):
         rest = bag ^ bit
         if extra == inside[bag_ahead ^ bit] - inside[rest]:  # xr = 0
             if intro is None:
-                intro = _free_intros(ctx, get, below, bag, base, apex)
+                intro = [1 << u for u in iter_bits(free)]
             if all(in_bag - inside[bag ^ a] - inside[rest] + inside[rest & ~a]
                    for a in intro):
                 flags |= 1 << (v + 8)
@@ -176,18 +145,15 @@ def _rank0_entry(ctx, bag, apex, limit=255):
     flags. None if the bag lacks the apex, as the table holds only apex
     bags, or if V is above the limit.
 
-    `apex` is the apex bit, from the caller: ctx.apex is 0 when the apex is
-    a vertex of the graph."""
+    Its free lowers are introduce(u) of every u in the bag but the apex, or
+    the apex alone for the base state. `apex` is the apex bit, from the
+    caller: ctx.apex is 0 when the apex is a vertex of the graph."""
     base = bag.bit_count() - 1
     if not bag & apex or base > limit:
         return None
     if not ctx.inside[bag]:
         return base
-
-    def get(rest):  # V of (nothing below, rest), flags left out
-        return rest.bit_count() - 1 if rest & apex else None
-
-    return base | _tight_flags(ctx, get, 0, bag, ctx.full & ~bag, base, apex)
+    return base | _tight_flags(ctx, bag ^ apex or apex, bag, ctx.full & ~bag)
 
 
 def partial_width_table(ctx, stats=None, *, apex_pos, limit=None):
@@ -207,8 +173,8 @@ def partial_width_table(ctx, stats=None, *, apex_pos, limit=None):
     def rank0(bag):
         return _rank0_entry(ctx, bag, apex, limit)
 
-    def finish(get, below, bag, ahead, base):
-        return base | _tight_flags(ctx, get, below, bag, ahead, base, apex)
+    def finish(free, below, bag, ahead, base):
+        return base | _tight_flags(ctx, free, bag, ahead)
 
     return sweep(ctx, apex_pos, stats, limit=limit, rank0=rank0,
                  finish=finish, half=True)

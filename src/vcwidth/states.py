@@ -40,7 +40,8 @@ lower kernel, best_lower. A solver passes only what differs: its rank-0
 reader (pathwidth's closed form, or treewidth's degenerate floor), its
 finishing step for a value at its base (pathwidth's flags, or treewidth's
 floor and limit), `half` for pathwidth, and for treewidth a join provider
-(bipartitions of `below`, or subset-convolution minima).
+(bipartitions of `below`, or subset-convolution minima). best_lower
+also hands the finishing step the introduce lowers that reach base.
 """
 
 from __future__ import annotations
@@ -286,10 +287,11 @@ _NO_LOWER = 1 << 62
 
 def best_lower(ctx, get, below, bag, base, rank0):
     """(min over the reachable non-join lowers of max(pred, base + xl),
-    their count), reading the table through its `get`; _NO_LOWER when the
-    count is 0. `below` is not empty: the forget lower of a rank-1 triple
-    reads its rank-0 predecessor through `rank0(bag)`, None if it is not
-    kept.
+    their count, free), reading the table through its `get`; _NO_LOWER when
+    the count is 0. `free` masks the u whose introduce(u) lower's candidate
+    is base (xl = 0 and pred <= base). `below` is not empty: the forget
+    lower of a rank-1 triple reads its rank-0 predecessor through
+    `rank0(bag)`, None if it is not kept.
 
     An entry is V, plus pathwidth's flag bits from bit 8 on. An
     introduce(u) lower reads V of (below, bag - u) and never its flag:
@@ -305,7 +307,7 @@ def best_lower(ctx, get, below, bag, base, rank0):
     extra = base + inside[below_bag] - inside[bag]
     key = below << k
     best = _NO_LOWER
-    count = 0
+    count = free = 0
     m = bag
     while m:
         bit = m & -m
@@ -319,6 +321,8 @@ def best_lower(ctx, get, below, bag, base, rank0):
             pv &= 255
             if pv > val:
                 val = pv
+            elif val == base:  # xl = 0 and pred <= base
+                free |= bit
             if val < best:
                 best = val
     floor = base + 1
@@ -339,7 +343,7 @@ def best_lower(ctx, get, below, bag, base, rank0):
             val += pv >> (bit.bit_length() + 8) & 1
             if val < best:
                 best = val
-    return best, count
+    return best, count, free
 
 
 def sweep(ctx, apex_pos, stats, *, limit, rank0, finish, half=False,
@@ -355,8 +359,8 @@ def sweep(ctx, apex_pos, stats, *, limit, rank0, finish, half=False,
     with `joins`, of joins(table, below, bag, base), the list of its join
     lowers' candidates. The tight term, 0 or 1, can raise only a value
     equal to base, and only when some vertex is confined to the bag, so
-    only such a value goes through `finish(get, below, bag, ahead, base)`,
-    which returns the entry to store, or None if it is above the limit.
+    only such a value goes through `finish(free, below, bag, ahead, base)`,
+    given best_lower's `free`; it returns the entry to store or None.
     Rank-0 triples are computed where they are read (`rank0`), never swept
     or stored; `half` keeps |below| <= |ahead|.
 
@@ -383,7 +387,7 @@ def sweep(ctx, apex_pos, stats, *, limit, rank0, finish, half=False,
             base = bag.bit_count() - 1 + touching(inside, full, below, ahead)
             if base > limit:
                 continue
-            val, lowers = best_lower(ctx, get, below, bag, base, rank0)
+            val, lowers, free = best_lower(ctx, get, below, bag, base, rank0)
             if joins is not None:
                 split = joins(table, below, bag, base)
                 if split:
@@ -392,7 +396,7 @@ def sweep(ctx, apex_pos, stats, *, limit, rank0, finish, half=False,
             if val > limit:  # no lower (_NO_LOWER), or every slot above
                 continue
             if val == base and inside[bag]:
-                val = finish(get, below, bag, ahead, base)
+                val = finish(free, below, bag, ahead, base)
                 if val is None:
                     continue
             table[(below << k) | bag] = val

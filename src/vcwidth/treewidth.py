@@ -181,7 +181,7 @@ def _sweep_hooks(ctx, limit=None):
     def rank0(bag):
         return bag.bit_count() - 1 + (bag in type_masks)
 
-    def finish(get, below, bag, ahead, base):
+    def finish(free, below, bag, ahead, base):
         # a vertex whose neighborhood is exactly the bag needs a full bag,
         # one more than base if nothing crosses
         if bag in type_masks and base < bag.bit_count():

@@ -619,6 +619,38 @@ def test_an_unwritable_stderr_keeps_the_exit_code(tmp_path):
         assert result.returncode == code, argv
 
 
+@pytest.mark.skipif(os.name != "posix", reason="needs preexec_fn")
+def test_closed_standard_streams_end_in_their_codes(tmp_path):
+    # Python sets a stream whose fd is closed at start-up to None: a closed
+    # stdout is output that cannot be written (3), a closed stdin input
+    # that cannot be read (2), and a closed stderr loses its lines but not
+    # the code. The fds are closed in the child only, after the pipes are
+    # in place; stdin holds P3 in every case
+    p3 = write(tmp_path, "p3.gr", P3)
+    bad = write(tmp_path, "bad.gr", "p tw 3 2\n1 2\n2 2\n")
+    cases = [
+        (["pw"], (), 0, b"width: 1\n", b""),  # every stream open
+        (["pw", "--input", p3], (1,), 3, b"",
+         b"error: cannot write output: stdout is closed\n"),
+        (["check", p3, os.devnull], (1,), 2, b"", None),
+        (["pw", "--input", bad], (1, 2), 2, b"", b""),
+        (["pw", "--input", p3], (1, 2), 3, b"", b""),
+        (["pw"], (0,), 2, b"", b"error: cannot read stdin: stdin is closed\n"),
+    ]
+    for argv, closed, code, out, err in cases:
+        def close_in_child(fds=closed):
+            for fd in fds:
+                os.close(fd)
+
+        with open(p3, "rb") as stdin:
+            result = spawn([*MODULE, *argv], stdin=stdin,
+                           preexec_fn=close_in_child)
+        assert (result.returncode, result.stdout) == (code, out), argv
+        assert b"Traceback" not in result.stderr, argv
+        if err is not None:
+            assert result.stderr == err, argv
+
+
 @pytest.mark.parametrize("unbuffered", [False, True])
 def test_output_to_a_closed_pipe_exits_3(tmp_path, wide_gr, unbuffered):
     # the reader is gone before the CLI writes anything

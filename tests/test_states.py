@@ -438,8 +438,10 @@ def _tw_pred(ctx, table, ap, below, bag, forgotten, base):
 def test_best_lower_folds_the_slots_it_reads():
     # states.best_lower reads V and the flags of each predecessor directly;
     # it must equal the min over the valid lowers of max(the predecessor's
-    # slot, base + xl), with their count, on every triple the sweep reads
-    # it for, those with something below. Its tables are random parts of
+    # slot, base + xl), with their count and the mask of the introduce
+    # lowers whose candidate is exactly base (xl = 0, pred <= base), on
+    # every triple the sweep reads it for, those with something below; some
+    # triples have such lowers. Its tables are random parts of
     # the pathwidth half table (V and flags) and of the treewidth table (V
     # alone), at each triple's own base: the forget slot's floor is this
     # triple's base + 1. Each is read through its own solver's rank-0
@@ -448,7 +450,7 @@ def test_best_lower_folds_the_slots_it_reads():
     # and the rank-0 predecessors of rank-1 triples
     rng = random.Random(73)
     every = _AllReachable()
-    lowers_seen = flagged = 0
+    lowers_seen = flagged = frees = 0
     for ctx, ap in _helper_contexts():
         apex = 1 << ap
 
@@ -471,10 +473,13 @@ def test_best_lower_folds_the_slots_it_reads():
                 base = bag.bit_count() - 1 + touching(ctx.inside, ctx.full,
                                                       below, ahead)
                 cands = []
+                free = 0
                 for code, xl, _ in _lowers(ctx, every, below, bag):
                     if code < 32:
                         pred = read(ctx, table, ap, below, bag ^ 1 << code,
                                     None, base)
+                        if pred is not None and xl == 0 and pred <= base:
+                            free |= 1 << code
                     else:
                         u = code - 32
                         pred = read(ctx, table, ap, below ^ 1 << u,
@@ -485,10 +490,11 @@ def test_best_lower_folds_the_slots_it_reads():
                         cands.append(max(pred, base + xl))
                 assert best_lower(ctx, table.get, below, bag, base,
                                   rank0) == \
-                    (min(cands, default=_NO_LOWER), len(cands))
+                    (min(cands, default=_NO_LOWER), len(cands), free)
                 lowers_seen += bool(cands)
+                frees += bool(free)
             flagged += sum((rank0(bag) or 0) >> 8 > 0 for bag in rank0_read)
-    assert lowers_seen > 1000 and flagged > 50
+    assert lowers_seen > 1000 and flagged > 50 and frees > 5
 
 
 def test_sweep_counters_of_the_ladder_k11_instance(monkeypatch):
