@@ -21,13 +21,12 @@ from .decomposition import find_violations
 from .errors import (InputError, InternalError, InvalidDecompositionError,
                      ParseError, ResourceLimitError)
 from .formats import emit_td, parse_cover, parse_gr, parse_td
-from .oracle import pathwidth_exact, treewidth_exact
+from .oracle import ORACLE_MAX_N, pathwidth_exact, treewidth_exact
 from .pathwidth import pathwidth_vc
 from .treewidth import treewidth_vc_4k
 from .treewidth_fast import treewidth_vc_3k
 
 DEFAULT_MAX_K = {"tw-vc-3k": 14, "tw-vc-4k": 14, "pw-vc": 18, "pw-cvc": 26}
-DEFAULT_MAX_N = 26
 ORACLE_FALLBACK_MAX_N = 12
 
 _SELECTORS = {
@@ -112,17 +111,18 @@ def _write_output(text):
     return 0
 
 
+def _oracle(solve, g, max_n):
+    """One oracle solve within max_n vertices: (width, None, counters)."""
+    return solve(g, max_n=max_n), None, {"states": 1 << g.n,
+                                         "peak_table": 1 << g.n}
+
+
 def _run_solver(args, algo, g):
     """Dispatch one solve; returns (width, witness-or-None, stats dict)."""
-    stats = {}
     if algo in ("oracle-tw", "oracle-pw"):
-        if g.n > args.max_n:
-            raise ResourceLimitError(
-                f"graph has {g.n} vertices, oracle cap is {args.max_n}")
-        w = treewidth_exact(g) if algo == "oracle-tw" else pathwidth_exact(g)
-        stats["states"] = 1 << g.n
-        stats["peak_table"] = 1 << g.n
-        return w, None, stats
+        solve = treewidth_exact if algo == "oracle-tw" else pathwidth_exact
+        return _oracle(solve, g, min(args.max_n, ORACLE_MAX_N))
+    stats = {}
     cap = args.max_k if args.max_k is not None else DEFAULT_MAX_K[algo]
     cover = parse_cover(_read_input(args.cover), g.n) if args.cover else None
     if algo == "pw-cvc":
@@ -137,10 +137,7 @@ def _run_solver(args, algo, g):
         if (args.algo is None and algo == "tw-vc-3k"
                 and g.n <= ORACLE_FALLBACK_MAX_N and not args.emit_witness):
             # small instance with a large cover: the plain oracle is cheaper
-            w = treewidth_exact(g)
-            stats["states"] = 1 << g.n
-            stats["peak_table"] = 1 << g.n
-            return w, None, stats
+            return _oracle(treewidth_exact, g, ORACLE_MAX_N)
         size = "" if cover is None else f" of size {len(cover)}"
         raise ResourceLimitError(f"vertex cover{size} exceeds the cap {cap}")
     solver = {"pw-vc": pathwidth_vc, "tw-vc-4k": treewidth_vc_4k,
@@ -195,8 +192,8 @@ def _build_parser():
                        help="print solver counters")
         p.add_argument("--max-k", type=int, default=None,
                        help="cover size cap (defaults per algorithm)")
-        p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N,
-                       help="vertex count cap for the oracle")
+        p.add_argument("--max-n", type=int, default=ORACLE_MAX_N,
+                       help=f"oracle vertex cap, at most {ORACLE_MAX_N}")
     pc = sub.add_parser("check", help="validate a .td against a .gr")
     pc.add_argument("graph", help=".gr file")
     pc.add_argument("decomposition", help=".td file")
@@ -214,10 +211,9 @@ def main(argv=None):
             parser.error(f"unknown --algo {args.algo!r} for "
                          f"{args.subcommand}")
         algo = table[args.algo]
-        if args.max_k is not None and args.max_k <= 0:
-            raise InputError(f"--max-k must be positive, got {args.max_k}")
-        if args.max_n <= 0:
-            raise InputError(f"--max-n must be positive, got {args.max_n}")
+        for flag, cap in (("--max-k", args.max_k), ("--max-n", args.max_n)):
+            if cap is not None and cap <= 0:
+                raise InputError(f"{flag} must be positive, got {cap}")
         if args.emit_witness and algo.startswith("oracle"):
             parser.error("--emit-witness is not available for the oracle")
         return run(args, algo)

@@ -267,6 +267,15 @@ def _side_bags(g, order, positions):
     return bags
 
 
+def _over_cap(size, max_cover):
+    """The ResourceLimitError for a complement cover over max_cover: a cap
+    set below MAX_COMPLEMENT_COVER is named as a cap, as the vc solvers'
+    are, and this module's own as its supported maximum."""
+    limit = (f"the cap {max_cover}" if max_cover < MAX_COMPLEMENT_COVER
+             else f"the supported maximum of {max_cover}")
+    return ResourceLimitError(f"complement cover{size} exceeds {limit}")
+
+
 def pathwidth_cvc(g, cover=None, stats=None, max_cover=MAX_COMPLEMENT_COVER):
     """Exact pathwidth of g and a path decomposition, parameterized by a
     vertex cover of the complement graph.
@@ -287,9 +296,7 @@ def pathwidth_cvc(g, cover=None, stats=None, max_cover=MAX_COMPLEMENT_COVER):
         if g.n * (g.n - 1) // 2 - g.m <= max_cover * (g.n - 1):
             cover = minimum_vertex_cover(g.complement(), limit=max_cover)
         if cover is None:
-            raise ResourceLimitError(
-                f"complement cover exceeds the supported maximum "
-                f"of {max_cover}")
+            raise _over_cap("", max_cover)
     else:
         # a cover of the complement leaves a clique of g outside; the check
         # stops at the first vertex missing a neighbor there
@@ -300,9 +307,7 @@ def pathwidth_cvc(g, cover=None, stats=None, max_cover=MAX_COMPLEMENT_COVER):
                 "provided vertex set is not a vertex cover of the complement")
     k = len(cover)
     if k > max_cover:
-        raise ResourceLimitError(
-            f"complement cover of size {k} exceeds the supported maximum "
-            f"of {max_cover}")
+        raise _over_cap(f" of size {k}", max_cover)
     order = sorted(cover)
     width, (l_mask, cn, r_mask), planes = rooted_pw_table(g, order, stats)
     rooted = _reader(planes, 1 << k)

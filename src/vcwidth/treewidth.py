@@ -265,33 +265,28 @@ def _expand_tree(ctx, table, below, bag, slot, val, nodes):
     raise InternalError("treewidth back-walk lost the optimum")
 
 
-def _final_value(ctx, table, apex_pos):
-    """V of the final state (all but the apex below, the apex alone in the
-    bag), the width plus one; None if the sweep did not keep it. With an
-    empty cover it is degenerate and computed."""
-    apex = 1 << apex_pos
-    return _value(ctx, table, ctx.full ^ apex, apex)
-
-
 def decide_width(ctx, apex_pos, sweep, stats):
     """(width, table): the treewidth of g, decided by one sweep(limit) at
-    limit = width_bound(ctx) - 1, and the table that sweep returned.
+    limit = width_bound(ctx) - 1, and the table that certifies it.
 
-    If the final state is within the limit, its value is the width plus
-    one and the table is the certificate. If not, the width is the limit:
-    the sweep shows it is at least that, and the greedy elimination order
-    gives a decomposition of that width (reconstruct_tree).
+    The final state (all but the apex below, the apex alone in the bag) is
+    worth the width plus one. If the sweep kept it, or it is degenerate (an
+    empty cover, whose empty table still certifies) and within the bound,
+    the table is the certificate. If not, the width is the limit: the sweep
+    shows it is at least that, and the greedy elimination order gives a
+    decomposition of that width, so the table is None.
     """
     bound = width_bound(ctx)
     table = sweep(bound - 1)
-    value = _final_value(ctx, table, apex_pos)
-    width = bound - 1 if value is None or value > bound else value - 1
+    value = _value(ctx, table, ctx.full ^ (1 << apex_pos), 1 << apex_pos)
+    if value is None or value > bound:
+        value, table = bound, None
     if stats is not None:
         stats["width_bound"] = bound
         stats["sweeps"] = 1
-        stats["certificate"] = ("table" if value == width + 1
-                                else "elimination order")
-    return width, table
+        stats["certificate"] = ("elimination order" if table is None
+                                else "table")
+    return value - 1, table
 
 
 def _state_tree(ctx, table, apex_pos, width):
@@ -353,14 +348,13 @@ def _elimination_tree(ctx):
 
 
 def reconstruct_tree(g, ctx, table, apex, width):
-    """A tree decomposition of g of width `width`, from the certificate
-    decide_width used: the optimal state tree if the final state's value is
-    width + 1, else the greedy elimination order. The apex is stripped and
-    the tree contracted; the result is validated before returning.
+    """A tree decomposition of g of width `width`, from decide_width's
+    certificate: the optimal state tree of `table`, or the greedy
+    elimination order when `table` is None. The apex is stripped and the
+    tree contracted; the result is validated before returning.
     """
-    apex_pos = ctx.position[apex]
-    if _final_value(ctx, table, apex_pos) == width + 1:
-        bags, edges = _state_tree(ctx, table, apex_pos, width)
+    if table is not None:
+        bags, edges = _state_tree(ctx, table, ctx.position[apex], width)
     else:
         bags, edges = _elimination_tree(ctx)
     for b in bags:  # no two bags share a set

@@ -318,6 +318,38 @@ def test_oracle_vertex_cap(tmp_path, capsys):
     path = write(tmp_path, "p3.gr", P3)
     rc, out, err = run(capsys, ["oracle", "--max-n", "2", "--input", path])
     assert rc == 3 and "error:" in err
+    # --max-n can only lower the oracle's own cap of 26, and the oracle's
+    # is the one check and the one message
+    iso27 = write(tmp_path, "iso27.gr", gr_text(27, []))
+    for algo in ("tw", "pw"):
+        for max_n, cap in (("20", 20), ("30", 26)):
+            rc, out, err = run(capsys, ["oracle", "--algo", algo, "--max-n",
+                                        max_n, "--input", iso27])
+            assert (rc, out, err) == (3, "", "error: oracle handles at most "
+                                      f"n = {cap} vertices, got 27\n")
+        rc, out, err = run(capsys, ["oracle", "--algo", algo, "--max-n", "30",
+                                    "--stats", "--input", path])
+        assert rc == 0 and err == ""
+        assert out.splitlines()[0] == "width: 1"
+        assert "states: 8" in out.splitlines()
+
+
+def test_a_lowered_complement_cover_cap_is_named_as_a_cap(tmp_path, capsys):
+    # the benchmark's dense_instance(18, 24, 0.35, 0), the complement of a
+    # graph with cover 0..17: its complement cover is over --max-k 10,
+    # whether searched or given, and the message names the user's cap as
+    # the vc solvers do
+    g = random_graph_with_cover(random.Random(20260814), 18, 24,
+                                0.35).complement()
+    path = write(tmp_path, "dense.gr", gr_text(g.n, sorted(g.edges)))
+    cover = write(tmp_path, "dense.cover", " ".join(map(str, range(1, 19))))
+    for extra, message in [
+            ([], "complement cover exceeds the cap 10"),
+            (["--cover", cover],
+             "complement cover of size 18 exceeds the cap 10")]:
+        rc, out, err = run(capsys, ["pw", "--algo", "cvc", "--max-k", "10",
+                                    "--input", path, *extra])
+        assert (rc, out, err) == (3, "", f"error: {message}\n")
 
 
 def test_cover_file_injection(tmp_path, capsys):

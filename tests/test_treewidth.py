@@ -326,3 +326,47 @@ def test_both_certificates_match_the_oracle(monkeypatch):
             w, dec = solve(g, cover, stats)
             assert w == want and not find_violations(g, dec)
             assert stats["certificate"] == "table"
+
+
+def oracle_equivalence_graphs():
+    """The random graphs of test_matches_oracle_random, here and in
+    test_treewidth_fast, in their order."""
+    rng = random.Random(43)
+    graphs = [random_graph(rng, rng.randrange(1, 10),
+                           rng.choice([0.2, 0.5, 0.8])) for _ in range(150)]
+    rng = random.Random(53)
+    return graphs + [random_graph(rng, rng.randrange(1, 8), rng.random())
+                     for _ in range(60)]
+
+
+def test_the_witness_is_built_from_the_certificate_stats_name(monkeypatch):
+    # decide_width picks the certificate once and reconstruct_tree builds
+    # from it: the state tree exactly when --stats says `table`, else the
+    # elimination order's tree. An edgeless graph's empty cover leaves an
+    # empty table, which still certifies
+    built = []
+
+    def spy(name):
+        real = getattr(treewidth, name)
+
+        def recording(*args):
+            built.append(name)
+            return real(*args)
+        return recording
+
+    for name in ("_state_tree", "_elimination_tree"):
+        monkeypatch.setattr(treewidth, name, spy(name))
+    taken = {"table": 0, "elimination order": 0}
+    for g in oracle_equivalence_graphs():
+        for solve in (treewidth_vc_4k, treewidth_vc_3k):
+            built.clear()
+            stats = {}
+            w, dec = solve(g, stats=stats)
+            assert w == dec.width and not find_violations(g, dec)
+            certificate = stats["certificate"]
+            assert built == ["_state_tree" if certificate == "table"
+                             else "_elimination_tree"], (solve, g.edges)
+            if not g.edges:
+                assert certificate == "table", (solve, g.n)
+            taken[certificate] += 1
+    assert min(taken.values()) >= 20, taken
